@@ -194,9 +194,10 @@ class BlockOrder:
 def find_blocks(g: Graph) -> BlockOrder:
     """Biconnected components of a connected graph, in DFS pop order.
 
-    Standard disc/low edge-stack traversal: a block is emitted when the DFS
-    returns to the articulation vertex it hangs from, so the emitted order is
-    leaf-to-root and each block's anchor is that vertex. Runs in O(n + m).
+    Standard disc/low edge-stack traversal from vertex 0: a block is emitted
+    when the DFS returns to the articulation vertex it hangs from, so the
+    emitted order is leaf-to-root, each block's anchor is that vertex, and the
+    last block contains vertex 0. Runs in O(n + m).
     """
     n = g.n
     adj = g.adjacency
@@ -270,16 +271,15 @@ def is_block_graph(g: Graph, min_block_size: int = 3) -> bool:
     return True
 
 
+def _is_cactus_block(g: Graph, vertices) -> bool:
+    size = len(vertices)
+    return size == 2 or _induced_edge_count(g, vertices) == size
+
+
 def is_cactus(g: Graph) -> bool:
     """True iff every block of the connected graph g is a single edge or an
     induced cycle (equivalently, every edge lies on at most one cycle)."""
-    for block in find_blocks(g):
-        size = len(block.vertices)
-        if size == 2:
-            continue
-        if _induced_edge_count(g, block.vertices) != size:
-            return False
-    return True
+    return all(_is_cactus_block(g, block.vertices) for block in find_blocks(g))
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple:

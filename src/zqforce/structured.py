@@ -6,19 +6,20 @@ unfilled and later triggers the deferred fill for free), and the last block
 gets tokens on all but one vertex. Z_q of such a block graph equals Z for
 every q, so block_graph_Zq just reuses the same run.
 
-cactus_Z0 is a dynamic program over the tree of blocks, evaluated once per
-root choice. For a block hanging from vertex v, val[i][j] is the token cost
-of the block's whole subtree when v is pre-filled by i in {0,1} outside fills
-and j in {0,1,2} member subtrees deliver their own shared vertex. Per vertex,
-dp1 accumulates the cheapest pre-filled variant of each attached block and
-dp0 adds the cheapest single-block upgrade to self-delivery.
+cactus_Z0 is a dynamic program over the tree of blocks, evaluated in one
+pass over the same leaf-to-root block order. For a block hanging from vertex
+v, val[i][j] is the token cost of the block's whole subtree when v is
+pre-filled by i in {0,1} outside fills and j in {0,1,2} member subtrees
+deliver their own shared vertex. Per vertex, dp1 accumulates the cheapest
+pre-filled variant of each attached block and dp0 adds the cheapest
+single-block upgrade to self-delivery.
 """
 
 from __future__ import annotations
 
 from .certificates import certificate_from_tokens
 from .errors import ScopeError
-from .graphs import Graph, _induced_edge_count, find_blocks, is_cactus
+from .graphs import Graph, _induced_edge_count, _is_cactus_block, find_blocks
 
 _INF = float("inf")
 
@@ -99,94 +100,60 @@ def _min_defined(*values):
     return best
 
 
-def cactus_Z0(g: Graph, debug_log: list | None = None) -> int:
-    """Z_0 of a connected cactus, evaluating the block-tree DP from every
-    root and keeping the minimum. O(n^2)."""
-    if not is_cactus(g):
-        raise ScopeError("cactus_Z0 requires a cactus graph (every edge on at most one cycle)")
-    if g.n == 1:
-        return 1
-    best = _INF
-    for root in range(g.n):
-        rooted = _cactus_root_value(g, root)
-        if debug_log is not None:
-            debug_log.append({"root": root, "tokens": rooted})
-        if rooted < best:
-            best = rooted
-    return int(best)
+def cactus_Z0(g: Graph) -> int:
+    """Z_0 of a connected cactus: one pass of the block-tree DP over the
+    find_blocks order, rooted at vertex 0. O(n + m).
 
-
-def _cactus_root_value(g: Graph, root: int) -> float:
+    One root suffices. A DP solution picks, for every vertex, the one
+    incident block that fills it; each other block containing the vertex
+    counts it as a seed, and a block that needs k fills (1 for a bridge, 2
+    for a cycle) and has s <= k seeds costs k - s tokens. Choices, seeds and
+    costs are defined without a root; rooting at r only decides whether a
+    choice reads as dp1 (filled by the parent block) or as dp0's upgrade
+    (filled by a child block). Every root therefore minimises the same sum
+    over the same choices and returns the same value.
+    """
     n = g.n
-    adj = g.adjacency
-    disc = [0] * n
-    low = [0] * n
+    if n == 1:
+        return 1
     dp0 = [0.0] * n  # subtree cost when the vertex must deliver itself
     dp1 = [0.0] * n  # subtree cost when the vertex is filled from outside
     min_upgrade = [_INF] * n
-    estack = []
-
-    timer = 1
-    disc[root] = low[root] = 1
-    stack = [[root, -1, 0]]
-    while stack:
-        frame = stack[-1]
-        v, parent, i = frame
-        if i < len(adj[v]):
-            frame[2] = i + 1
-            u = adj[v][i]
-            if not disc[u]:
-                estack.append((v, u))
-                timer += 1
-                disc[u] = low[u] = timer
-                stack.append([u, v, 0])
-            elif u != parent and disc[u] < disc[v]:
-                estack.append((v, u))
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-        else:
-            stack.pop()
-            dp0[v] += min_upgrade[v]  # stays infinite when nothing hangs below v
-            if not stack:
-                break
-            p = stack[-1][0]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if low[v] >= disc[p]:
-                members = set()
-                while True:
-                    a, b = estack.pop()
-                    members.add(a)
-                    members.add(b)
-                    if (a, b) == (p, v):
-                        break
-                members.discard(p)
-                total = 0.0
-                min1 = _INF
-                min2 = _INF
-                for x in members:
-                    total += dp1[x]
-                    diff = dp0[x] - dp1[x]
-                    if diff < min1:
-                        min1, min2 = diff, min1
-                    elif diff < min2:
-                        min2 = diff
-                if len(members) == 1:  # bridge block: the singular-vertex recurrences
-                    val00 = 1 + total
-                    val01 = total + min1
-                    val02 = None
-                    val10 = total
-                    val11 = None
-                else:  # cycle block: two fills anywhere complete the cycle
-                    val00 = 2 + total
-                    val01 = 1 + total + min1
-                    val02 = total + min1 + min2
-                    val10 = 1 + total
-                    val11 = total + min1
-                base = _min_defined(val10, val11)
-                dp0[p] += base
-                dp1[p] += base
-                upgrade = _min_defined(val00, val01, val02) - base
-                if upgrade < min_upgrade[p]:
-                    min_upgrade[p] = upgrade
-    return dp0[root]
+    for block in find_blocks(g):
+        if not _is_cactus_block(g, block.vertices):
+            raise ScopeError("cactus_Z0 requires a cactus graph (every edge on at most one cycle)")
+        # The DFS behind find_blocks starts at vertex 0, so the last block
+        # (no anchor) hangs from it.
+        p = 0 if block.anchor is None else block.anchor
+        members = block.vertices - {p}
+        total = 0.0
+        min1 = _INF
+        min2 = _INF
+        for x in members:
+            # Every block hanging below x came earlier in the order.
+            dp0[x] += min_upgrade[x]  # stays infinite when nothing hangs below x
+            total += dp1[x]
+            diff = dp0[x] - dp1[x]
+            if diff < min1:
+                min1, min2 = diff, min1
+            elif diff < min2:
+                min2 = diff
+        if len(members) == 1:  # bridge block: the singular-vertex recurrences
+            val00 = 1 + total
+            val01 = total + min1
+            val02 = None
+            val10 = total
+            val11 = None
+        else:  # cycle block: two fills anywhere complete the cycle
+            val00 = 2 + total
+            val01 = 1 + total + min1
+            val02 = total + min1 + min2
+            val10 = 1 + total
+            val11 = total + min1
+        base = _min_defined(val10, val11)
+        dp0[p] += base
+        dp1[p] += base
+        upgrade = _min_defined(val00, val01, val02) - base
+        if upgrade < min_upgrade[p]:
+            min_upgrade[p] = upgrade
+    return int(dp0[0] + min_upgrade[0])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from zqforce import FamilyParams, Graph, generate_family, unfilled_components
+from zqforce import FamilyParams, Graph, cactus_Z0, generate_family, unfilled_components
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -104,6 +104,18 @@ def brute_blocks(g: Graph) -> set:
             if all(_induced_connected(g, vset - {v}) for v in vs):
                 candidates.append(frozenset(vs))
     return {c for c in candidates if not any(c < d for d in candidates)}
+
+
+def cactus_Z0_all_roots(g: Graph) -> int:
+    """Oracle for cactus_Z0: the minimum of cactus_Z0 over every relabelling
+    of g that swaps some vertex r with vertex 0, so that the DP, which roots
+    itself at vertex 0, is rooted at every vertex in turn."""
+
+    def rooted_at(r):
+        swap = {0: r, r: 0}
+        return Graph.from_edges(g.n, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
+
+    return min(cactus_Z0(rooted_at(r)) for r in range(g.n))
 
 
 def naive_zq_value(g: Graph, q: int, mode: str = "closure") -> int:

@@ -280,14 +280,12 @@ def test_criterion_9_scaling():
     cactus_times = []
     for n in sizes:
         g = generate_family("random_cactus", FamilyParams(n=n), seed=n)
-        cactus_times.append(_best_time(lambda: cactus_Z0(g), repeats=2 if n <= 200 else 1))
+        cactus_times.append(_best_time(lambda: cactus_Z0(g)))
 
     g1000 = generate_family("random_block_graph", FamilyParams(n=1000, blocks=125), seed=1000)
     block_1000 = _best_time(lambda: block_graph_Z(g1000))
     c1000 = generate_family("random_cactus", FamilyParams(n=1000), seed=1000)
-    started = time.perf_counter()
-    cactus_Z0(c1000)
-    cactus_1000 = time.perf_counter() - started
+    cactus_1000 = _best_time(lambda: cactus_Z0(c1000))
 
     block_slope = _fit_slope(sizes, block_times)
     cactus_slope = _fit_slope(sizes, cactus_times)
@@ -295,11 +293,11 @@ def test_criterion_9_scaling():
         block_1000 < 1.0
         and cactus_1000 < 120.0
         and abs(block_slope - 1.0) <= 0.5
-        and abs(cactus_slope - 2.0) <= 0.5
+        and abs(cactus_slope - 1.0) <= 0.5
     )
     _report(9, ok, f"block n=1000 in {block_1000:.3f}s (< 1s), cactus n=1000 in "
-                   f"{cactus_1000:.1f}s (< 120s); log-log slopes block={block_slope:.2f} "
-                   f"(1±0.5), cactus={cactus_slope:.2f} (2±0.5)")
+                   f"{cactus_1000:.3f}s (< 120s); log-log slopes block={block_slope:.2f} "
+                   f"(1±0.5), cactus={cactus_slope:.2f} (1±0.5)")
 
 
 def test_criterion_10_rule3_mode_report():

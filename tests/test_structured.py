@@ -19,6 +19,7 @@ from zqforce import (
 
 from helpers import (
     BOWTIE,
+    cactus_Z0_all_roots,
     clique,
     cycle,
     path,
@@ -177,9 +178,14 @@ def test_block_solver_exhaustive_up_to_7_vertices():
     assert count > 10
 
 
-def test_cactus_debug_log_lists_roots():
-    log = []
-    value = cactus_Z0(BOWTIE, debug_log=log)
-    assert len(log) == BOWTIE.n
-    assert min(entry["tokens"] for entry in log) == value
-    json.dumps(log)
+def test_cactus_root_zero_matches_all_roots_minimum():
+    # cactus_Z0 roots its DP at vertex 0 only; the oracle reroots it at every
+    # vertex by relabelling and keeps the minimum.
+    # Every connected cactus up to 7 vertices, then random cacti up to 200.
+    from zqforce import is_cactus
+
+    rng = random.Random(67)
+    corpus = [g for g in _atlas_connected(7) if is_cactus(g)]
+    corpus += [random_cactus(rng.randint(1, 200), rng) for _ in range(200)]
+    for g in corpus:
+        assert cactus_Z0(g) == cactus_Z0_all_roots(g), g.edges
