@@ -53,7 +53,6 @@ from .game import (
 from .generators import FAMILY_KINDS, FamilyParams, generate_family
 from .graphs import (
     Block,
-    BlockOrder,
     Graph,
     connected_components,
     find_blocks,

@@ -30,8 +30,9 @@ class ScopeError(ZqError):
 
 
 class ResourceLimitError(ZqError):
-    """A solver hit its configured state/memo budget. Raised instead of ever
-    returning an unverified value."""
+    """An input or a solver exceeded a size, state or memo budget. Raised
+    instead of allocating past the budget or ever returning an unverified
+    value."""
 
 
 class OracleProtocolError(ZqError):

@@ -9,8 +9,10 @@ player still has to spend against a worst-case oracle:
         (b) V(F + target)         for every applicable force      [force]
         (c) max over reveals L of the announcement's successors   [announce]
 
-States are bitmasks, the value table is memoized on the filled set alone,
-and both players' optimizers are recorded so optimal play can be replayed.
+States are bitmasks and the memo holds game values only. Optimal play for
+both sides is re-derived from that table on demand: one move evaluator scores
+the player's moves and the oracle's reveals, and the search, the trace and
+the adversarial oracle all call it.
 
 An announcement is discarded when some nonempty reveal admits no force in
 the revealed subgraph: the oracle would pick that reveal and the state would
@@ -22,7 +24,7 @@ player, so the search enumerates announcements of exactly q+1 components;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .certificates import (
@@ -44,7 +46,8 @@ MODE_CLOSURE = "closure"
 MODE_SINGLE_FORCE = "single_force"
 
 DEFAULT_VERTEX_CAP = 16
-DEFAULT_MEMO_LIMIT = 1 << 26
+# About 73 B per values-only entry (tracemalloc, C16 at q=1): ~1.2 GB.
+DEFAULT_MEMO_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -67,21 +70,23 @@ class GameConfig:
 
 @dataclass
 class GameSolution:
-    """Value table plus both players' optimal strategies.
+    """Game value and the value table of a solve.
 
-    States and components are vertex bitmasks. best_move maps a state to
-    ("token", v) | ("force", u, v) | ("announce", component masks);
-    oracle_response maps (state, announcement) to the worst-case reveal.
+    States and components are vertex bitmasks; values maps every state the
+    search reached to its game value. Moves and reveals are not stored:
+    extract_player_trace and adversarial_oracle derive them on demand from
+    values. oracle_response keeps the reveals the adversarial oracle has
+    been asked for, keyed by (state, announced component masks); it is empty
+    when solve_zq returns.
     """
 
     value: int
-    best_move: dict
-    oracle_response: dict
     values: dict
     states_explored: int
     q: int
     rule3_mode: str
     graph: Graph
+    oracle_response: dict = field(default_factory=dict)
 
 
 def vertices_to_mask(vertices) -> int:
@@ -225,27 +230,32 @@ def reveal_outcomes(g: Graph, filled, announcement, mode: str = MODE_CLOSURE) ->
     return outcomes
 
 
-def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
-    """Exact game value and optimal strategies for both sides.
+# Move kinds, numbered in tie-break order so that free moves come first.
+_FORCE, _ANNOUNCE, _TOKEN = 0, 1, 2
 
-    Ties between optimal player moves break by move kind (force, then
-    announce, then token) and lexicographically inside a kind, so traces are
-    reproducible and prefer free moves.
+
+def _move_evaluator(sol: GameSolution, memo_limit: int):
+    """The one scorer of moves, shared by the search and by trace replay.
+
+    Returns three closures over the value table `sol.values`:
+      value(state): the game value, computed and memoized on a miss;
+      best(state) -> (value, kind, key): the optimal move. Ties break by kind
+        (force, announce, token), then by key: (u, target) for a force, the
+        component masks for an announcement, (v,) for a token;
+      worst_reveal(state, combo, cache) -> (value, reveal) for the first
+        strict-maximum reveal of the announcement in subset order, or None
+        if some reveal is dead. `cache` maps a revealed union to its value
+        and may be shared by the announcements of one state.
+
+    The search scores every successor of each state it memoizes, so replay
+    over a finished table only reads it; replay passes a memo_limit of the
+    table's size to make that a checked fact.
     """
-    n = g.n
-    if n > cfg.vertex_cap:
-        raise ResourceLimitError(f"n={n} exceeds vertex cap {cfg.vertex_cap}; raise the cap to allow this")
-    if not is_connected(g):
-        raise GraphValidationError("solve_zq requires a connected graph")
-
-    masks = _adjacency_masks(g)
-    full = (1 << n) - 1
-    q = cfg.q
-    closure_mode = cfg.rule3_mode == MODE_CLOSURE
-    memo_limit = cfg.memo_limit
-    memo = {full: 0}
-    best = {}
-    oracle = {}
+    memo = sol.values
+    masks = _adjacency_masks(sol.graph)
+    full = (1 << sol.graph.n) - 1
+    q = sol.q
+    closure_mode = sol.rule3_mode == MODE_CLOSURE
 
     def value(filled: int) -> int:
         cached = memo.get(filled)
@@ -253,10 +263,12 @@ def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
             return cached
         if len(memo) >= memo_limit:
             raise ResourceLimitError(f"memo limit {memo_limit} reached; raise memo_limit to continue")
+        val = best(filled)[0]
+        memo[filled] = val
+        return val
 
-        best_val = n + 1
-        best_kind = 3
-        best_key = None
+    def best(filled: int) -> tuple:
+        moves = []
         unfilled = full & ~filled
         forced_targets = 0
 
@@ -269,60 +281,42 @@ def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
             cand = masks[u] & unfilled
             if cand and not (cand & (cand - 1)):
                 forced_targets |= cand
-                val = value(filled | cand)
-                key = (u, cand.bit_length() - 1)
-                if val < best_val or (val == best_val and (0, key) < (best_kind, best_key)):
-                    best_val, best_kind, best_key = val, 0, key
+                moves.append((value(filled | cand), _FORCE, (u, cand.bit_length() - 1)))
 
         # Rule 3: announcements of exactly q+1 unfilled components.
         if unfilled.bit_count() > q:
             comps = _mask_components(masks, unfilled)
-            k = len(comps)
-            if k > q:
-                reveal_cache = {}
+            if len(comps) > q:
+                cache = {}
                 for combo in combinations(comps, q + 1):
-                    worst = -1
-                    worst_reveal = None
-                    dead = False
-                    for sub in range(1, 1 << (q + 1)):
-                        union = 0
-                        for j in range(q + 1):
-                            if sub >> j & 1:
-                                union |= combo[j]
-                        res = reveal_cache.get(union)
-                        if res is None:
-                            res = _reveal_value(filled, union)
-                            reveal_cache[union] = res
-                        if res < 0:
-                            dead = True
-                            break
-                        if res > worst:
-                            worst = res
-                            worst_reveal = tuple(c for j, c in enumerate(combo) if sub >> j & 1)
-                    if dead:
-                        continue
-                    oracle[(filled, combo)] = worst_reveal
-                    if worst < best_val or (worst == best_val and (1, combo) < (best_kind, best_key)):
-                        best_val, best_kind, best_key = worst, 1, combo
+                    worst = worst_reveal(filled, combo, cache)
+                    if worst is not None:
+                        moves.append((worst[0], _ANNOUNCE, combo))
 
         # Rule 1: tokens. A token on a force target is dominated by the force.
         m = unfilled & ~forced_targets
         while m:
             low = m & -m
             m ^= low
-            v = low.bit_length() - 1
-            val = 1 + value(filled | low)
-            if val < best_val or (val == best_val and (2, (v,)) < (best_kind, best_key)):
-                best_val, best_kind, best_key = val, 2, (v,)
+            moves.append((1 + value(filled | low), _TOKEN, (low.bit_length() - 1,)))
+        return min(moves)  # tuple order is the tie-break order
 
-        memo[filled] = best_val
-        if best_kind == 0:
-            best[filled] = ("force",) + best_key
-        elif best_kind == 1:
-            best[filled] = ("announce", best_key)
-        else:
-            best[filled] = ("token", best_key[0])
-        return best_val
+    def worst_reveal(filled: int, combo: tuple, cache: dict):
+        worst = -1
+        worst_sub = 0
+        for sub in range(1, 1 << len(combo)):
+            union = 0
+            for j, comp in enumerate(combo):
+                if sub >> j & 1:
+                    union |= comp
+            res = cache.get(union)
+            if res is None:
+                res = cache[union] = _reveal_value(filled, union)
+            if res < 0:
+                return None
+            if res > worst:
+                worst, worst_sub = res, sub
+        return worst, tuple(c for j, c in enumerate(combo) if worst_sub >> j & 1)
 
     def _reveal_value(filled: int, union: int) -> int:
         """Player's best continuation value after a reveal; -1 if the reveal
@@ -345,35 +339,57 @@ def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
                     best_succ = val
         return best_succ
 
-    total = value(0)
-    return GameSolution(
-        value=total,
-        best_move=best,
-        oracle_response=oracle,
-        values=memo,
-        states_explored=len(memo),
-        q=q,
-        rule3_mode=cfg.rule3_mode,
-        graph=g,
-    )
+    return value, best, worst_reveal
+
+
+def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
+    """Exact game value and the value table of every state searched.
+
+    Optimal moves for both sides are re-derived from the table on demand by
+    `extract_player_trace` and `adversarial_oracle`.
+    """
+    n = g.n
+    if n > cfg.vertex_cap:
+        raise ResourceLimitError(f"n={n} exceeds vertex cap {cfg.vertex_cap}; raise the cap to allow this")
+    if not is_connected(g):
+        raise GraphValidationError("solve_zq requires a connected graph")
+
+    sol = GameSolution(value=0, values={(1 << n) - 1: 0}, states_explored=0,
+                       q=cfg.q, rule3_mode=cfg.rule3_mode, graph=g)
+    value, _, _ = _move_evaluator(sol, cfg.memo_limit)
+    sol.value = value(0)
+    sol.states_explored = len(sol.values)
+    return sol
 
 
 def adversarial_oracle(sol: GameSolution):
-    """The solver's recorded worst-case oracle as a reveal policy."""
+    """The solver's worst-case oracle as a reveal policy.
+
+    Each reveal is derived from the value table when first asked for and
+    kept in `sol.oracle_response`.
+    """
+    _, _, worst_reveal = _move_evaluator(sol, len(sol.values))
+    masks = _adjacency_masks(sol.graph)
+    full = (1 << sol.graph.n) - 1
 
     def policy(filled, announcement):
         state = vertices_to_mask(filled)
-        key = (state, tuple(vertices_to_mask(c) for c in announcement))
-        reveal = sol.oracle_response.get(key)
-        if reveal is None:
-            raise OracleProtocolError("announcement was never evaluated by the solver")
-        return tuple(mask_to_vertices(c) for c in reveal)
+        announced = {vertices_to_mask(c) for c in announcement}
+        combo = tuple(c for c in _mask_components(masks, full & ~state) if c in announced)
+        key = (state, combo)
+        if key not in sol.oracle_response:
+            legal = state in sol.values and len(combo) == len(announced) == sol.q + 1
+            worst = worst_reveal(state, combo, {}) if legal else None
+            if worst is None:
+                raise OracleProtocolError("announcement was never evaluated by the solver")
+            sol.oracle_response[key] = worst[1]
+        return tuple(mask_to_vertices(c) for c in sol.oracle_response[key])
 
     return policy
 
 
 def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificate:
-    """Play the recorded best moves against an oracle policy.
+    """Play the solver's optimal moves against an oracle policy.
 
     The policy is a callable (filled set, announced components) -> revealed
     components; by default the solver's own adversarial oracle. The result
@@ -382,6 +398,7 @@ def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificat
     """
     if oracle is None:
         oracle = adversarial_oracle(sol)
+    _, best, _ = _move_evaluator(sol, len(sol.values))
     masks = _adjacency_masks(g)
     full = (1 << g.n) - 1
     closure_mode = sol.rule3_mode == MODE_CLOSURE
@@ -389,20 +406,18 @@ def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificat
     trace = []
     tokens = []
     while state != full:
-        move = sol.best_move[state]
-        kind = move[0]
-        if kind == "token":
-            v = move[1]
+        _, kind, key = best(state)
+        if kind == _TOKEN:
+            v = key[0]
             tokens.append(v)
             trace.append(TokenMove(v))
             state |= 1 << v
-        elif kind == "force":
-            _, u, t = move
+        elif kind == _FORCE:
+            u, t = key
             trace.append(ForceMove(u, t))
             state |= 1 << t
         else:
-            announced_masks = move[1]
-            announced = tuple(mask_to_vertices(c) for c in announced_masks)
+            announced = tuple(mask_to_vertices(c) for c in key)
             trace.append(AnnounceMove(announced))
             step = len(trace) - 1
             reveal = tuple(frozenset(c) for c in oracle(mask_to_vertices(state), announced))

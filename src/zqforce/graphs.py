@@ -9,9 +9,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import EdgeListParseError, GraphValidationError
+from .errors import EdgeListParseError, GraphValidationError, ResourceLimitError
 
-VertexSet = frozenset
+# Largest vertex count parse_edge_list accepts, checked before the graph is
+# allocated: 20x the 1e5-vertex benchmark block graph, whose ~1.6 KB/vertex
+# peak puts this near 3 GB.
+MAX_VERTICES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -51,14 +54,8 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -67,7 +64,8 @@ def parse_edge_list(text: str) -> Graph:
     Each non-comment line is "u v" with nonnegative integer endpoints; `#`
     starts a comment. An optional first line "n <count>" fixes the vertex
     count (allowing isolated vertices); otherwise n = 1 + max endpoint.
-    Duplicate edges and both orientations collapse to a single edge.
+    Duplicate edges and both orientations collapse to a single edge. A
+    vertex count above MAX_VERTICES raises ResourceLimitError.
     """
     header_n = None
     raw_edges = []
@@ -104,6 +102,8 @@ def parse_edge_list(text: str) -> Graph:
     n = header_n if header_n is not None else top + 1
     if top >= n:
         raise GraphValidationError(f"endpoint {top} exceeds declared vertex count {n}")
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     for lineno, u, v in raw_edges:
         if u == v:
             raise GraphValidationError(f"line {lineno}: self-loop at vertex {u}")
@@ -162,37 +162,18 @@ def unfilled_components(g: Graph, filled) -> list:
 class Block:
     """A biconnected component (maximal 2-connected subgraph or bridge edge).
 
-    anchor is the single vertex shared with the still-unprocessed remainder
-    when blocks are consumed in BlockOrder; the final block has none.
+    In the leaf-to-root order `find_blocks` returns, anchor is the single
+    vertex the block shares with the union of the blocks after it (the
+    articulation vertex it hangs from); the last block has none.
     """
 
     vertices: frozenset
     anchor: int | None
 
 
-@dataclass(frozen=True)
-class BlockOrder:
-    """Leaf-to-root elimination sequence of blocks.
-
-    Deleting each block in sequence order (keeping its anchor) leaves every
-    later block sharing exactly one vertex with the remaining graph, except
-    the last, which has no anchor.
-    """
-
-    sequence: tuple
-
-    def __iter__(self):
-        return iter(self.sequence)
-
-    def __len__(self):
-        return len(self.sequence)
-
-    def __getitem__(self, i):
-        return self.sequence[i]
-
-
-def find_blocks(g: Graph) -> BlockOrder:
-    """Biconnected components of a connected graph, in DFS pop order.
+def find_blocks(g: Graph) -> tuple:
+    """Biconnected components of a connected graph, as a tuple of Block in
+    DFS pop order.
 
     Standard disc/low edge-stack traversal from vertex 0: a block is emitted
     when the DFS returns to the articulation vertex it hangs from, so the
@@ -247,7 +228,7 @@ def find_blocks(g: Graph) -> BlockOrder:
     blocks = [Block(vertices=verts, anchor=at) for verts, at in popped]
     if blocks:
         blocks[-1] = Block(vertices=blocks[-1].vertices, anchor=None)
-    return BlockOrder(sequence=tuple(blocks))
+    return tuple(blocks)
 
 
 def _induced_edge_count(g: Graph, vertices) -> int:

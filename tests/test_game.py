@@ -12,18 +12,22 @@ from zqforce import (
     OracleProtocolError,
     ResourceLimitError,
     TokenMove,
+    adversarial_oracle,
     brute_force_Z,
     check_certificate,
     extract_player_trace,
     generate_family,
     FamilyParams,
     Graph,
+    forcing_closure,
     legal_announcements,
     mask_to_vertices,
     reveal_outcomes,
     solution_report,
     solve_zq,
+    vertices_to_mask,
 )
+from zqforce.game import _FORCE, _TOKEN, _move_evaluator
 
 from helpers import BOWTIE, clique, cycle, path, random_connected_graph, star
 
@@ -116,22 +120,46 @@ def test_memo_consistency():
                 assert val <= 1 + sol.values[state | low]
 
 
+def _reveal_values(g, sol, filled, announcement):
+    """Player's value after each reveal, from reveal_outcomes and the table."""
+    outcomes = reveal_outcomes(g, filled, announcement, sol.rule3_mode)
+    per_reveal = {}
+    for rev, succs in outcomes.items():
+        assert succs, "announcement admits a dead reveal"
+        per_reveal[frozenset(rev)] = min(sol.values[vertices_to_mask(s)] for s in succs)
+    return per_reveal
+
+
 def test_oracle_response_attains_reveal_maximum():
     for g, q in ((cycle(5), 0), (cycle(6), 1), (star((1, 1, 2)), 1), (BOWTIE, 0)):
         sol = solve_zq(g, GameConfig(q=q))
-        for (state, announcement), reveal in sol.oracle_response.items():
+        assert sol.oracle_response == {}
+        oracle = adversarial_oracle(sol)
+        checked = 0
+        for state in sol.values:
             filled = mask_to_vertices(state)
-            ann_sets = tuple(mask_to_vertices(c) for c in announcement)
-            outcomes = reveal_outcomes(g, filled, ann_sets, sol.rule3_mode)
-            per_reveal = {}
-            for rev, succs in outcomes.items():
-                if succs:
-                    per_reveal[frozenset(rev)] = min(
-                        sol.values[sum(1 << v for v in s)] for s in succs
-                    )
-            stored = frozenset(mask_to_vertices(c) for c in reveal)
-            assert per_reveal, (state, announcement)
-            assert per_reveal[stored] == max(per_reveal.values())
+            for announcement in legal_announcements(g, filled, q):
+                if len(announcement) != q + 1:
+                    continue
+                per_reveal = _reveal_values(g, sol, filled, announcement)
+                stored = frozenset(oracle(filled, announcement))
+                assert per_reveal[stored] == max(per_reveal.values())
+                checked += 1
+        assert checked, (g.edges, q)
+        assert len(sol.oracle_response) == checked
+
+
+def test_adversarial_oracle_refuses_unevaluated_announcements():
+    sol = solve_zq(cycle(5), GameConfig(q=0))
+    oracle = adversarial_oracle(sol)
+    assert oracle({0, 2}, (frozenset({3, 4}),)) == (frozenset({3, 4}),)
+    for filled, announcement in (
+        ({0, 2}, (frozenset({1}), frozenset({3, 4}))),  # q+2 components
+        ({0, 2}, (frozenset({1, 3}),)),  # not a component
+        ({0}, (frozenset({1, 2, 3, 4}),)),  # dead: revealing it admits no force
+    ):
+        with pytest.raises(OracleProtocolError):
+            oracle(filled, announcement)
 
 
 def test_solver_matches_unoptimized_reference():
@@ -158,27 +186,46 @@ def test_solver_matches_unoptimized_reference():
 def test_best_move_achieves_memoized_value_everywhere():
     for g, q in ((cycle(6), 0), (BOWTIE, 0), (star((1, 1, 2)), 1)):
         sol = solve_zq(g, GameConfig(q=q))
-        for state, move in sol.best_move.items():
-            val = sol.values[state]
-            if move[0] == "token":
-                assert val == 1 + sol.values[state | (1 << move[1])]
-            elif move[0] == "force":
-                assert val == sol.values[state | (1 << move[2])]
+        _, best, _ = _move_evaluator(sol, len(sol.values))
+        oracle = adversarial_oracle(sol)
+        full = (1 << g.n) - 1
+        for state, val in sol.values.items():
+            if state == full:
+                continue
+            move_val, kind, key = best(state)
+            assert move_val == val
+            if kind == _TOKEN:
+                assert val == 1 + sol.values[state | (1 << key[0])]
+            elif kind == _FORCE:
+                assert val == sol.values[state | (1 << key[1])]
             else:
-                announcement = move[1]
-                reveal = sol.oracle_response[(state, announcement)]
                 filled = mask_to_vertices(state)
-                ann_sets = tuple(mask_to_vertices(c) for c in announcement)
-                outcomes = reveal_outcomes(g, filled, ann_sets, sol.rule3_mode)
-                per_reveal = {}
-                for rev, succs in outcomes.items():
-                    assert succs, "chosen announcement admits a dead reveal"
-                    per_reveal[frozenset(rev)] = min(
-                        sol.values[sum(1 << v for v in s)] for s in succs
-                    )
+                announcement = tuple(mask_to_vertices(c) for c in key)
+                per_reveal = _reveal_values(g, sol, filled, announcement)
                 assert val == max(per_reveal.values())
-                stored = frozenset(mask_to_vertices(c) for c in reveal)
-                assert per_reveal[stored] == val
+                assert per_reveal[frozenset(oracle(filled, announcement))] == val
+
+
+def test_values_invariant_under_closure_and_monotone():
+    # Closure-canonical memoization relies on both: forcing never changes the
+    # value, and an extra filled vertex never raises it.
+    rng = random.Random(43)
+    for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+        for q in (0, 1, 2):
+            for _ in range(50):
+                n = rng.randint(2, 8)
+                g = random_connected_graph(n, rng.random() * 0.5, rng)
+                sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
+                full = (1 << n) - 1
+                for state, val in sol.values.items():
+                    case = (g.edges, q, mode, sorted(mask_to_vertices(state)))
+                    closed = vertices_to_mask(forcing_closure(g, mask_to_vertices(state)))
+                    assert sol.values[closed] == val, case
+                    rest = full & ~state
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        assert sol.values[state | low] <= val, case
 
 
 def test_extract_trace_p3_q1_exact_moves():

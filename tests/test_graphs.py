@@ -7,6 +7,7 @@ from zqforce import (
     EdgeListParseError,
     Graph,
     GraphValidationError,
+    ResourceLimitError,
     find_blocks,
     format_edge_list,
     induced_subgraph,
@@ -16,6 +17,9 @@ from zqforce import (
     parse_edge_list,
     unfilled_components,
 )
+
+from zqforce import graphs
+from zqforce.cli import main
 
 from helpers import (
     BOWTIE,
@@ -73,6 +77,17 @@ def test_parse_header_must_cover_endpoints():
         parse_edge_list("n 2\n0 5")
 
 
+def test_parse_refuses_vertex_counts_above_limit(monkeypatch, tmp_path):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 100)
+    assert parse_edge_list("0 99").n == 100
+    for text in ("0 5000\n", "n 5000\n0 1\n"):
+        with pytest.raises(ResourceLimitError):
+            parse_edge_list(text)
+        big = tmp_path / "big.el"
+        big.write_text(text)
+        assert main(["compute", "--file", str(big)]) == 3
+
+
 def test_edge_list_round_trip():
     g = BOWTIE
     assert parse_edge_list(format_edge_list(g)) == g
@@ -114,7 +129,7 @@ def test_find_blocks_path_gives_bridge_blocks():
     order = find_blocks(path(4))
     assert [len(b.vertices) for b in order] == [2, 2, 2]
     assert order[-1].anchor is None
-    assert all(b.anchor is not None for b in order.sequence[:-1])
+    assert all(b.anchor is not None for b in order[:-1])
 
 
 def test_find_blocks_bowtie_matches_brute_force():
@@ -171,7 +186,7 @@ def test_block_order_prefix_invariant_on_random_block_graphs():
         removed = set()
         for i, block in enumerate(order):
             remaining = set()
-            for later in order.sequence[i + 1 :]:
+            for later in order[i + 1 :]:
                 remaining |= later.vertices
             shared = block.vertices & remaining
             if i < len(order) - 1:
