@@ -79,10 +79,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        return cls(**data)
-
 
 def detect_class(g: Graph) -> str:
     if not is_connected(g):

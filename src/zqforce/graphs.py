@@ -240,16 +240,15 @@ def _induced_edge_count(g: Graph, vertices) -> int:
     return total // 2
 
 
+def _is_clique_block(g: Graph, vertices, min_size: int) -> bool:
+    size = len(vertices)
+    return size >= min_size and _induced_edge_count(g, vertices) == size * (size - 1) // 2
+
+
 def is_block_graph(g: Graph, min_block_size: int = 3) -> bool:
     """True iff every block of the connected graph g induces a clique with at
     least min_block_size vertices."""
-    for block in find_blocks(g):
-        size = len(block.vertices)
-        if size < min_block_size:
-            return False
-        if _induced_edge_count(g, block.vertices) != size * (size - 1) // 2:
-            return False
-    return True
+    return all(_is_clique_block(g, block.vertices, min_block_size) for block in find_blocks(g))
 
 
 def _is_cactus_block(g: Graph, vertices) -> bool:

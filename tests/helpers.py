@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from zqforce import FamilyParams, Graph, cactus_Z0, generate_family, unfilled_components
+from zqforce import FamilyParams, Graph, ScopeError, find_blocks, generate_family, unfilled_components
+from zqforce.graphs import _is_cactus_block
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -106,16 +107,69 @@ def brute_blocks(g: Graph) -> set:
     return {c for c in candidates if not any(c < d for d in candidates)}
 
 
-def cactus_Z0_all_roots(g: Graph) -> int:
-    """Oracle for cactus_Z0: the minimum of cactus_Z0 over every relabelling
-    of g that swaps some vertex r with vertex 0, so that the DP, which roots
-    itself at vertex 0, is rooted at every vertex in turn."""
+_INF = float("inf")
 
-    def rooted_at(r):
-        swap = {0: r, r: 0}
-        return Graph.from_edges(g.n, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
 
-    return min(cactus_Z0(rooted_at(r)) for r in range(g.n))
+def _min_defined(*values):
+    best = _INF
+    for v in values:
+        if v is not None and v < best:
+            best = v
+    return best
+
+
+def cactus_Z0_dp(g: Graph) -> int:
+    """Oracle for cactus_Z0: the block-tree dynamic program it replaced, one
+    pass over the find_blocks order rooted at vertex 0. For a block hanging
+    from vertex v, val[i][j] is the token cost of the block's whole subtree
+    when v is pre-filled by i in {0,1} outside fills and j in {0,1,2} member
+    subtrees deliver their own shared vertex. Per vertex, dp1 accumulates the
+    cheapest pre-filled variant of each attached block and dp0 adds the
+    cheapest single-block upgrade to self-delivery."""
+    n = g.n
+    if n == 1:
+        return 1
+    dp0 = [0.0] * n  # subtree cost when the vertex must deliver itself
+    dp1 = [0.0] * n  # subtree cost when the vertex is filled from outside
+    min_upgrade = [_INF] * n
+    for block in find_blocks(g):
+        if not _is_cactus_block(g, block.vertices):
+            raise ScopeError("cactus_Z0 requires a cactus graph (every edge on at most one cycle)")
+        # The DFS behind find_blocks starts at vertex 0, so the last block
+        # (no anchor) hangs from it.
+        p = 0 if block.anchor is None else block.anchor
+        members = block.vertices - {p}
+        total = 0.0
+        min1 = _INF
+        min2 = _INF
+        for x in members:
+            # Every block hanging below x came earlier in the order.
+            dp0[x] += min_upgrade[x]  # stays infinite when nothing hangs below x
+            total += dp1[x]
+            diff = dp0[x] - dp1[x]
+            if diff < min1:
+                min1, min2 = diff, min1
+            elif diff < min2:
+                min2 = diff
+        if len(members) == 1:  # bridge block: the singular-vertex recurrences
+            val00 = 1 + total
+            val01 = total + min1
+            val02 = None
+            val10 = total
+            val11 = None
+        else:  # cycle block: two fills anywhere complete the cycle
+            val00 = 2 + total
+            val01 = 1 + total + min1
+            val02 = total + min1 + min2
+            val10 = 1 + total
+            val11 = total + min1
+        base = _min_defined(val10, val11)
+        dp0[p] += base
+        dp1[p] += base
+        upgrade = _min_defined(val00, val01, val02) - base
+        if upgrade < min_upgrade[p]:
+            min_upgrade[p] = upgrade
+    return int(dp0[0] + min_upgrade[0])
 
 
 def naive_zq_value(g: Graph, q: int, mode: str = "closure") -> int:

@@ -1,7 +1,7 @@
 import json
 
 from zqforce import check_certificate, parse_certificate
-from zqforce.cli import RunReport, main
+from zqforce.cli import main
 
 from helpers import cycle
 
@@ -199,20 +199,6 @@ def test_strategy_star_q2(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "tokens spent: 2" in out
-
-
-def test_run_report_round_trip():
-    report = RunReport(
-        source="family:cycle",
-        detected_class="cactus",
-        method="exact",
-        q=0,
-        value=2,
-        certificate_path=None,
-        wall_time=0.01,
-        params={"n": 5},
-    )
-    assert RunReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
 
 def test_compute_output_file(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -19,7 +18,7 @@ from zqforce import (
 
 from helpers import (
     BOWTIE,
-    cactus_Z0_all_roots,
+    cactus_Z0_dp,
     clique,
     cycle,
     path,
@@ -95,12 +94,27 @@ def test_block_solver_rejects_wrong_class():
         block_graph_Zq(BOWTIE, -1)
 
 
-def test_block_solver_debug_log_is_json_ready():
-    log = []
-    block_graph_Z(BOWTIE, debug_log=log)
-    assert len(log) == 2
-    json.dumps(log)
-    assert log[0]["anchor"] == 2
+def test_structured_solvers_decompose_once(monkeypatch):
+    import zqforce.graphs
+    import zqforce.structured
+
+    real = zqforce.graphs.find_blocks
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(zqforce.graphs, "find_blocks", counting)
+    monkeypatch.setattr(zqforce.structured, "find_blocks", counting)
+    for solve in (
+        lambda: block_graph_Z(BOWTIE),
+        lambda: block_graph_Zq(BOWTIE, 1),
+        lambda: cactus_Z0(BOWTIE),
+    ):
+        calls.clear()
+        solve()
+        assert len(calls) == 1
 
 
 def test_cactus_single_cycles():
@@ -178,14 +192,18 @@ def test_block_solver_exhaustive_up_to_7_vertices():
     assert count > 10
 
 
-def test_cactus_root_zero_matches_all_roots_minimum():
-    # cactus_Z0 roots its DP at vertex 0 only; the oracle reroots it at every
-    # vertex by relabelling and keeps the minimum.
-    # Every connected cactus up to 7 vertices, then random cacti up to 200.
+def test_cactus_closed_form_matches_dp():
+    # The closed form against the block-tree DP it replaced, on every
+    # connected cactus up to 7 vertices and random cacti up to 200, each also
+    # under one seeded relabelling so that the DP's root, vertex 0, varies.
     from zqforce import is_cactus
 
     rng = random.Random(67)
     corpus = [g for g in _atlas_connected(7) if is_cactus(g)]
     corpus += [random_cactus(rng.randint(1, 200), rng) for _ in range(200)]
     for g in corpus:
-        assert cactus_Z0(g) == cactus_Z0_all_roots(g), g.edges
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        for h in (g, relabelled):
+            assert cactus_Z0(h) == cactus_Z0_dp(h), h.edges
