@@ -95,11 +95,14 @@ def _warn(message: str):
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _parse_int_list(text: str) -> list:
+def _parse_int_list(text: str, flag: str) -> list:
     text = text.strip()
     if not text:
         return []
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise GraphValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _rule3_mode(flag: str) -> str:
@@ -107,7 +110,7 @@ def _rule3_mode(flag: str) -> str:
 
 
 def _family_params(args) -> FamilyParams:
-    arms = tuple(_parse_int_list(args.arms)) if args.arms else None
+    arms = tuple(_parse_int_list(args.arms, "--arms")) if args.arms else None
     return FamilyParams(
         eta=args.eta,
         k=args.k,
@@ -191,11 +194,14 @@ def cmd_compute(args) -> int:
     started = time.perf_counter()
     g, source, family_kind, shown_params = _load_graph(args)
     q = args.q
+    if q < 0:
+        raise GraphValidationError("q must be nonnegative")
     method = args.method
     value = None
     cert = None
     sol = None
     used = None
+    disconnected = False
 
     if method in ("auto", "formula") and family_kind in _FORMULA_FAMILIES:
         params = _family_params(args)
@@ -218,6 +224,7 @@ def cmd_compute(args) -> int:
                 f"input has {len(comps)} components; reporting the sum of per-component "
                 "values (a CLI convention, defined for connected graphs otherwise)"
             )
+            disconnected = True
             value = 0
             for comp in comps:
                 sub, _ = induced_subgraph(g, comp)
@@ -228,7 +235,9 @@ def cmd_compute(args) -> int:
 
     cert_path = None
     if args.trace:
-        if cert is None:
+        if disconnected:
+            _warn("input is disconnected and no certificate covers the summed value; --trace ignored")
+        elif cert is None:
             _warn(f"method {used!r} does not produce a certificate; --trace ignored")
         else:
             with open(args.trace, "w", encoding="utf-8") as fh:
@@ -270,9 +279,11 @@ def cmd_verify(args) -> int:
     g, source, family_kind, _ = _load_graph(args)
     if not is_connected(g):
         raise GraphValidationError("verify requires a connected graph")
-    q_list = _parse_int_list(args.q_list)
+    q_list = _parse_int_list(args.q_list, "--q-list")
     if not q_list:
         raise GraphValidationError("--q-list must name at least one q")
+    if min(q_list) < 0:
+        raise GraphValidationError("q must be nonnegative")
 
     block_value = None
     if is_block_graph(g, 3):
@@ -323,7 +334,7 @@ def cmd_bench(args) -> int:
     kind = _FAMILY_ALIASES.get(args.family)
     if kind not in ("random_block_graph", "random_cactus"):
         raise GraphValidationError("bench supports --family random_block_graph or random_cactus")
-    sizes = _parse_int_list(args.n) if args.n else []
+    sizes = _parse_int_list(args.n, "--n") if args.n else []
     block_family = kind == "random_block_graph"
     header = ("n", "m", "blocks" if block_family else "cycles", "time_s", "Z" if block_family else "Z0")
     lines = ["\t".join(header)]

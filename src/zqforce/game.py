@@ -19,7 +19,9 @@ the revealed subgraph: the oracle would pick that reveal and the state would
 not change, so the move is a value-neutral self-loop. Announcing more than
 q+1 components only enlarges the oracle's choice set and can never help the
 player, so the search enumerates announcements of exactly q+1 components;
-`legal_announcements` still reports every unpruned size for the API.
+`legal_announcements` still reports every unpruned size for the API. In the
+rule API, `reveal_outcomes` is the one statement of the dead-reveal rule (a
+dead reveal maps to no successor) and `legal_announcements` is derived from it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     OracleProtocolError,
     ResourceLimitError,
 )
-from .graphs import Graph, _check_vertex_subset, is_connected, unfilled_components
+from .graphs import Graph, is_connected, unfilled_components
 
 MODE_CLOSURE = "closure"
 MODE_SINGLE_FORCE = "single_force"
@@ -161,40 +163,20 @@ def _window_closure(masks, filled: int, window: int) -> int:
     return filled
 
 
-def _components_as_sets(comps) -> tuple:
-    return tuple(mask_to_vertices(c) for c in comps)
-
-
 def legal_announcements(g: Graph, filled, q: int) -> list:
     """Announcements legal at `filled`: if the unfilled subgraph has k > q
     components, every subset of at least q+1 of them survives unless some
-    nonempty reveal of it admits no force (the dead-reveal rule). Returned
-    in increasing size, components ordered by lowest vertex."""
-    _check_vertex_subset(g, filled)
-    filled_mask = vertices_to_mask(filled)
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    comps = _mask_components(masks, full & ~filled_mask)
-    k = len(comps)
-    if k <= q:
-        return []
-    out = []
-    for size in range(q + 1, k + 1):
-        for combo in combinations(comps, size):
-            if not _announcement_dead(masks, filled_mask, combo):
-                out.append(_components_as_sets(combo))
-    return out
-
-
-def _announcement_dead(masks, filled: int, combo) -> bool:
-    for sub in range(1, 1 << len(combo)):
-        union = 0
-        for j, comp in enumerate(combo):
-            if sub >> j & 1:
-                union |= comp
-        if not _window_forces(masks, filled, filled | union):
-            return True
-    return False
+    nonempty reveal of it admits no force (the dead-reveal rule), which is
+    read off `reveal_outcomes` as a reveal with no successor. Returned in
+    increasing size, components ordered by lowest vertex."""
+    filled = frozenset(filled)
+    comps = unfilled_components(g, filled)
+    return [
+        combo
+        for size in range(q + 1, len(comps) + 1)
+        for combo in combinations(comps, size)
+        if all(reveal_outcomes(g, filled, combo).values())
+    ]
 
 
 def reveal_outcomes(g: Graph, filled, announcement, mode: str = MODE_CLOSURE) -> dict:
@@ -426,24 +408,20 @@ def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificat
                     f"step {step}: oracle reveal must be a nonempty subset of the announcement"
                 )
             trace.append(RevealMove(reveal))
-            union = vertices_to_mask(frozenset().union(*reveal))
-            window = state | union
-            if closure_mode:
-                # Record the in-window forces in a deterministic order.
-                while True:
-                    forces = _window_forces(masks, state, window)
-                    if not forces:
-                        break
+            window = state | vertices_to_mask(frozenset().union(*reveal))
+            forces = _window_forces(masks, state, window)
+            if not forces:
+                raise OracleProtocolError(f"step {step}: reveal admits no force")
+            # Closure mode records every in-window force, first found first;
+            # single_force mode records the one force the player picks.
+            while forces:
+                if closure_mode:
                     u, t = forces[0]
-                    trace.append(ForceMove(u, t))
-                    state |= 1 << t
-            else:
-                forces = _window_forces(masks, state, window)
-                if not forces:
-                    raise OracleProtocolError(f"step {step}: reveal admits no force")
-                u, t = min(forces, key=lambda f: (sol.values[state | (1 << f[1])], f))
+                else:
+                    u, t = min(forces, key=lambda f: (sol.values[state | (1 << f[1])], f))
                 trace.append(ForceMove(u, t))
                 state |= 1 << t
+                forces = _window_forces(masks, state, window) if closure_mode else None
     return Certificate(tokens=frozenset(tokens), trace=tuple(trace))
 
 

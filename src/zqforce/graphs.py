@@ -40,15 +40,15 @@ class Graph:
             if u == v:
                 raise GraphValidationError(f"self-loop at vertex {u}")
             canon.add((u, v) if u < v else (v, u))
+        edges = tuple(sorted(canon))
+        # Filling from the sorted edges leaves every list ascending: v meets
+        # its smaller neighbors u as (u, v) in order of u, all before its
+        # larger neighbors w as (v, w) in order of w.
         adj = [[] for _ in range(n)]
-        for u, v in sorted(canon):
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        return cls(
-            n=n,
-            edges=tuple(sorted(canon)),
-            adjacency=tuple(tuple(sorted(a)) for a in adj),
-        )
+        return cls(n=n, edges=edges, adjacency=tuple(map(tuple, adj)))
 
     @property
     def m(self) -> int:
@@ -68,7 +68,8 @@ def parse_edge_list(text: str) -> Graph:
     vertex count above MAX_VERTICES raises ResourceLimitError.
     """
     header_n = None
-    raw_edges = []
+    edges = []
+    self_loop = None  # (line, vertex) of the first self-loop
     saw_payload = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -94,20 +95,22 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(lineno, f"non-integer endpoint in {line!r}") from None
         if u < 0 or v < 0:
             raise EdgeListParseError(lineno, "negative vertex id")
-        raw_edges.append((lineno, u, v))
+        if u == v and self_loop is None:
+            self_loop = (lineno, u)
+        edges.append((u, v))
 
-    if header_n is None and not raw_edges:
+    if header_n is None and not edges:
         raise EdgeListParseError(1, "empty edge list and no 'n <count>' header")
-    top = max((max(u, v) for _, u, v in raw_edges), default=-1)
+    top = max(map(max, edges), default=-1)
     n = header_n if header_n is not None else top + 1
     if top >= n:
         raise GraphValidationError(f"endpoint {top} exceeds declared vertex count {n}")
     if n > MAX_VERTICES:
         raise ResourceLimitError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-    for lineno, u, v in raw_edges:
-        if u == v:
-            raise GraphValidationError(f"line {lineno}: self-loop at vertex {u}")
-    return Graph.from_edges(n, [(u, v) for _, u, v in raw_edges])
+    if self_loop is not None:
+        lineno, v = self_loop
+        raise GraphValidationError(f"line {lineno}: self-loop at vertex {v}")
+    return Graph.from_edges(n, edges)
 
 
 def format_edge_list(g: Graph) -> str:

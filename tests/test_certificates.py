@@ -179,3 +179,42 @@ def test_parse_certificate_rejects_garbage():
         parse_certificate("jump 1 2")
     with pytest.raises(EdgeListParseError):
         parse_certificate("force 1")
+
+
+_C5_TOKENS = (TokenMove(0), TokenMove(2))  # unfilled components {1} and {3, 4}
+_ANNOUNCE_1 = AnnounceMove((frozenset({1}),))
+
+
+@pytest.mark.parametrize("q, trace, step, reason", [
+    (0, _C5_TOKENS + (_ANNOUNCE_1, ForceMove(0, 1)), 3, "announcement must be followed by a reveal"),
+    (0, (TokenMove(7),), 0, "token on invalid vertex 7"),
+    (0, _C5_TOKENS + (AnnounceMove((frozenset({1}), frozenset({1}))),), 2,
+     "duplicate component in announcement"),
+    (0, _C5_TOKENS + (AnnounceMove((frozenset({1}), frozenset({3, 4}))),
+                      RevealMove((frozenset({1}), frozenset({1})))), 3, "duplicate component in reveal"),
+    (1, _C5_TOKENS + (_ANNOUNCE_1,), 2, "announced 1 components, need at least 2"),
+    (0, _C5_TOKENS + (AnnounceMove((frozenset({3}),)),), 2, "announced set is not an unfilled component"),
+    (0, (TokenMove(0), ForceMove(0, 9)), 1, "force with invalid endpoints (0, 9)"),
+    (0, (TokenMove(0), ForceMove(1, 2)), 1, "force source 1 is unfilled"),
+    (0, _C5_TOKENS + (_ANNOUNCE_1,), 3, "trace ends on an unanswered announcement"),
+], ids=["announce-not-revealed", "token-invalid-vertex", "duplicate-announced", "duplicate-revealed",
+        "too-few-announced", "announced-non-component", "force-invalid-endpoints",
+        "force-unfilled-source", "unanswered-announcement"])
+def test_checker_failure_reasons(q, trace, step, reason):
+    tokens = frozenset(mv.vertex for mv in trace if isinstance(mv, TokenMove))
+    result = verify_certificate(cycle(5), q, Certificate(tokens=tokens, trace=trace))
+    assert (result.ok, result.failed_step, result.reason) == (False, step, reason)
+
+
+def test_parse_certificate_skips_comments_and_blank_lines():
+    text = (
+        "# C5 at q=0\n"
+        "token 0\n"
+        "token 2  # second token\n"
+        "\n"
+        "announce 3,4\n"
+        "   # indented comment\n"
+        "reveal 3,4\n"
+        "force 2 3\nforce 3 4\nannounce 1\nreveal 1\nforce 0 1  # last force\n"
+    )
+    assert parse_certificate(text) == C5_TRACE

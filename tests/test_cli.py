@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zqforce import check_certificate, parse_certificate
 from zqforce.cli import main
 
@@ -208,3 +210,80 @@ def test_compute_output_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(open(out).read())
     assert payload["value"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "cycle", "--n", "5", "--q-list", "0,x"],
+    ["compute", "--family", "star", "--arms", "1,x", "--q", "1"],
+    ["bench", "--family", "random_cactus", "--n", "5,x", "--seed", "1"],
+    ["compute", "--family", "random_block_graph", "--n", "10", "--seed", "1", "--q", "-1"],
+    ["verify", "--family", "random_block_graph", "--n", "30", "--seed", "1", "--q-list", "-1"],
+    ["compute", "--family", "random_cactus", "--n", "30", "--seed", "1", "--q", "-1"],
+], ids=["verify-q-list", "compute-arms", "bench-n", "compute-block-negative-q",
+        "verify-negative-q", "compute-cactus-negative-q"])
+def test_malformed_numbers_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_compute_disconnected_trace_warns_and_writes_nothing(tmp_path, capsys):
+    f = _write(tmp_path, "two_triangles.el", "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+    trace = tmp_path / "out.cert"
+    assert main(["compute", "--file", f, "--trace", str(trace)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (
+        "warning: input is disconnected and no certificate covers the summed value; --trace ignored"
+    )
+    assert not trace.exists()
+
+
+def test_compute_brute_with_trace(tmp_path, capsys):
+    f = _write(tmp_path, "c6.el", "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+    trace = str(tmp_path / "c6.cert")
+    code, payload = _run_json(
+        capsys, ["compute", "--file", f, "--q", "6", "--method", "brute", "--trace", trace, "--json"]
+    )
+    assert code == 0
+    assert payload["method"] == "brute"
+    assert payload["value"] == 2
+    assert check_certificate(cycle(6), 6, parse_certificate(open(trace).read()))
+    assert main(["compute", "--file", f, "--q", "0", "--method", "brute"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: brute force computes plain Z, which equals Z_q only for q >= n=6\n"
+    )
+
+
+def test_strategy_star_transcript_announces_twice(capsys):
+    assert main(["strategy", "--family", "star", "--arms", "1,1,1", "--q", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "source: family:generalized_star (n=4, m=3), q=0, rule3=closure",
+        "move 1: token on 0",
+        "move 2: announce {1}",
+        "move 3: oracle reveals {1}",
+        "move 4: force 0 -> 1",
+        "move 5: announce {2}",
+        "move 6: oracle reveals {2}",
+        "move 7: force 0 -> 2",
+        "move 8: force 0 -> 3",
+        "tokens spent: 1 (game value 1)",
+    ]
+
+
+def test_compute_plain_text_report(tmp_path, capsys):
+    argv = ["compute", "--family", "cycle", "--n", "6", "--q", "0"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "source: family:cycle",
+        "class: cactus",
+        "method: cactus",
+        "q: 0",
+        "value: 2",
+    ]
+    trace = str(tmp_path / "c6.cert")
+    assert main(argv + ["--method", "exact", "--trace", trace]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "method: exact"
+    assert lines[5:] == [f"certificate: {trace}"]

@@ -1,0 +1,187 @@
+"""Seeded mutation fuzzing of the two text parsers and the certificate checker.
+
+Every malformed input must surface as one of the documented error types (the
+CLI maps them to exit code 2 or 3) or as a failed CheckResult, never as any
+other exception.
+"""
+
+import random
+
+from zqforce import (
+    AnnounceMove,
+    Certificate,
+    CheckResult,
+    EdgeListParseError,
+    ForceMove,
+    GameConfig,
+    Graph,
+    GraphValidationError,
+    ResourceLimitError,
+    RevealMove,
+    TokenMove,
+    certificate_from_tokens,
+    extract_player_trace,
+    format_certificate,
+    format_edge_list,
+    parse_certificate,
+    parse_edge_list,
+    solve_zq,
+    verify_certificate,
+)
+
+from helpers import BOWTIE, cycle, random_connected_graph, star
+
+_JUNK = ("x", "1.5", "0x1", "-1", "-0", "", "1e3", "n", "#", ";", ",", "1,", ";1", "99999999999")
+
+
+def _mutate_lines(lines, rng, junk_line):
+    """Apply one to three line- or token-level mutations."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(8)
+        i = rng.randrange(len(lines)) if lines else 0
+        if op == 0 and lines:
+            del lines[i]
+        elif op == 1 and lines:
+            lines.insert(i, lines[i])
+        elif op == 2 and len(lines) > 1:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3 and lines:
+            toks = lines[i].split(" ")
+            rng.shuffle(toks)
+            lines[i] = " ".join(toks)
+        elif op == 4 and lines:
+            toks = lines[i].split(" ")
+            toks[rng.randrange(len(toks))] = rng.choice(_JUNK)
+            lines[i] = " ".join(toks)
+        elif op == 5 and lines:
+            toks = lines[i].split(" ")
+            k = rng.randrange(len(toks))
+            toks[k] = "-" + toks[k]
+            lines[i] = " ".join(toks)
+        elif op == 6:
+            lines.insert(i, f"n {rng.choice((-3, 0, 1, 2, 5, 40, 10**9))}")
+        else:
+            lines.insert(i, junk_line(rng))
+    return lines
+
+
+def _assert_canonical(g: Graph):
+    assert all(u < v for u, v in g.edges)
+    assert list(g.edges) == sorted(set(g.edges))
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    assert g.adjacency == tuple(tuple(sorted(a)) for a in nbrs)
+
+
+def _edge_list_junk(rng):
+    return rng.choice(("", "# comment", "0", "1 2 3", "a b", "n", "n 3 4", "0 0", "3 -4"))
+
+
+def test_fuzz_parse_edge_list():
+    rng = random.Random(101)
+    parsed = refused = 0
+    for _ in range(400):
+        g = random_connected_graph(rng.randint(1, 9), rng.random() * 0.5, rng)
+        lines = format_edge_list(g).splitlines()
+        if rng.random() < 0.5:
+            lines = lines[1:]  # no header
+        text = "\n".join(_mutate_lines(lines, rng, _edge_list_junk))
+        try:
+            got = parse_edge_list(text)
+        except (EdgeListParseError, GraphValidationError, ResourceLimitError):
+            refused += 1
+            continue
+        _assert_canonical(got)
+        parsed += 1
+    assert parsed > 50 and refused > 50
+
+
+def _certificate_corpus(rng):
+    """Valid certificates with tokens, forces, announcements and reveals."""
+    corpus = [(BOWTIE, None, certificate_from_tokens(BOWTIE, [0, 1, 3]))]
+    graphs = [cycle(5), cycle(7), star((1, 1, 1)), star((2, 1, 2)), BOWTIE]
+    graphs += [random_connected_graph(rng.randint(3, 8), rng.random() * 0.4, rng) for _ in range(15)]
+    for g in graphs:
+        q = rng.randrange(3)
+        cert = extract_player_trace(g, solve_zq(g, GameConfig(q=q)))
+        corpus.append((g, q, cert))
+    assert any(isinstance(mv, AnnounceMove) for _, _, cert in corpus for mv in cert.trace)
+    return corpus
+
+
+def _certificate_junk(rng):
+    return rng.choice((
+        "", "# comment", "token", "force 1", "force 1 2 3", "announce", "announce ;",
+        "announce 1;;2", "reveal 1,", "reveal ,", "n 5", "jump 1 2", "token -2", "reveal",
+    ))
+
+
+def _assert_check_result(g, q, cert):
+    result = verify_certificate(g, q, cert)
+    assert isinstance(result, CheckResult)
+    if not result.ok:
+        assert 0 <= result.failed_step <= len(cert.trace)
+        assert isinstance(result.reason, str) and result.reason
+
+
+def test_fuzz_certificate_text():
+    rng = random.Random(102)
+    corpus = _certificate_corpus(rng)
+    parsed = refused = 0
+    for _ in range(600):
+        g, q, cert = rng.choice(corpus)
+        text = "\n".join(_mutate_lines(format_certificate(cert).splitlines(), rng, _certificate_junk))
+        try:
+            got = parse_certificate(text)
+        except EdgeListParseError:
+            refused += 1
+            continue
+        assert isinstance(got, Certificate)
+        _assert_check_result(g, q, got)
+        parsed += 1
+    assert parsed > 100 and refused > 100
+
+
+def _retarget(mv, g, rng):
+    def vertex():
+        return rng.randrange(-1, g.n + 2)
+
+    if isinstance(mv, TokenMove):
+        return TokenMove(vertex())
+    if isinstance(mv, ForceMove):
+        return ForceMove(mv.source, vertex()) if rng.random() < 0.5 else ForceMove(vertex(), mv.target)
+    comps = [frozenset(rng.sample(range(-1, g.n + 1), rng.randint(1, 3))) for _ in range(rng.randint(0, 3))]
+    return type(mv)(tuple(comps))
+
+
+def test_fuzz_certificate_moves():
+    rng = random.Random(103)
+    corpus = _certificate_corpus(rng)
+    for g, q, cert in corpus:
+        assert verify_certificate(g, q, cert).ok
+    rejected = 0
+    for _ in range(1500):
+        g, q, cert = rng.choice(corpus)
+        trace = list(cert.trace)
+        op = rng.randrange(4)
+        i = rng.randrange(len(trace))
+        if op == 0:
+            del trace[i]
+        elif op == 1:
+            trace.insert(i, trace[i])
+        elif op == 2:
+            j = rng.randrange(len(trace))
+            trace[i], trace[j] = trace[j], trace[i]
+        else:
+            trace[i] = _retarget(trace[i], g, rng)
+        tokens = cert.tokens if rng.random() < 0.5 else frozenset(
+            mv.vertex for mv in trace if isinstance(mv, TokenMove)
+        )
+        mutant = Certificate(tokens=tokens, trace=tuple(trace))
+        _assert_check_result(g, q, mutant)
+        rejected += not verify_certificate(g, q, mutant).ok
+    assert rejected > 500

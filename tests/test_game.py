@@ -11,6 +11,7 @@ from zqforce import (
     GraphValidationError,
     OracleProtocolError,
     ResourceLimitError,
+    RevealMove,
     TokenMove,
     adversarial_oracle,
     brute_force_Z,
@@ -281,6 +282,31 @@ def test_player_never_exceeds_value_against_random_oracles():
             cert = extract_player_trace(g, sol, oracle=_random_oracle(rng))
             assert len(cert.tokens) <= sol.value
             assert check_certificate(g, q, cert)
+
+
+def test_trace_follows_each_reveal_with_a_reveal_outcome():
+    # Closure mode records the whole in-window closure right after a reveal;
+    # single_force mode records one force to a listed successor.
+    rng = random.Random(47)
+    reveals = 0
+    for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+        for _ in range(30):
+            g = random_connected_graph(rng.randint(3, 8), rng.random() * 0.4, rng)
+            sol = solve_zq(g, GameConfig(q=rng.randint(0, 1), rule3_mode=mode))
+            trace = extract_player_trace(g, sol, oracle=_random_oracle(rng)).trace
+            filled = frozenset()
+            for i, mv in enumerate(trace):
+                if isinstance(mv, RevealMove):
+                    outcomes = reveal_outcomes(g, filled, trace[i - 1].components, mode)
+                    succ = {frozenset(k): v for k, v in outcomes.items()}[frozenset(mv.components)]
+                    count = len(succ[0] - filled) if mode == MODE_CLOSURE else 1
+                    forces = trace[i + 1:i + 1 + count]
+                    assert all(isinstance(f, ForceMove) for f in forces)
+                    assert filled | {f.target for f in forces} in succ
+                    reveals += 1
+                elif isinstance(mv, (TokenMove, ForceMove)):
+                    filled |= {mv.vertex if isinstance(mv, TokenMove) else mv.target}
+    assert reveals > 20
 
 
 def test_illegal_oracle_reveal_is_reported():

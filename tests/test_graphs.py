@@ -88,6 +88,17 @@ def test_parse_refuses_vertex_counts_above_limit(monkeypatch, tmp_path):
         assert main(["compute", "--file", str(big)]) == 3
 
 
+def test_parse_errors_keep_their_precedence(monkeypatch):
+    # A self-loop is reported last: after line errors and the vertex limit.
+    with pytest.raises(EdgeListParseError):
+        parse_edge_list("0 0\nx y")
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 100)
+    with pytest.raises(ResourceLimitError):
+        parse_edge_list("0 0\n0 500")
+    with pytest.raises(GraphValidationError, match="line 2: self-loop at vertex 1"):
+        parse_edge_list("0 1\n1 1\n2 2")
+
+
 def test_edge_list_round_trip():
     g = BOWTIE
     assert parse_edge_list(format_edge_list(g)) == g
