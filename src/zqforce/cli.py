@@ -156,7 +156,8 @@ def _formula_value(kind: str, params: FamilyParams, q: int) -> int:
 def _solve_connected(g: Graph, q: int, method: str, args):
     """Value of a connected graph by a concrete non-formula method.
 
-    Returns (value, certificate or None, solution or None).
+    Returns (value, certificate or None, solution or None). The exact solver
+    returns no certificate; its caller replays one from the solution.
     """
     if method == "block":
         value, cert = block_graph_Z(g)
@@ -168,7 +169,7 @@ def _solve_connected(g: Graph, q: int, method: str, args):
     if method == "exact":
         cfg = GameConfig(q=q, rule3_mode=_rule3_mode(args.rule3), vertex_cap=args.cap)
         sol = solve_zq(g, cfg)
-        return sol.value, extract_player_trace(g, sol), sol
+        return sol.value, None, sol
     if method == "brute":
         if q < g.n:
             _warn(f"brute force computes plain Z, which equals Z_q only for q >= n={g.n}")
@@ -219,6 +220,8 @@ def cmd_compute(args) -> int:
         if len(comps) == 1:
             used = _auto_method(g, q, args.cap) if method == "auto" else method
             value, cert, sol = _solve_connected(g, q, used, args)
+            if sol is not None and (args.trace or args.json):
+                cert = extract_player_trace(g, sol)
         else:
             _warn(
                 f"input has {len(comps)} components; reporting the sum of per-component "
@@ -299,11 +302,14 @@ def cmd_verify(args) -> int:
 
     rows = []
     mismatch = False
+    exact_values = {}
     for q in q_list:
         row = {}
         if g.n <= args.cap:
-            cfg = GameConfig(q=q, rule3_mode=_rule3_mode(args.rule3), vertex_cap=args.cap)
-            row["exact"] = solve_zq(g, cfg).value
+            if q not in exact_values:
+                cfg = GameConfig(q=q, rule3_mode=_rule3_mode(args.rule3), vertex_cap=args.cap)
+                exact_values[q] = solve_zq(g, cfg).value
+            row["exact"] = exact_values[q]
         if family_kind in _FORMULA_FAMILIES:
             row["formula"] = _formula_value(family_kind, _family_params(args), q)
         if block_value is not None:

@@ -9,10 +9,18 @@ player still has to spend against a worst-case oracle:
         (b) V(F + target)         for every applicable force      [force]
         (c) max over reveals L of the announcement's successors   [announce]
 
-States are bitmasks and the memo holds game values only. Optimal play for
-both sides is re-derived from that table on demand: one move evaluator scores
-the player's moves and the oracle's reveals, and the search, the trace and
-the adversarial oracle all call it.
+States are bitmasks and the memo holds game values only, keyed by
+forcing-closed states. V(F) = V(closure(F)) holds one force at a time:
+
+    a force is free, so V(F) <= V(F + t) for a force target t, and
+    filling a vertex never hurts, so V(F + t) <= V(F) (monotonicity).
+
+The search therefore reads and writes every state under its closure, never
+meets a force move at a state it expands, and stores no non-closed state.
+Optimal play for both sides is re-derived from that table on demand: one move
+evaluator scores the player's moves and the oracle's reveals, and the search,
+the trace and the adversarial oracle all call it. At a non-closed state the
+player's optimal move is its lowest (u, target) force.
 
 An announcement is discarded when some nonempty reveal admits no force in
 the revealed subgraph: the oracle would pick that reveal and the state would
@@ -74,8 +82,10 @@ class GameConfig:
 class GameSolution:
     """Game value and the value table of a solve.
 
-    States and components are vertex bitmasks; values maps every state the
-    search reached to its game value. Moves and reveals are not stored:
+    States and components are vertex bitmasks; values maps every
+    forcing-closed state the search reached to its game value, and a
+    non-closed state has the value of its closure. states_explored counts
+    those closed states. Moves and reveals are not stored:
     extract_player_trace and adversarial_oracle derive them on demand from
     values. oracle_response keeps the reveals the adversarial oracle has
     been asked for, keyed by (state, announced component masks); it is empty
@@ -149,17 +159,16 @@ def _window_forces(masks, filled: int, window: int) -> list:
 
 
 def _window_closure(masks, filled: int, window: int) -> int:
-    changed = True
-    while changed:
-        changed = False
-        m = filled
-        while m:
-            low = m & -m
-            m ^= low
-            cand = masks[low.bit_length() - 1] & window & ~filled
-            if cand and not (cand & (cand - 1)):
-                filled |= cand
-                changed = True
+    # A filled vertex is checked again only when a neighbor gets filled: that
+    # is the only way its count of unfilled window neighbors drops to one.
+    check = filled
+    while check:
+        low = check & -check
+        check ^= low
+        cand = masks[low.bit_length() - 1] & window & ~filled
+        if cand and not (cand & (cand - 1)):
+            filled |= cand
+            check |= cand | (masks[cand.bit_length() - 1] & filled)
     return filled
 
 
@@ -220,7 +229,8 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
     """The one scorer of moves, shared by the search and by trace replay.
 
     Returns three closures over the value table `sol.values`:
-      value(state): the game value, computed and memoized on a miss;
+      value(state): the game value, read under the forcing closure of
+        `state` and computed and memoized there on a miss;
       best(state) -> (value, kind, key): the optimal move. Ties break by kind
         (force, announce, token), then by key: (u, target) for a force, the
         component masks for an announcement, (v,) for a token;
@@ -229,7 +239,8 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
         if some reveal is dead. `cache` maps a revealed union to its value
         and may be shared by the announcements of one state.
 
-    The search scores every successor of each state it memoizes, so replay
+    The search scores every successor of each closed state it memoizes, and
+    best() at a non-closed state reads only its closure's value, so replay
     over a finished table only reads it; replay passes a memo_limit of the
     table's size to make that a checked fact.
     """
@@ -240,6 +251,7 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
     closure_mode = sol.rule3_mode == MODE_CLOSURE
 
     def value(filled: int) -> int:
+        filled = _window_closure(masks, filled, full)
         cached = memo.get(filled)
         if cached is not None:
             return cached
@@ -250,11 +262,10 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
         return val
 
     def best(filled: int) -> tuple:
-        moves = []
         unfilled = full & ~filled
-        forced_targets = 0
 
-        # Rule 2: each applicable force is its own move.
+        # Rule 2: a force keeps the closure and so the value, and force moves
+        # win ties, so at a non-closed state the lowest (u, target) is best.
         m = filled
         while m:
             low = m & -m
@@ -262,10 +273,10 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
             u = low.bit_length() - 1
             cand = masks[u] & unfilled
             if cand and not (cand & (cand - 1)):
-                forced_targets |= cand
-                moves.append((value(filled | cand), _FORCE, (u, cand.bit_length() - 1)))
+                return value(filled | cand), _FORCE, (u, cand.bit_length() - 1)
 
         # Rule 3: announcements of exactly q+1 unfilled components.
+        moves = []
         if unfilled.bit_count() > q:
             comps = _mask_components(masks, unfilled)
             if len(comps) > q:
@@ -275,8 +286,8 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
                     if worst is not None:
                         moves.append((worst[0], _ANNOUNCE, combo))
 
-        # Rule 1: tokens. A token on a force target is dominated by the force.
-        m = unfilled & ~forced_targets
+        # Rule 1: tokens.
+        m = unfilled
         while m:
             low = m & -m
             m ^= low
@@ -348,7 +359,11 @@ def adversarial_oracle(sol: GameSolution):
     """The solver's worst-case oracle as a reveal policy.
 
     Each reveal is derived from the value table when first asked for and
-    kept in `sol.oracle_response`.
+    kept in `sol.oracle_response`. The policy answers only at the
+    forcing-closed states of the table, which are the only states where the
+    player's optimal play announces (elsewhere a force is its best move); an
+    announcement at any other state, or one that is not q+1 live components,
+    raises OracleProtocolError.
     """
     _, _, worst_reveal = _move_evaluator(sol, len(sol.values))
     masks = _adjacency_masks(sol.graph)
@@ -380,7 +395,7 @@ def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificat
     """
     if oracle is None:
         oracle = adversarial_oracle(sol)
-    _, best, _ = _move_evaluator(sol, len(sol.values))
+    value, best, _ = _move_evaluator(sol, len(sol.values))
     masks = _adjacency_masks(g)
     full = (1 << g.n) - 1
     closure_mode = sol.rule3_mode == MODE_CLOSURE
@@ -418,7 +433,7 @@ def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificat
                 if closure_mode:
                     u, t = forces[0]
                 else:
-                    u, t = min(forces, key=lambda f: (sol.values[state | (1 << f[1])], f))
+                    u, t = min(forces, key=lambda f: (value(state | (1 << f[1])), f))
                 trace.append(ForceMove(u, t))
                 state |= 1 << t
                 forces = _window_forces(masks, state, window) if closure_mode else None

@@ -173,9 +173,14 @@ def cactus_Z0_dp(g: Graph) -> int:
 
 
 def naive_zq_value(g: Graph, q: int, mode: str = "closure") -> int:
+    return naive_zq_table(g, q, mode)[frozenset()]
+
+
+def naive_zq_table(g: Graph, q: int, mode: str = "closure") -> dict:
     """Reference game solver, deliberately unoptimized: plain sets, its own
-    component/force scans, announcements of every size >= q+1, and no
-    token-move pruning. Exponential; keep n tiny."""
+    component/force scans, announcements of every size >= q+1, no token-move
+    pruning, and a memo keyed by every filled set it reaches. Returns that
+    memo, which holds all 2^n filled sets. Exponential; keep n tiny."""
 
     full = frozenset(range(g.n))
 
@@ -249,4 +254,5 @@ def naive_zq_value(g: Graph, q: int, mode: str = "closure") -> int:
         memo[filled] = best
         return best
 
-    return value(frozenset())
+    value(frozenset())
+    return memo

@@ -287,3 +287,41 @@ def test_compute_plain_text_report(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "method: exact"
     assert lines[5:] == [f"certificate: {trace}"]
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap cli.<name> and return the list its calls are appended to."""
+    import zqforce.cli as cli
+
+    real = getattr(cli, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_compute_exact_replays_a_certificate_only_when_asked(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "extract_player_trace")
+    two_c4 = _write(tmp_path, "two_c4.el", "0 1\n1 2\n2 3\n3 0\n4 5\n5 6\n6 7\n7 4\n")
+    assert main(["compute", "--file", two_c4, "--method", "exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "value: 4"
+    assert main(["compute", "--file", two_c4, "--method", "exact", "--json"]) == 0
+    c5 = _write(tmp_path, "c5.el", C5_TEXT)
+    assert main(["compute", "--file", c5, "--method", "exact"]) == 0
+    assert calls == []
+    assert main(["compute", "--file", c5, "--method", "exact", "--json"]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "solve_zq")
+    assert main(["verify", "--family", "cycle", "--n", "5", "--q-list", "0,0,0"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "source: family:cycle",
+        *["q=0: cactus=2, exact=2 [ok]"] * 3,
+    ]

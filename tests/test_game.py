@@ -30,7 +30,7 @@ from zqforce import (
 )
 from zqforce.game import _FORCE, _TOKEN, _move_evaluator
 
-from helpers import BOWTIE, clique, cycle, path, random_connected_graph, star
+from helpers import BOWTIE, clique, cycle, naive_zq_table, path, random_connected_graph, star
 
 
 def test_legal_announcements_c5_two_components():
@@ -112,27 +112,38 @@ def test_game_with_q_equal_n_matches_brute_force_up_to_8():
 def test_memo_consistency():
     for g in (cycle(6), BOWTIE, star((2, 2, 1))):
         sol = solve_zq(g, GameConfig(q=1))
+        value = _table_reader(sol)
         full = (1 << g.n) - 1
         for state, val in sol.values.items():
             rest = full & ~state
             while rest:
                 low = rest & -rest
                 rest ^= low
-                assert val <= 1 + sol.values[state | low]
+                assert val <= 1 + value(state | low)
+
+
+def _table_reader(sol):
+    """The evaluator's value() over the finished table: it reads a state
+    through its forcing closure and raises on a miss instead of searching."""
+    return _move_evaluator(sol, len(sol.values))[0]
 
 
 def _reveal_values(g, sol, filled, announcement):
     """Player's value after each reveal, from reveal_outcomes and the table."""
+    value = _table_reader(sol)
     outcomes = reveal_outcomes(g, filled, announcement, sol.rule3_mode)
     per_reveal = {}
     for rev, succs in outcomes.items():
         assert succs, "announcement admits a dead reveal"
-        per_reveal[frozenset(rev)] = min(sol.values[vertices_to_mask(s)] for s in succs)
+        per_reveal[frozenset(rev)] = min(value(vertices_to_mask(s)) for s in succs)
     return per_reveal
 
 
 def test_oracle_response_attains_reveal_maximum():
-    for g, q in ((cycle(5), 0), (cycle(6), 1), (star((1, 1, 2)), 1), (BOWTIE, 0)):
+    # The table holds forcing-closed states only, so every case needs a closed
+    # state with a live (q+1)-announcement: star((1, 1, 2)) at q=1 and the
+    # bowtie at q=0 have none.
+    for g, q in ((cycle(5), 0), (cycle(6), 1), (star((1, 1, 2)), 0), (star((2, 2, 2)), 1)):
         sol = solve_zq(g, GameConfig(q=q))
         assert sol.oracle_response == {}
         oracle = adversarial_oracle(sol)
@@ -158,6 +169,7 @@ def test_adversarial_oracle_refuses_unevaluated_announcements():
         ({0, 2}, (frozenset({1}), frozenset({3, 4}))),  # q+2 components
         ({0, 2}, (frozenset({1, 3}),)),  # not a component
         ({0}, (frozenset({1, 2, 3, 4}),)),  # dead: revealing it admits no force
+        ({0, 1}, (frozenset({2, 3, 4}),)),  # not forcing-closed: 0 forces 4
     ):
         with pytest.raises(OracleProtocolError):
             oracle(filled, announcement)
@@ -165,8 +177,9 @@ def test_adversarial_oracle_refuses_unevaluated_announcements():
 
 def test_solver_matches_unoptimized_reference():
     # The reference enumerates announcements of every size and all token
-    # moves, so this exercises the solver's q+1-announcement restriction and
-    # its token-domination skip against unrestricted play.
+    # moves and memoizes every filled set, so this exercises the solver's
+    # q+1-announcement restriction and its closure-keyed memo against
+    # unrestricted play.
     import networkx as nx
 
     from helpers import naive_zq_value
@@ -187,18 +200,23 @@ def test_solver_matches_unoptimized_reference():
 def test_best_move_achieves_memoized_value_everywhere():
     for g, q in ((cycle(6), 0), (BOWTIE, 0), (star((1, 1, 2)), 1)):
         sol = solve_zq(g, GameConfig(q=q))
-        _, best, _ = _move_evaluator(sol, len(sol.values))
+        value, best, _ = _move_evaluator(sol, len(sol.values))
         oracle = adversarial_oracle(sol)
         full = (1 << g.n) - 1
-        for state, val in sol.values.items():
-            if state == full:
+        # Every state whose closure the table holds: the closed ones, and the
+        # non-closed ones a replay passes through, where a force is best.
+        for state in range(full):
+            closed = vertices_to_mask(forcing_closure(g, mask_to_vertices(state)))
+            if closed not in sol.values:
                 continue
+            val = sol.values[closed]
             move_val, kind, key = best(state)
             assert move_val == val
+            assert (kind == _FORCE) == (state != closed)
             if kind == _TOKEN:
-                assert val == 1 + sol.values[state | (1 << key[0])]
+                assert val == 1 + value(state | (1 << key[0]))
             elif kind == _FORCE:
-                assert val == sol.values[state | (1 << key[1])]
+                assert val == value(state | (1 << key[1]))
             else:
                 filled = mask_to_vertices(state)
                 announcement = tuple(mask_to_vertices(c) for c in key)
@@ -209,7 +227,10 @@ def test_best_move_achieves_memoized_value_everywhere():
 
 def test_values_invariant_under_closure_and_monotone():
     # Closure-canonical memoization relies on both: forcing never changes the
-    # value, and an extra filled vertex never raises it.
+    # value, and an extra filled vertex never raises it. Both are checked on
+    # every filled set of the reference table, which memoizes each set under
+    # itself, and the solver's value(), which reads and searches under the
+    # closure, must match the reference on every set, closed or not.
     rng = random.Random(43)
     for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
         for q in (0, 1, 2):
@@ -217,16 +238,39 @@ def test_values_invariant_under_closure_and_monotone():
                 n = rng.randint(2, 8)
                 g = random_connected_graph(n, rng.random() * 0.5, rng)
                 sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
-                full = (1 << n) - 1
+                value = _move_evaluator(sol, 1 << n)[0]
+                table = naive_zq_table(g, q, mode)
+                for filled, val in table.items():
+                    case = (g.edges, q, mode, sorted(filled))
+                    assert table[forcing_closure(g, filled)] == val, case
+                    assert value(vertices_to_mask(filled)) == val, case
+                    for v in range(n):
+                        assert table[filled | {v}] <= val, case
+
+
+def test_naive_table_is_closure_invariant_and_monotone():
+    # The reference memoizes every filled set under itself, not under its
+    # closure, so it checks without assuming them the two facts the solver's
+    # closure-keyed memo rests on. Every key the solver stores must then be forcing-closed
+    # and carry the reference's value.
+    rng = random.Random(53)
+    for _ in range(150):
+        g = random_connected_graph(rng.randint(2, 7), rng.random() * 0.5, rng)
+        for q in (0, 1, 2):
+            for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+                table = naive_zq_table(g, q, mode)
+                assert len(table) == 1 << g.n
+                for filled, val in table.items():
+                    case = (g.edges, q, mode, sorted(filled))
+                    assert table[forcing_closure(g, filled)] == val, case
+                    for v in range(g.n):
+                        assert table[filled | {v}] <= val, case
+                sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
                 for state, val in sol.values.items():
-                    case = (g.edges, q, mode, sorted(mask_to_vertices(state)))
-                    closed = vertices_to_mask(forcing_closure(g, mask_to_vertices(state)))
-                    assert sol.values[closed] == val, case
-                    rest = full & ~state
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        assert sol.values[state | low] <= val, case
+                    filled = mask_to_vertices(state)
+                    case = (g.edges, q, mode, sorted(filled))
+                    assert forcing_closure(g, filled) == filled, case
+                    assert table[filled] == val, case
 
 
 def test_extract_trace_p3_q1_exact_moves():
