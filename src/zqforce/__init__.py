@@ -30,7 +30,6 @@ from .errors import (
 )
 from .forcing import (
     Force,
-    applicable_forces,
     brute_force_Z,
     closure_with_forces,
     forcing_closure,
@@ -43,9 +42,7 @@ from .game import (
     GameSolution,
     adversarial_oracle,
     extract_player_trace,
-    legal_announcements,
     mask_to_vertices,
-    reveal_outcomes,
     solution_report,
     solve_zq,
     vertices_to_mask,

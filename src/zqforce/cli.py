@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import closed_forms
 from .certificates import certificate_from_tokens, check_certificate, format_certificate
@@ -65,21 +65,6 @@ _FORMULA_FAMILIES = ("generalized_star", "windmill_I", "windmill_II")
 METHODS = ("auto", "exact", "block", "cactus", "formula", "brute")
 
 
-@dataclass
-class RunReport:
-    source: str
-    detected_class: str
-    method: str
-    q: int | None
-    value: int | None
-    certificate_path: str | None
-    wall_time: float
-    params: dict | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def detect_class(g: Graph) -> str:
     if not is_connected(g):
         return "disconnected"
@@ -100,13 +85,16 @@ def _parse_int_list(text: str, flag: str) -> list:
     if not text:
         return []
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise GraphValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _rule3_mode(flag: str) -> str:
-    return MODE_CLOSURE if flag == "closure" else MODE_SINGLE_FORCE
+def _game_config(args, q: int) -> GameConfig:
+    """Exact-solver settings from the command line; refuses a negative q or
+    a --cap outside 1..64 (exit 2)."""
+    mode = MODE_CLOSURE if args.rule3 == "closure" else MODE_SINGLE_FORCE
+    return GameConfig(q=q, rule3_mode=mode, vertex_cap=args.cap)
 
 
 def _family_params(args) -> FamilyParams:
@@ -153,12 +141,13 @@ def _formula_value(kind: str, params: FamilyParams, q: int) -> int:
     return closed_forms.windmill_II_Zq(params.eta, params.k, params.l, q)
 
 
-def _solve_connected(g: Graph, q: int, method: str, args):
+def _solve_connected(g: Graph, method: str, cfg: GameConfig):
     """Value of a connected graph by a concrete non-formula method.
 
     Returns (value, certificate or None, solution or None). The exact solver
     returns no certificate; its caller replays one from the solution.
     """
+    q = cfg.q
     if method == "block":
         value, cert = block_graph_Z(g)
         return value, cert, None
@@ -167,7 +156,6 @@ def _solve_connected(g: Graph, q: int, method: str, args):
             raise ScopeError("the cactus solver computes Z_0 only; use it with q=0")
         return cactus_Z0(g), None, None
     if method == "exact":
-        cfg = GameConfig(q=q, rule3_mode=_rule3_mode(args.rule3), vertex_cap=args.cap)
         sol = solve_zq(g, cfg)
         return sol.value, None, sol
     if method == "brute":
@@ -194,9 +182,8 @@ def _auto_method(g: Graph, q: int, cap: int) -> str:
 def cmd_compute(args) -> int:
     started = time.perf_counter()
     g, source, family_kind, shown_params = _load_graph(args)
-    q = args.q
-    if q < 0:
-        raise GraphValidationError("q must be nonnegative")
+    cfg = _game_config(args, args.q)
+    q = cfg.q
     method = args.method
     value = None
     cert = None
@@ -218,8 +205,8 @@ def cmd_compute(args) -> int:
     if used is None:
         comps = connected_components(g)
         if len(comps) == 1:
-            used = _auto_method(g, q, args.cap) if method == "auto" else method
-            value, cert, sol = _solve_connected(g, q, used, args)
+            used = _auto_method(g, q, cfg.vertex_cap) if method == "auto" else method
+            value, cert, sol = _solve_connected(g, used, cfg)
             if sol is not None and (args.trace or args.json):
                 cert = extract_player_trace(g, sol)
         else:
@@ -231,8 +218,8 @@ def cmd_compute(args) -> int:
             value = 0
             for comp in comps:
                 sub, _ = induced_subgraph(g, comp)
-                used = _auto_method(sub, q, args.cap) if method == "auto" else method
-                part, _, _ = _solve_connected(sub, q, used, args)
+                used = _auto_method(sub, q, cfg.vertex_cap) if method == "auto" else method
+                part, _, _ = _solve_connected(sub, used, cfg)
                 value += part
             shown_params = dict(shown_params or {}, components=len(comps))
 
@@ -249,28 +236,27 @@ def cmd_compute(args) -> int:
             if not check_certificate(g, q, cert):
                 raise ZqError("internal error: emitted certificate failed verification")
 
-    report = RunReport(
-        source=source,
-        detected_class=detect_class(g),
-        method=used,
-        q=q,
-        value=value,
-        certificate_path=cert_path,
-        wall_time=time.perf_counter() - started,
-        params=shown_params,
-    )
+    report = {
+        "source": source,
+        "detected_class": detect_class(g),
+        "method": used,
+        "q": q,
+        "value": value,
+        "certificate_path": cert_path,
+        "wall_time": time.perf_counter() - started,
+        "params": shown_params,
+    }
     if args.json:
-        payload = report.to_dict()
         if sol is not None:
-            payload["solver"] = solution_report(sol, cert)
-        _emit(json.dumps(payload, indent=2), args.output)
+            report["solver"] = solution_report(sol, cert)
+        _emit(json.dumps(report, indent=2), args.output)
     else:
         lines = [
-            f"source: {report.source}",
-            f"class: {report.detected_class}",
-            f"method: {report.method}",
-            f"q: {report.q}",
-            f"value: {report.value}",
+            f"source: {source}",
+            f"class: {report['detected_class']}",
+            f"method: {used}",
+            f"q: {q}",
+            f"value: {value}",
         ]
         if cert_path:
             lines.append(f"certificate: {cert_path}")
@@ -285,8 +271,7 @@ def cmd_verify(args) -> int:
     q_list = _parse_int_list(args.q_list, "--q-list")
     if not q_list:
         raise GraphValidationError("--q-list must name at least one q")
-    if min(q_list) < 0:
-        raise GraphValidationError("q must be nonnegative")
+    configs = {q: _game_config(args, q) for q in q_list}
 
     block_value = None
     if is_block_graph(g, 3):
@@ -297,18 +282,17 @@ def cmd_verify(args) -> int:
     brute_value = None
     if g.n <= BRUTE_FORCE_CAP and any(q >= g.n for q in q_list):
         brute_value, _ = brute_force_Z(g)
+    exact_values = {}
     if g.n > args.cap:
         _warn(f"n={g.n} exceeds the exact cap {args.cap}; skipping the exact solver")
+    else:
+        exact_values = {q: solve_zq(g, cfg).value for q, cfg in configs.items()}
 
     rows = []
     mismatch = False
-    exact_values = {}
     for q in q_list:
         row = {}
-        if g.n <= args.cap:
-            if q not in exact_values:
-                cfg = GameConfig(q=q, rule3_mode=_rule3_mode(args.rule3), vertex_cap=args.cap)
-                exact_values[q] = solve_zq(g, cfg).value
+        if q in exact_values:
             row["exact"] = exact_values[q]
         if family_kind in _FORMULA_FAMILIES:
             row["formula"] = _formula_value(family_kind, _family_params(args), q)
@@ -321,6 +305,12 @@ def cmd_verify(args) -> int:
         agreed = len(set(row.values())) <= 1
         mismatch = mismatch or not agreed
         rows.append({"q": q, "values": row, "agree": agreed})
+    uncovered = sorted({row["q"] for row in rows if not row["values"]})
+    if uncovered:
+        raise ScopeError(
+            f"no method applies at q={','.join(map(str, uncovered))}: n={g.n} exceeds the exact "
+            f"cap {args.cap} and no other method covers it"
+        )
 
     if args.json:
         _emit(json.dumps({"source": source, "rows": rows}, indent=2), args.output)
@@ -366,7 +356,7 @@ def cmd_strategy(args) -> int:
     g, source, _, _ = _load_graph(args)
     if not is_connected(g):
         raise GraphValidationError("strategy requires a connected graph")
-    cfg = GameConfig(q=args.q, rule3_mode=_rule3_mode(args.rule3), vertex_cap=args.cap)
+    cfg = _game_config(args, args.q)
     sol = solve_zq(g, cfg)
     cert = extract_player_trace(g, sol)
     lines = [f"source: {source} (n={g.n}, m={g.m}), q={args.q}, rule3={cfg.rule3_mode}"]

@@ -1,5 +1,5 @@
-"""Standard zero forcing: applicable forces, closure, and a brute-force
-oracle for the zero forcing number Z.
+"""Standard zero forcing: the forcing closure with one force sequence that
+realizes it, and a brute-force oracle for the zero forcing number Z.
 
 A filled vertex with a unique unfilled neighbor forces that neighbor; the
 closure iterates this to a fixed point. The closure is confluent, so the
@@ -22,19 +22,6 @@ BRUTE_FORCE_CAP = 20
 class Force:
     source: int
     target: int
-
-
-def applicable_forces(g: Graph, filled) -> list:
-    """All forces (u, v) with u filled and v its unique unfilled neighbor,
-    sorted by (source, target)."""
-    filled = frozenset(filled)
-    _check_vertex_subset(g, filled)
-    out = []
-    for u in sorted(filled):
-        unfilled = [w for w in g.adjacency[u] if w not in filled]
-        if len(unfilled) == 1:
-            out.append(Force(u, unfilled[0]))
-    return out
 
 
 def closure_with_forces(g: Graph, filled) -> tuple:

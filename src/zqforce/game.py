@@ -19,17 +19,17 @@ The search therefore reads and writes every state under its closure, never
 meets a force move at a state it expands, and stores no non-closed state.
 Optimal play for both sides is re-derived from that table on demand: one move
 evaluator scores the player's moves and the oracle's reveals, and the search,
-the trace and the adversarial oracle all call it. At a non-closed state the
-player's optimal move is its lowest (u, target) force.
+the trace and the adversarial oracle all call it. It picks moves at closed
+states only; trace replay plays the forces of a non-closed state itself,
+lowest (u, target) first.
 
 An announcement is discarded when some nonempty reveal admits no force in
 the revealed subgraph: the oracle would pick that reveal and the state would
 not change, so the move is a value-neutral self-loop. Announcing more than
 q+1 components only enlarges the oracle's choice set and can never help the
-player, so the search enumerates announcements of exactly q+1 components;
-`legal_announcements` still reports every unpruned size for the API. In the
-rule API, `reveal_outcomes` is the one statement of the dead-reveal rule (a
-dead reveal maps to no successor) and `legal_announcements` is derived from it.
+player, so the search enumerates announcements of exactly q+1 components.
+The move evaluator, with `_window_forces` and `_window_closure`, is the
+package's one statement of these rules.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import (
     OracleProtocolError,
     ResourceLimitError,
 )
-from .graphs import Graph, is_connected, unfilled_components
+from .graphs import Graph, is_connected
 
 MODE_CLOSURE = "closure"
 MODE_SINGLE_FORCE = "single_force"
@@ -172,57 +172,8 @@ def _window_closure(masks, filled: int, window: int) -> int:
     return filled
 
 
-def legal_announcements(g: Graph, filled, q: int) -> list:
-    """Announcements legal at `filled`: if the unfilled subgraph has k > q
-    components, every subset of at least q+1 of them survives unless some
-    nonempty reveal of it admits no force (the dead-reveal rule), which is
-    read off `reveal_outcomes` as a reveal with no successor. Returned in
-    increasing size, components ordered by lowest vertex."""
-    filled = frozenset(filled)
-    comps = unfilled_components(g, filled)
-    return [
-        combo
-        for size in range(q + 1, len(comps) + 1)
-        for combo in combinations(comps, size)
-        if all(reveal_outcomes(g, filled, combo).values())
-    ]
-
-
-def reveal_outcomes(g: Graph, filled, announcement, mode: str = MODE_CLOSURE) -> dict:
-    """Successor filled sets per oracle reveal for a given announcement.
-
-    Keys are reveals (tuples of components); values list the reachable
-    successor sets: the single in-window closure in closure mode, or one
-    successor per distinct force target in single_force mode. A reveal with
-    no applicable force maps to an empty list.
-    """
-    if mode not in (MODE_CLOSURE, MODE_SINGLE_FORCE):
-        raise GraphValidationError(f"unknown rule3_mode {mode!r}")
-    filled = frozenset(filled)
-    actual = set(unfilled_components(g, filled))
-    announced = [frozenset(c) for c in announcement]
-    for comp in announced:
-        if comp not in actual:
-            raise GraphValidationError(f"announced set {sorted(comp)} is not an unfilled component")
-    masks = _adjacency_masks(g)
-    filled_mask = vertices_to_mask(filled)
-    outcomes = {}
-    for sub in range(1, 1 << len(announced)):
-        reveal = tuple(c for j, c in enumerate(announced) if sub >> j & 1)
-        union = vertices_to_mask(frozenset().union(*reveal))
-        window = filled_mask | union
-        if mode == MODE_CLOSURE:
-            closed = _window_closure(masks, filled_mask, window)
-            succ = [mask_to_vertices(closed)] if closed != filled_mask else []
-        else:
-            targets = sorted({t for _, t in _window_forces(masks, filled_mask, window)})
-            succ = [mask_to_vertices(filled_mask | (1 << t)) for t in targets]
-        outcomes[reveal] = succ
-    return outcomes
-
-
 # Move kinds, numbered in tie-break order so that free moves come first.
-_FORCE, _ANNOUNCE, _TOKEN = 0, 1, 2
+_ANNOUNCE, _TOKEN = 0, 1
 
 
 def _move_evaluator(sol: GameSolution, memo_limit: int):
@@ -231,18 +182,19 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
     Returns three closures over the value table `sol.values`:
       value(state): the game value, read under the forcing closure of
         `state` and computed and memoized there on a miss;
-      best(state) -> (value, kind, key): the optimal move. Ties break by kind
-        (force, announce, token), then by key: (u, target) for a force, the
+      best(state) -> (value, kind, key): the optimal move at a forcing-closed
+        state. Ties break by kind (announce, token), then by key: the
         component masks for an announcement, (v,) for a token;
       worst_reveal(state, combo, cache) -> (value, reveal) for the first
         strict-maximum reveal of the announcement in subset order, or None
         if some reveal is dead. `cache` maps a revealed union to its value
         and may be shared by the announcements of one state.
 
-    The search scores every successor of each closed state it memoizes, and
-    best() at a non-closed state reads only its closure's value, so replay
-    over a finished table only reads it; replay passes a memo_limit of the
-    table's size to make that a checked fact.
+    best() is defined at closed states only: a closed state has no force
+    move, and trace replay plays a non-closed state's forces itself. The
+    search scores every successor of each closed state it memoizes, so
+    replay over a finished table only reads it; replay passes a memo_limit
+    of the table's size to make that a checked fact.
     """
     memo = sol.values
     masks = _adjacency_masks(sol.graph)
@@ -263,17 +215,6 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
 
     def best(filled: int) -> tuple:
         unfilled = full & ~filled
-
-        # Rule 2: a force keeps the closure and so the value, and force moves
-        # win ties, so at a non-closed state the lowest (u, target) is best.
-        m = filled
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            cand = masks[u] & unfilled
-            if cand and not (cand & (cand - 1)):
-                return value(filled | cand), _FORCE, (u, cand.bit_length() - 1)
 
         # Rule 3: announcements of exactly q+1 unfilled components.
         moves = []
@@ -403,16 +344,20 @@ def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificat
     trace = []
     tokens = []
     while state != full:
+        # Rule 2: a force keeps the closure and so the value; play them all,
+        # lowest (u, target) first, before asking for a move.
+        forces = _window_forces(masks, state, full)
+        if forces:
+            u, t = forces[0]
+            trace.append(ForceMove(u, t))
+            state |= 1 << t
+            continue
         _, kind, key = best(state)
         if kind == _TOKEN:
             v = key[0]
             tokens.append(v)
             trace.append(TokenMove(v))
             state |= 1 << v
-        elif kind == _FORCE:
-            u, t = key
-            trace.append(ForceMove(u, t))
-            state |= 1 << t
         else:
             announced = tuple(mask_to_vertices(c) for c in key)
             trace.append(AnnounceMove(announced))

@@ -172,6 +172,59 @@ def cactus_Z0_dp(g: Graph) -> int:
     return int(dp0[0] + min_upgrade[0])
 
 
+def naive_components(g: Graph, filled) -> list:
+    """Components of the unfilled subgraph, each a frozenset, ordered by
+    lowest vertex."""
+    rest = set(range(g.n)) - set(filled)
+    out = []
+    while rest:
+        start = min(rest)
+        comp = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in g.adjacency[x]:
+                if y in rest and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        out.append(frozenset(comp))
+        rest -= comp
+    return out
+
+
+def naive_window_forces(g: Graph, filled, window) -> list:
+    """Forces (u, target) with u filled and target its one unfilled neighbor
+    inside `window`, sorted by u."""
+    out = []
+    for u in sorted(filled):
+        unf = [w for w in g.adjacency[u] if w in window and w not in filled]
+        if len(unf) == 1:
+            out.append((u, unf[0]))
+    return out
+
+
+def naive_window_closure(g: Graph, filled, window) -> frozenset:
+    filled = set(filled)
+    while True:
+        forces = naive_window_forces(g, filled, window)
+        if not forces:
+            return frozenset(filled)
+        filled.add(forces[0][1])
+
+
+def naive_reveal_successors(g: Graph, filled, reveal, mode: str = "closure") -> list:
+    """Filled sets the player can reach after the oracle reveals the
+    components in `reveal`: the in-window closure in closure mode, or one
+    set per in-window force in single_force mode. Empty for a dead reveal,
+    one that admits no force."""
+    filled = frozenset(filled)
+    window = filled.union(*reveal)
+    if mode == "closure":
+        closed = naive_window_closure(g, filled, window)
+        return [closed] if closed != filled else []
+    return [filled | {t} for _, t in naive_window_forces(g, filled, window)]
+
+
 def naive_zq_value(g: Graph, q: int, mode: str = "closure") -> int:
     return naive_zq_table(g, q, mode)[frozenset()]
 
@@ -183,49 +236,15 @@ def naive_zq_table(g: Graph, q: int, mode: str = "closure") -> dict:
     memo, which holds all 2^n filled sets. Exponential; keep n tiny."""
 
     full = frozenset(range(g.n))
-
-    def components(filled):
-        rest = set(full - filled)
-        out = []
-        while rest:
-            start = min(rest)
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in g.adjacency[x]:
-                    if y in rest and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            out.append(frozenset(comp))
-            rest -= comp
-        return out
-
-    def window_forces(filled, window):
-        out = []
-        for u in sorted(filled):
-            unf = [w for w in g.adjacency[u] if w in window and w not in filled]
-            if len(unf) == 1:
-                out.append((u, unf[0]))
-        return out
-
-    def window_closure(filled, window):
-        filled = set(filled)
-        while True:
-            forces = window_forces(filled, window)
-            if not forces:
-                return frozenset(filled)
-            filled.add(forces[0][1])
-
     memo = {full: 0}
 
     def value(filled):
         if filled in memo:
             return memo[filled]
         best = len(full - filled)  # tokens on everything always works
-        for u, t in window_forces(filled, full):
+        for u, t in naive_window_forces(g, filled, full):
             best = min(best, value(filled | {t}))
-        comps = components(filled)
+        comps = naive_components(g, filled)
         if len(comps) > q:
             for size in range(q + 1, len(comps) + 1):
                 for ann in combinations(comps, size):
@@ -233,14 +252,7 @@ def naive_zq_table(g: Graph, q: int, mode: str = "closure") -> dict:
                     dead = False
                     for rsize in range(1, size + 1):
                         for reveal in combinations(ann, rsize):
-                            window = frozenset(filled).union(*reveal)
-                            if mode == "closure":
-                                closed = window_closure(filled, window)
-                                succs = [closed] if closed != filled else []
-                            else:
-                                succs = [
-                                    filled | {t} for _, t in window_forces(filled, window)
-                                ]
+                            succs = naive_reveal_successors(g, filled, reveal, mode)
                             if not succs:
                                 dead = True
                                 break

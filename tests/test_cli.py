@@ -219,13 +219,31 @@ def test_compute_output_file(tmp_path, capsys):
     ["compute", "--family", "random_block_graph", "--n", "10", "--seed", "1", "--q", "-1"],
     ["verify", "--family", "random_block_graph", "--n", "30", "--seed", "1", "--q-list", "-1"],
     ["compute", "--family", "random_cactus", "--n", "30", "--seed", "1", "--q", "-1"],
+    ["verify", "--family", "cycle", "--n", "5", "--q-list", "0,,1"],
+    ["compute", "--family", "cycle", "--n", "5", "--cap", "0"],
+    ["verify", "--family", "cycle", "--n", "20", "--q-list", "0", "--cap", "65"],
+    ["strategy", "--family", "cycle", "--n", "5", "--cap", "0"],
 ], ids=["verify-q-list", "compute-arms", "bench-n", "compute-block-negative-q",
-        "verify-negative-q", "compute-cactus-negative-q"])
+        "verify-negative-q", "compute-cactus-negative-q", "verify-empty-entry",
+        "compute-cap-0", "verify-cap-65", "strategy-cap-0"])
 def test_malformed_numbers_exit_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_verify_refuses_q_values_no_method_covers(capsys):
+    # C20 is above the exact cap, not a block graph, a cactus only at q=0,
+    # too small a q for brute force, and has no closed form.
+    assert main(["verify", "--family", "cycle", "--n", "20", "--q-list", "1,0,2,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: no method applies at q=1,2: n=20 exceeds the exact cap 16 and no other method covers it"
+    )
+    assert main(["verify", "--family", "cycle", "--n", "20", "--q-list", "0,20"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["q=0: cactus=2 [ok]", "q=20: brute=2 [ok]"]
 
 
 def test_compute_disconnected_trace_warns_and_writes_nothing(tmp_path, capsys):

@@ -4,11 +4,9 @@ import pytest
 
 from zqforce import (
     Certificate,
-    Force,
     ForceMove,
     ScopeError,
     TokenMove,
-    applicable_forces,
     brute_force_Z,
     check_certificate,
     closure_with_forces,
@@ -16,19 +14,23 @@ from zqforce import (
     is_zero_forcing_set,
 )
 
-from helpers import BOWTIE, clique, cycle, path, random_connected_graph
+from helpers import BOWTIE, clique, cycle, naive_window_forces, path, random_connected_graph
+
+
+# The game tests' reference solver reads rule 2 off naive_window_forces; with
+# the whole graph as the window it lists the applicable forces.
 
 
 def test_applicable_forces_path_endpoint():
-    assert applicable_forces(path(3), {0}) == [Force(0, 1)]
+    assert naive_window_forces(path(3), {0}, range(3)) == [(0, 1)]
 
 
 def test_applicable_forces_triangle_one_filled():
-    assert applicable_forces(clique(3), {0}) == []
+    assert naive_window_forces(clique(3), {0}, range(3)) == []
 
 
 def test_applicable_forces_triangle_two_filled():
-    assert applicable_forces(clique(3), {0, 1}) == [Force(0, 2), Force(1, 2)]
+    assert naive_window_forces(clique(3), {0, 1}, range(3)) == [(0, 2), (1, 2)]
 
 
 def test_closure_path_fills_from_endpoint():
@@ -103,14 +105,18 @@ def test_applicable_forces_replay_as_legal_certificate_steps():
         n = rng.randint(2, 9)
         g = random_connected_graph(n, rng.random() * 0.5, rng)
         filled = frozenset(v for v in range(n) if rng.random() < 0.4)
-        for force in applicable_forces(g, filled):
+        for u in sorted(filled):
+            unfilled = [w for w in g.adjacency[u] if w not in filled]
+            if len(unfilled) != 1:
+                continue
+            t = unfilled[0]
             # pad with tokens and closure forces to a full fill, so only the
             # probed force's own legality can make the check fail
-            extra = sorted(set(range(n)) - forcing_closure(g, filled | {force.target}))
+            extra = sorted(set(range(n)) - forcing_closure(g, filled | {t}))
             trace = [TokenMove(v) for v in sorted(filled)]
-            trace.append(ForceMove(force.source, force.target))
+            trace.append(ForceMove(u, t))
             trace.extend(TokenMove(v) for v in extra)
-            _, tail = closure_with_forces(g, filled | {force.target} | set(extra))
+            _, tail = closure_with_forces(g, filled | {t} | set(extra))
             trace.extend(ForceMove(f.source, f.target) for f in tail)
             cert = Certificate(tokens=frozenset(filled) | frozenset(extra), trace=tuple(trace))
             assert check_certificate(g, None, cert)

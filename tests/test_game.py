@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,54 +22,25 @@ from zqforce import (
     FamilyParams,
     Graph,
     forcing_closure,
-    legal_announcements,
+    format_certificate,
     mask_to_vertices,
-    reveal_outcomes,
     solution_report,
     solve_zq,
     vertices_to_mask,
 )
-from zqforce.game import _FORCE, _TOKEN, _move_evaluator
+from zqforce.game import _TOKEN, _move_evaluator
 
-from helpers import BOWTIE, clique, cycle, naive_zq_table, path, random_connected_graph, star
-
-
-def test_legal_announcements_c5_two_components():
-    got = legal_announcements(cycle(5), frozenset({0, 2}), q=0)
-    # The pair announcement dies: revealing both components leaves no force.
-    assert got == [(frozenset({1}),), (frozenset({3, 4}),)]
-
-
-def test_legal_announcements_needs_more_components_than_q():
-    assert legal_announcements(cycle(5), frozenset({0, 2}), q=2) == []
-
-
-def test_legal_announcements_k4_all_pruned():
-    assert legal_announcements(clique(4), frozenset({0}), q=0) == []
-
-
-def test_reveal_outcomes_c5_closure():
-    ann = (frozenset({1}), frozenset({3, 4}))
-    out = reveal_outcomes(cycle(5), frozenset({0, 2}), ann, MODE_CLOSURE)
-    assert out[(frozenset({3, 4}),)] == [frozenset({0, 2, 3, 4})]
-    # Revealing everything reconstructs the whole graph: no force applies.
-    assert out[(frozenset({1}), frozenset({3, 4}))] == []
-
-
-def test_reveal_outcomes_single_force_branches():
-    ann = (frozenset({3, 4}),)
-    out = reveal_outcomes(cycle(5), frozenset({0, 2}), ann, MODE_SINGLE_FORCE)
-    assert out[(frozenset({3, 4}),)] == [frozenset({0, 2, 3}), frozenset({0, 2, 4})]
-
-
-def test_reveal_outcomes_bowtie_dead_reveal():
-    out = reveal_outcomes(BOWTIE, frozenset({0, 1, 2}), (frozenset({3, 4}),), MODE_CLOSURE)
-    assert out[(frozenset({3, 4}),)] == []
-
-
-def test_reveal_outcomes_rejects_non_component():
-    with pytest.raises(GraphValidationError):
-        reveal_outcomes(cycle(5), frozenset({0, 2}), (frozenset({1, 3}),))
+from helpers import (
+    BOWTIE,
+    clique,
+    cycle,
+    naive_components,
+    naive_reveal_successors,
+    naive_zq_table,
+    path,
+    random_connected_graph,
+    star,
+)
 
 
 def test_cycle_values():
@@ -129,13 +101,16 @@ def _table_reader(sol):
 
 
 def _reveal_values(g, sol, filled, announcement):
-    """Player's value after each reveal, from reveal_outcomes and the table."""
+    """Player's value after each reveal, from the reference's successors and
+    the table; None if some reveal is dead."""
     value = _table_reader(sol)
-    outcomes = reveal_outcomes(g, filled, announcement, sol.rule3_mode)
     per_reveal = {}
-    for rev, succs in outcomes.items():
-        assert succs, "announcement admits a dead reveal"
-        per_reveal[frozenset(rev)] = min(value(vertices_to_mask(s)) for s in succs)
+    for size in range(1, len(announcement) + 1):
+        for reveal in combinations(announcement, size):
+            succs = naive_reveal_successors(g, filled, reveal, sol.rule3_mode)
+            if not succs:
+                return None
+            per_reveal[frozenset(reveal)] = min(value(vertices_to_mask(s)) for s in succs)
     return per_reveal
 
 
@@ -150,10 +125,12 @@ def test_oracle_response_attains_reveal_maximum():
         checked = 0
         for state in sol.values:
             filled = mask_to_vertices(state)
-            for announcement in legal_announcements(g, filled, q):
-                if len(announcement) != q + 1:
-                    continue
+            for announcement in combinations(naive_components(g, filled), q + 1):
                 per_reveal = _reveal_values(g, sol, filled, announcement)
+                if per_reveal is None:
+                    with pytest.raises(OracleProtocolError):
+                        oracle(filled, announcement)
+                    continue
                 stored = frozenset(oracle(filled, announcement))
                 assert per_reveal[stored] == max(per_reveal.values())
                 checked += 1
@@ -163,14 +140,21 @@ def test_oracle_response_attains_reveal_maximum():
 
 def test_adversarial_oracle_refuses_unevaluated_announcements():
     sol = solve_zq(cycle(5), GameConfig(q=0))
-    oracle = adversarial_oracle(sol)
-    assert oracle({0, 2}, (frozenset({3, 4}),)) == (frozenset({3, 4}),)
-    for filled, announcement in (
-        ({0, 2}, (frozenset({1}), frozenset({3, 4}))),  # q+2 components
-        ({0, 2}, (frozenset({1, 3}),)),  # not a component
-        ({0}, (frozenset({1, 2, 3, 4}),)),  # dead: revealing it admits no force
-        ({0, 1}, (frozenset({2, 3, 4}),)),  # not forcing-closed: 0 forces 4
+    assert adversarial_oracle(sol)({0, 2}, (frozenset({3, 4}),)) == (frozenset({3, 4}),)
+    for g, q, filled, announcement in (
+        (cycle(5), 0, {0, 2}, (frozenset({1}), frozenset({3, 4}))),  # q+2 components
+        (cycle(5), 0, {0, 2}, (frozenset({1, 3}),)),  # not a component
+        (cycle(5), 0, {0}, (frozenset({1, 2, 3, 4}),)),  # dead: revealing it admits no force
+        (cycle(5), 0, {0, 1}, (frozenset({2, 3, 4}),)),  # not forcing-closed: 0 forces 4
+        (cycle(5), 2, {0, 2}, (frozenset({1}), frozenset({3, 4}))),  # 2 components, q+1 = 3
+        (BOWTIE, 0, {0, 1, 2}, (frozenset({3, 4}),)),  # dead: 2 sees both 3 and 4
+        (clique(4), 0, {0}, (frozenset({1, 2, 3}),)),  # dead: 0 sees all of it
     ):
+        sol = solve_zq(g, GameConfig(q=q))
+        oracle = adversarial_oracle(sol)
+        if forcing_closure(g, filled) == filled:
+            # A table state, so the rule itself refuses the announcement.
+            assert vertices_to_mask(filled) in sol.values
         with pytest.raises(OracleProtocolError):
             oracle(filled, announcement)
 
@@ -203,20 +187,13 @@ def test_best_move_achieves_memoized_value_everywhere():
         value, best, _ = _move_evaluator(sol, len(sol.values))
         oracle = adversarial_oracle(sol)
         full = (1 << g.n) - 1
-        # Every state whose closure the table holds: the closed ones, and the
-        # non-closed ones a replay passes through, where a force is best.
-        for state in range(full):
-            closed = vertices_to_mask(forcing_closure(g, mask_to_vertices(state)))
-            if closed not in sol.values:
+        for state, val in sol.values.items():
+            if state == full:
                 continue
-            val = sol.values[closed]
             move_val, kind, key = best(state)
             assert move_val == val
-            assert (kind == _FORCE) == (state != closed)
             if kind == _TOKEN:
                 assert val == 1 + value(state | (1 << key[0]))
-            elif kind == _FORCE:
-                assert val == value(state | (1 << key[1]))
             else:
                 filled = mask_to_vertices(state)
                 announcement = tuple(mask_to_vertices(c) for c in key)
@@ -280,6 +257,24 @@ def test_extract_trace_p3_q1_exact_moves():
     assert cert.trace == (TokenMove(0), ForceMove(0, 1), ForceMove(1, 2))
 
 
+def test_adversarial_certificates_keep_their_move_order():
+    # Forces after a token replay lowest (u, target) first; after a reveal,
+    # closure mode replays the in-window closure first and single_force mode
+    # one force before the remaining forces, lowest first.
+    tree = Graph.from_edges(6, [(0, 2), (0, 4), (1, 4), (1, 5), (2, 3)])
+    star_cert = "token 1\ntoken 3\nannounce 2;4\nreveal 2\nforce 1 2\nforce 1 0\nforce 0 5\nforce 3 4\nforce 5 6\n"
+    for g, q, mode, expected in (
+        (star((2, 2, 2)), 1, MODE_CLOSURE, star_cert),
+        (star((2, 2, 2)), 1, MODE_SINGLE_FORCE, star_cert),
+        (tree, 0, MODE_CLOSURE,
+         "token 0\nannounce 2,3\nreveal 2,3\nforce 0 2\nforce 2 3\nforce 0 4\nforce 4 1\nforce 1 5\n"),
+        (tree, 0, MODE_SINGLE_FORCE,
+         "token 0\nannounce 2,3\nreveal 2,3\nforce 0 2\nforce 0 4\nforce 2 3\nforce 4 1\nforce 1 5\n"),
+    ):
+        sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
+        assert format_certificate(extract_player_trace(g, sol)) == expected, (g.edges, mode)
+
+
 def test_extract_trace_c5_q0():
     g = cycle(5)
     sol = solve_zq(g, GameConfig(q=0))
@@ -341,8 +336,7 @@ def test_trace_follows_each_reveal_with_a_reveal_outcome():
             filled = frozenset()
             for i, mv in enumerate(trace):
                 if isinstance(mv, RevealMove):
-                    outcomes = reveal_outcomes(g, filled, trace[i - 1].components, mode)
-                    succ = {frozenset(k): v for k, v in outcomes.items()}[frozenset(mv.components)]
+                    succ = naive_reveal_successors(g, filled, mv.components, mode)
                     count = len(succ[0] - filled) if mode == MODE_CLOSURE else 1
                     forces = trace[i + 1:i + 1 + count]
                     assert all(isinstance(f, ForceMove) for f in forces)
