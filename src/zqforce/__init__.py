@@ -28,13 +28,7 @@ from .errors import (
     VerificationMismatch,
     ZqError,
 )
-from .forcing import (
-    Force,
-    brute_force_Z,
-    closure_with_forces,
-    forcing_closure,
-    is_zero_forcing_set,
-)
+from .forcing import brute_force_Z, closure_with_forces
 from .game import (
     MODE_CLOSURE,
     MODE_SINGLE_FORCE,
@@ -61,6 +55,6 @@ from .graphs import (
     parse_edge_list,
     unfilled_components,
 )
-from .structured import block_graph_Z, block_graph_Zq, cactus_Z0
+from .structured import block_graph_Z, cactus_Z0
 
 __version__ = "0.1.0"

@@ -75,7 +75,7 @@ def certificate_from_tokens(g: Graph, tokens) -> Certificate:
     if closed != frozenset(range(g.n)):
         raise ValueError("token set is not a zero forcing set")
     trace = [TokenMove(v) for v in tokens]
-    trace.extend(ForceMove(f.source, f.target) for f in forces)
+    trace.extend(forces)
     return Certificate(tokens=frozenset(tokens), trace=tuple(trace))
 
 

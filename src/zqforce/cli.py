@@ -69,7 +69,7 @@ def detect_class(g: Graph) -> str:
     if not is_connected(g):
         return "disconnected"
     tags = []
-    if is_block_graph(g, 3):
+    if is_block_graph(g):
         tags.append("block-graph")
     if is_cactus(g):
         tags.append("cactus")
@@ -167,15 +167,18 @@ def _solve_connected(g: Graph, method: str, cfg: GameConfig):
 
 
 def _auto_method(g: Graph, q: int, cap: int) -> str:
-    if is_block_graph(g, 3):
+    if is_block_graph(g):
         return "block"
     if q == 0 and is_cactus(g):
         return "cactus"
     if g.n <= cap:
         return "exact"
+    if q >= g.n and g.n <= BRUTE_FORCE_CAP:
+        return "brute"
     raise ScopeError(
-        f"no solver for this class/size: n={g.n} exceeds the exact cap {cap} and the "
-        "graph is neither a block graph with blocks >= 3 nor (at q=0) a cactus"
+        f"no solver for this class/size: n={g.n} exceeds the exact cap {cap}, the "
+        "graph is neither a block graph with blocks >= 3 nor (at q=0) a cactus, and "
+        f"brute force needs q >= n and n <= {BRUTE_FORCE_CAP}"
     )
 
 
@@ -208,7 +211,7 @@ def cmd_compute(args) -> int:
             used = _auto_method(g, q, cfg.vertex_cap) if method == "auto" else method
             value, cert, sol = _solve_connected(g, used, cfg)
             if sol is not None and (args.trace or args.json):
-                cert = extract_player_trace(g, sol)
+                cert = extract_player_trace(sol)
         else:
             _warn(
                 f"input has {len(comps)} components; reporting the sum of per-component "
@@ -274,7 +277,7 @@ def cmd_verify(args) -> int:
     configs = {q: _game_config(args, q) for q in q_list}
 
     block_value = None
-    if is_block_graph(g, 3):
+    if is_block_graph(g):
         block_value, _ = block_graph_Z(g)
     cactus_value = None
     if 0 in q_list and is_cactus(g):
@@ -295,7 +298,10 @@ def cmd_verify(args) -> int:
         if q in exact_values:
             row["exact"] = exact_values[q]
         if family_kind in _FORMULA_FAMILIES:
-            row["formula"] = _formula_value(family_kind, _family_params(args), q)
+            try:
+                row["formula"] = _formula_value(family_kind, _family_params(args), q)
+            except ScopeError:
+                pass  # no closed form for this shape; the other methods still check it
         if block_value is not None:
             row["block"] = block_value
         if q == 0 and cactus_value is not None:
@@ -358,7 +364,7 @@ def cmd_strategy(args) -> int:
         raise GraphValidationError("strategy requires a connected graph")
     cfg = _game_config(args, args.q)
     sol = solve_zq(g, cfg)
-    cert = extract_player_trace(g, sol)
+    cert = extract_player_trace(sol)
     lines = [f"source: {source} (n={g.n}, m={g.m}), q={args.q}, rule3={cfg.rule3_mode}"]
     for i, mv in enumerate(cert.trace, start=1):
         name = type(mv).__name__

@@ -3,29 +3,25 @@ realizes it, and a brute-force oracle for the zero forcing number Z.
 
 A filled vertex with a unique unfilled neighbor forces that neighbor; the
 closure iterates this to a fixed point. The closure is confluent, so the
-resulting set does not depend on force order.
+resulting set does not depend on force order. A set is zero forcing when
+closure_with_forces(g, s)[0] is every vertex.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 
+from .certificates import ForceMove
 from .errors import ScopeError
 from .graphs import Graph, _check_vertex_subset
 
 BRUTE_FORCE_CAP = 20
 
 
-@dataclass(frozen=True)
-class Force:
-    source: int
-    target: int
-
-
 def closure_with_forces(g: Graph, filled) -> tuple:
-    """Forcing closure plus one legal force sequence that realizes it.
+    """Forcing closure plus one legal force sequence (ForceMoves) that
+    realizes it.
 
     Work-queue over potential sources, O(n + m) total: a vertex forces at
     most once, and each fill decrements its neighbors' unfilled counts.
@@ -43,7 +39,7 @@ def closure_with_forces(g: Graph, filled) -> tuple:
         if unfilled_count[u] != 1:
             continue  # stale entry
         t = next(w for w in g.adjacency[u] if not mark[w])
-        forces.append(Force(u, t))
+        forces.append(ForceMove(u, t))
         mark[t] = 1
         if unfilled_count[t] == 1:
             queue.append(t)
@@ -55,27 +51,18 @@ def closure_with_forces(g: Graph, filled) -> tuple:
     return result, forces
 
 
-def forcing_closure(g: Graph, filled) -> frozenset:
-    """Least fixed point of repeated forcing from `filled`."""
-    return closure_with_forces(g, filled)[0]
-
-
-def is_zero_forcing_set(g: Graph, s) -> bool:
-    return forcing_closure(g, s) == frozenset(range(g.n))
-
-
-def brute_force_Z(g: Graph, cap: int = BRUTE_FORCE_CAP) -> tuple:
+def brute_force_Z(g: Graph) -> tuple:
     """Exhaustive zero forcing number: smallest k admitting a zero forcing
     set of size k, with the lexicographically first witness of that size.
 
     Subsets are enumerated by increasing size with no structural pruning;
-    the cap keeps the runtime bounded.
+    BRUTE_FORCE_CAP keeps the runtime bounded.
     """
-    if g.n > cap:
-        raise ScopeError(f"brute_force_Z refused: n={g.n} exceeds cap {cap}")
+    if g.n > BRUTE_FORCE_CAP:
+        raise ScopeError(f"brute_force_Z refused: n={g.n} exceeds cap {BRUTE_FORCE_CAP}")
     everything = frozenset(range(g.n))
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
-            if forcing_closure(g, combo) == everything:
+            if closure_with_forces(g, combo)[0] == everything:
                 return k, frozenset(combo)
     raise AssertionError("the full vertex set is always a zero forcing set")

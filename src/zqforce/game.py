@@ -57,7 +57,7 @@ MODE_SINGLE_FORCE = "single_force"
 
 DEFAULT_VERTEX_CAP = 16
 # About 73 B per values-only entry (tracemalloc, C16 at q=1): ~1.2 GB.
-DEFAULT_MEMO_LIMIT = 1 << 24
+MEMO_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class GameConfig:
     q: int
     rule3_mode: str = MODE_CLOSURE
     vertex_cap: int = DEFAULT_VERTEX_CAP
-    memo_limit: int = DEFAULT_MEMO_LIMIT
 
     def __post_init__(self):
         if self.q < 0:
@@ -74,8 +73,6 @@ class GameConfig:
             raise GraphValidationError(f"unknown rule3_mode {self.rule3_mode!r}")
         if not (1 <= self.vertex_cap <= 64):
             raise GraphValidationError("vertex_cap must be in 1..64")
-        if self.memo_limit < 1:
-            raise GraphValidationError("memo_limit must be positive")
 
 
 @dataclass
@@ -94,11 +91,14 @@ class GameSolution:
 
     value: int
     values: dict
-    states_explored: int
     q: int
     rule3_mode: str
     graph: Graph
     oracle_response: dict = field(default_factory=dict)
+
+    @property
+    def states_explored(self) -> int:
+        return len(self.values)
 
 
 def vertices_to_mask(vertices) -> int:
@@ -261,17 +261,7 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
             if closed == filled:
                 return -1
             return value(closed)
-        best_succ = -1
-        m = filled
-        while m:
-            low = m & -m
-            m ^= low
-            cand = masks[low.bit_length() - 1] & window & ~filled
-            if cand and not (cand & (cand - 1)):
-                val = value(filled | cand)
-                if best_succ < 0 or val < best_succ:
-                    best_succ = val
-        return best_succ
+        return min((value(filled | 1 << t) for _, t in _window_forces(masks, filled, window)), default=-1)
 
     return value, best, worst_reveal
 
@@ -288,11 +278,9 @@ def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
     if not is_connected(g):
         raise GraphValidationError("solve_zq requires a connected graph")
 
-    sol = GameSolution(value=0, values={(1 << n) - 1: 0}, states_explored=0,
-                       q=cfg.q, rule3_mode=cfg.rule3_mode, graph=g)
-    value, _, _ = _move_evaluator(sol, cfg.memo_limit)
+    sol = GameSolution(value=0, values={(1 << n) - 1: 0}, q=cfg.q, rule3_mode=cfg.rule3_mode, graph=g)
+    value, _, _ = _move_evaluator(sol, MEMO_LIMIT)
     sol.value = value(0)
-    sol.states_explored = len(sol.values)
     return sol
 
 
@@ -326,7 +314,7 @@ def adversarial_oracle(sol: GameSolution):
     return policy
 
 
-def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificate:
+def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
     """Play the solver's optimal moves against an oracle policy.
 
     The policy is a callable (filled set, announced components) -> revealed
@@ -337,8 +325,8 @@ def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificat
     if oracle is None:
         oracle = adversarial_oracle(sol)
     value, best, _ = _move_evaluator(sol, len(sol.values))
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
+    masks = _adjacency_masks(sol.graph)
+    full = (1 << sol.graph.n) - 1
     closure_mode = sol.rule3_mode == MODE_CLOSURE
     state = 0
     trace = []
@@ -385,10 +373,8 @@ def extract_player_trace(g: Graph, sol: GameSolution, oracle=None) -> Certificat
     return Certificate(tokens=frozenset(tokens), trace=tuple(trace))
 
 
-def solution_report(sol: GameSolution, cert: Certificate | None = None) -> dict:
+def solution_report(sol: GameSolution, cert: Certificate) -> dict:
     """JSON-ready report: {value, states_explored, q, rule3_mode, trace}."""
-    if cert is None:
-        cert = extract_player_trace(sol.graph, sol)
     return {
         "value": sol.value,
         "states_explored": sol.states_explored,

@@ -54,9 +54,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
@@ -243,15 +240,15 @@ def _induced_edge_count(g: Graph, vertices) -> int:
     return total // 2
 
 
-def _is_clique_block(g: Graph, vertices, min_size: int) -> bool:
+def _is_clique_block(g: Graph, vertices) -> bool:
     size = len(vertices)
-    return size >= min_size and _induced_edge_count(g, vertices) == size * (size - 1) // 2
+    return size >= 3 and _induced_edge_count(g, vertices) == size * (size - 1) // 2
 
 
-def is_block_graph(g: Graph, min_block_size: int = 3) -> bool:
+def is_block_graph(g: Graph) -> bool:
     """True iff every block of the connected graph g induces a clique with at
-    least min_block_size vertices."""
-    return all(_is_clique_block(g, block.vertices, min_block_size) for block in find_blocks(g))
+    least three vertices."""
+    return all(_is_clique_block(g, block.vertices) for block in find_blocks(g))
 
 
 def _is_cactus_block(g: Graph, vertices) -> bool:

@@ -8,7 +8,7 @@ blocks all have at least three vertices, and the tokens force everything:
 once a block's anchor is filled, the blocks hanging from its token vertices
 fill (by induction), and then any of its token vertices forces the one
 vertex it left out. Z_q of such a block graph equals Z for every q, so
-block_graph_Zq just reuses the same run.
+block_graph_Z is also its Z_q.
 
 cactus_Z0 is the closed form m - n + 2, which is the number of cycles plus
 one; the reason is in its docstring.
@@ -21,13 +21,12 @@ from .errors import ScopeError
 from .graphs import Graph, _is_cactus_block, _is_clique_block, find_blocks
 
 
-def _require_block_graph(g: Graph, min_block_size: int = 3):
+def _require_block_graph(g: Graph):
     order = find_blocks(g)
     for block in order:
-        if not _is_clique_block(g, block.vertices, min_block_size):
+        if not _is_clique_block(g, block.vertices):
             raise ScopeError(
-                f"not a block graph with blocks of size >= {min_block_size}: "
-                f"offending block {sorted(block.vertices)}"
+                f"not a block graph with blocks of size >= 3: offending block {sorted(block.vertices)}"
             )
     return order
 
@@ -42,14 +41,6 @@ def block_graph_Z(g: Graph) -> tuple:
     for block in _require_block_graph(g):
         tokens.extend(sorted(block.vertices - {block.anchor})[:-1])
     return len(tokens), certificate_from_tokens(g, tokens)
-
-
-def block_graph_Zq(g: Graph, q: int) -> int:
-    """Z_q of a block graph with blocks of size >= 3 equals Z for every q."""
-    if q < 0:
-        raise ScopeError("q must be nonnegative")
-    value, _ = block_graph_Z(g)
-    return value
 
 
 def cactus_Z0(g: Graph) -> int:

@@ -86,6 +86,19 @@ def test_compute_no_solver_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_compute_auto_uses_brute_force_at_q_at_least_n(tmp_path, capsys):
+    # C18 is over the exact cap, but at q >= n Z_q is plain Z, which brute
+    # force covers as verify already does.
+    argv = ["compute", "--family", "cycle", "--n", "18", "--q", "18"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["method: brute", "q: 18", "value: 2"]
+    trace = str(tmp_path / "c18.cert")
+    assert main(argv + ["--trace", trace]) == 0
+    assert check_certificate(cycle(18), 18, parse_certificate(open(trace).read()))
+    assert main(["compute", "--family", "cycle", "--n", "21", "--q", "21"]) == 3
+    assert "brute force needs q >= n and n <= 20" in capsys.readouterr().err
+
+
 def test_compute_parse_error_exit_code(tmp_path):
     f = _write(tmp_path, "bad.el", "0 1\nnope\n")
     assert main(["compute", "--file", f]) == 2
@@ -113,6 +126,20 @@ def test_verify_windmill2_formula_vs_exact(capsys):
     values = {row["q"]: row["values"] for row in payload["rows"]}
     assert values[0]["formula"] == values[0]["exact"] == 4
     assert values[1]["formula"] == values[1]["exact"] == 7
+
+
+def test_verify_drops_a_formula_that_refuses_its_input(capsys):
+    # W''(2, 1, 2) is K_{2,2} = C4, which has no closed form here; verify
+    # still checks the methods that do apply, as compute falls through.
+    argv = ["--family", "windmill2", "--eta", "2", "--k", "1", "--l", "2"]
+    assert main(["verify", *argv, "--q-list", "0,1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "source: family:windmill_II",
+        "q=0: cactus=2, exact=2 [ok]",
+        "q=1: exact=2 [ok]",
+    ]
+    assert main(["compute", *argv, "--q", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["method: exact", "q: 1", "value: 2"]
 
 
 def test_verify_c6(tmp_path, capsys):

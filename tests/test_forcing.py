@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import zqforce.forcing
 from zqforce import (
     Certificate,
     ForceMove,
@@ -10,11 +11,17 @@ from zqforce import (
     brute_force_Z,
     check_certificate,
     closure_with_forces,
-    forcing_closure,
-    is_zero_forcing_set,
 )
 
-from helpers import BOWTIE, clique, cycle, naive_window_forces, path, random_connected_graph
+from helpers import (
+    BOWTIE,
+    clique,
+    cycle,
+    naive_window_closure,
+    naive_window_forces,
+    path,
+    random_connected_graph,
+)
 
 
 # The game tests' reference solver reads rule 2 off naive_window_forces; with
@@ -34,15 +41,15 @@ def test_applicable_forces_triangle_two_filled():
 
 
 def test_closure_path_fills_from_endpoint():
-    assert forcing_closure(path(5), {0}) == frozenset(range(5))
+    assert closure_with_forces(path(5), {0})[0] == frozenset(range(5))
 
 
 def test_closure_cycle_single_token_is_stuck():
-    assert forcing_closure(cycle(5), {0}) == frozenset({0})
+    assert closure_with_forces(cycle(5), {0})[0] == frozenset({0})
 
 
 def test_closure_bowtie_partial():
-    assert forcing_closure(BOWTIE, {0, 1}) == frozenset({0, 1, 2})
+    assert closure_with_forces(BOWTIE, {0, 1})[0] == frozenset({0, 1, 2})
 
 
 def test_closure_force_sequence_is_legal_replay():
@@ -64,16 +71,21 @@ def test_closure_properties_on_random_graphs():
         g = random_connected_graph(n, rng.random() * 0.5, rng)
         a = frozenset(v for v in range(n) if rng.random() < 0.3)
         b = a | frozenset(v for v in range(n) if rng.random() < 0.2)
-        ca, cb = forcing_closure(g, a), forcing_closure(g, b)
+        ca, cb = closure_with_forces(g, a)[0], closure_with_forces(g, b)[0]
         assert a <= ca
         assert ca <= cb
-        assert forcing_closure(g, ca) == ca
+        assert closure_with_forces(g, ca)[0] == ca
+        assert ca == naive_window_closure(g, a, range(n))
+
+
+def _zero_forcing(g, s):
+    return closure_with_forces(g, s)[0] == frozenset(range(g.n))
 
 
 def test_is_zero_forcing_set_examples():
-    assert is_zero_forcing_set(cycle(5), {0, 1})
-    assert not is_zero_forcing_set(cycle(5), {0})
-    assert is_zero_forcing_set(BOWTIE, {0, 1, 3})
+    assert _zero_forcing(cycle(5), {0, 1})
+    assert not _zero_forcing(cycle(5), {0})
+    assert _zero_forcing(BOWTIE, {0, 1, 3})
 
 
 def test_brute_force_paths_and_cliques():
@@ -85,7 +97,7 @@ def test_brute_force_paths_and_cliques():
 def test_brute_force_bowtie():
     value, witness = brute_force_Z(BOWTIE)
     assert value == 3
-    assert is_zero_forcing_set(BOWTIE, witness)
+    assert _zero_forcing(BOWTIE, witness)
     assert len(witness) == 3
 
 
@@ -93,10 +105,11 @@ def test_brute_force_witness_is_lex_smallest():
     assert brute_force_Z(path(3)) == (1, frozenset({0}))
 
 
-def test_brute_force_cap_refusal():
+def test_brute_force_cap_refusal(monkeypatch):
     with pytest.raises(ScopeError):
         brute_force_Z(path(21))
-    assert brute_force_Z(path(21), cap=25)[0] == 1
+    monkeypatch.setattr(zqforce.forcing, "BRUTE_FORCE_CAP", 25)
+    assert brute_force_Z(path(21))[0] == 1
 
 
 def test_applicable_forces_replay_as_legal_certificate_steps():
@@ -112,11 +125,11 @@ def test_applicable_forces_replay_as_legal_certificate_steps():
             t = unfilled[0]
             # pad with tokens and closure forces to a full fill, so only the
             # probed force's own legality can make the check fail
-            extra = sorted(set(range(n)) - forcing_closure(g, filled | {t}))
+            extra = sorted(set(range(n)) - closure_with_forces(g, filled | {t})[0])
             trace = [TokenMove(v) for v in sorted(filled)]
             trace.append(ForceMove(u, t))
             trace.extend(TokenMove(v) for v in extra)
             _, tail = closure_with_forces(g, filled | {t} | set(extra))
-            trace.extend(ForceMove(f.source, f.target) for f in tail)
+            trace.extend(tail)
             cert = Certificate(tokens=frozenset(filled) | frozenset(extra), trace=tuple(trace))
             assert check_certificate(g, None, cert)

@@ -107,7 +107,7 @@ def _certificate_corpus(rng):
     graphs += [random_connected_graph(rng.randint(3, 8), rng.random() * 0.4, rng) for _ in range(15)]
     for g in graphs:
         q = rng.randrange(3)
-        cert = extract_player_trace(g, solve_zq(g, GameConfig(q=q)))
+        cert = extract_player_trace(solve_zq(g, GameConfig(q=q)))
         corpus.append((g, q, cert))
     assert any(isinstance(mv, AnnounceMove) for _, _, cert in corpus for mv in cert.trace)
     return corpus

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import zqforce.game
 from zqforce import (
     MODE_CLOSURE,
     MODE_SINGLE_FORCE,
@@ -21,7 +22,6 @@ from zqforce import (
     generate_family,
     FamilyParams,
     Graph,
-    forcing_closure,
     format_certificate,
     mask_to_vertices,
     solution_report,
@@ -36,9 +36,12 @@ from helpers import (
     cycle,
     naive_components,
     naive_reveal_successors,
+    naive_window_closure,
     naive_zq_table,
     path,
+    random_cactus,
     random_connected_graph,
+    random_tree,
     star,
 )
 
@@ -152,7 +155,7 @@ def test_adversarial_oracle_refuses_unevaluated_announcements():
     ):
         sol = solve_zq(g, GameConfig(q=q))
         oracle = adversarial_oracle(sol)
-        if forcing_closure(g, filled) == filled:
+        if naive_window_closure(g, filled, range(g.n)) == filled:
             # A table state, so the rule itself refuses the announcement.
             assert vertices_to_mask(filled) in sol.values
         with pytest.raises(OracleProtocolError):
@@ -219,10 +222,29 @@ def test_values_invariant_under_closure_and_monotone():
                 table = naive_zq_table(g, q, mode)
                 for filled, val in table.items():
                     case = (g.edges, q, mode, sorted(filled))
-                    assert table[forcing_closure(g, filled)] == val, case
+                    assert table[naive_window_closure(g, filled, range(n))] == val, case
                     assert value(vertices_to_mask(filled)) == val, case
                     for v in range(n):
                         assert table[filled | {v}] <= val, case
+
+
+def test_both_rule3_modes_produce_the_same_table():
+    # Rule 3's closure mode and single_force mode reach the same closed
+    # states with the same values, not just the same game value. A proof of
+    # this would let one search serve both modes; per reveal the claim is
+    # false, so it has to go through the oracle's maximum.
+    rng = random.Random(43)
+    makers = (
+        lambda n: random_connected_graph(n, rng.random() * 0.5, rng),
+        lambda n: random_tree(n, rng),
+        lambda n: random_cactus(n, rng),
+    )
+    for i in range(300):
+        g = makers[i % 3](rng.randint(4, 9))
+        for q in (0, 1, 2):
+            closure = solve_zq(g, GameConfig(q, MODE_CLOSURE)).values
+            single = solve_zq(g, GameConfig(q, MODE_SINGLE_FORCE)).values
+            assert closure == single, (g.edges, q)
 
 
 def test_naive_table_is_closure_invariant_and_monotone():
@@ -239,21 +261,21 @@ def test_naive_table_is_closure_invariant_and_monotone():
                 assert len(table) == 1 << g.n
                 for filled, val in table.items():
                     case = (g.edges, q, mode, sorted(filled))
-                    assert table[forcing_closure(g, filled)] == val, case
+                    assert table[naive_window_closure(g, filled, range(g.n))] == val, case
                     for v in range(g.n):
                         assert table[filled | {v}] <= val, case
                 sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
                 for state, val in sol.values.items():
                     filled = mask_to_vertices(state)
                     case = (g.edges, q, mode, sorted(filled))
-                    assert forcing_closure(g, filled) == filled, case
+                    assert naive_window_closure(g, filled, range(g.n)) == filled, case
                     assert table[filled] == val, case
 
 
 def test_extract_trace_p3_q1_exact_moves():
     g = path(3)
     sol = solve_zq(g, GameConfig(q=1))
-    cert = extract_player_trace(g, sol)
+    cert = extract_player_trace(sol)
     assert cert.trace == (TokenMove(0), ForceMove(0, 1), ForceMove(1, 2))
 
 
@@ -272,13 +294,13 @@ def test_adversarial_certificates_keep_their_move_order():
          "token 0\nannounce 2,3\nreveal 2,3\nforce 0 2\nforce 0 4\nforce 2 3\nforce 4 1\nforce 1 5\n"),
     ):
         sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
-        assert format_certificate(extract_player_trace(g, sol)) == expected, (g.edges, mode)
+        assert format_certificate(extract_player_trace(sol)) == expected, (g.edges, mode)
 
 
 def test_extract_trace_c5_q0():
     g = cycle(5)
     sol = solve_zq(g, GameConfig(q=0))
-    cert = extract_player_trace(g, sol)
+    cert = extract_player_trace(sol)
     assert len(cert.tokens) == sol.value == 2
     assert check_certificate(g, 0, cert)
 
@@ -286,7 +308,7 @@ def test_extract_trace_c5_q0():
 def test_extract_trace_windmill_needs_no_rule3():
     g = generate_family("windmill_I", FamilyParams(eta=2, k=3, l=1))
     sol = solve_zq(g, GameConfig(q=1))
-    cert = extract_player_trace(g, sol)
+    cert = extract_player_trace(sol)
     assert len(cert.tokens) == sol.value == 5
     assert not any(isinstance(mv, AnnounceMove) for mv in cert.trace)
     assert check_certificate(g, 1, cert)
@@ -299,7 +321,7 @@ def test_traces_check_out_on_random_graphs_both_modes():
             n = rng.randint(2, 7)
             g = random_connected_graph(n, rng.random() * 0.5, rng)
             sol = solve_zq(g, GameConfig(q=rng.randint(0, 2), rule3_mode=mode))
-            cert = extract_player_trace(g, sol)
+            cert = extract_player_trace(sol)
             assert len(cert.tokens) == sol.value
             assert check_certificate(g, sol.q, cert)
 
@@ -318,7 +340,7 @@ def test_player_never_exceeds_value_against_random_oracles():
     for g, q in cases:
         sol = solve_zq(g, GameConfig(q=q))
         for _ in range(10):
-            cert = extract_player_trace(g, sol, oracle=_random_oracle(rng))
+            cert = extract_player_trace(sol, oracle=_random_oracle(rng))
             assert len(cert.tokens) <= sol.value
             assert check_certificate(g, q, cert)
 
@@ -332,7 +354,7 @@ def test_trace_follows_each_reveal_with_a_reveal_outcome():
         for _ in range(30):
             g = random_connected_graph(rng.randint(3, 8), rng.random() * 0.4, rng)
             sol = solve_zq(g, GameConfig(q=rng.randint(0, 1), rule3_mode=mode))
-            trace = extract_player_trace(g, sol, oracle=_random_oracle(rng)).trace
+            trace = extract_player_trace(sol, oracle=_random_oracle(rng)).trace
             filled = frozenset()
             for i, mv in enumerate(trace):
                 if isinstance(mv, RevealMove):
@@ -361,14 +383,15 @@ def test_illegal_oracle_reveal_is_reported():
 
     for oracle in (empty_reveal, foreign_reveal):
         with pytest.raises(OracleProtocolError):
-            extract_player_trace(g, sol, oracle=oracle)
+            extract_player_trace(sol, oracle=oracle)
 
 
-def test_vertex_cap_and_memo_limit_errors():
+def test_vertex_cap_and_memo_limit_errors(monkeypatch):
     with pytest.raises(ResourceLimitError):
         solve_zq(path(17), GameConfig(q=0))
-    with pytest.raises(ResourceLimitError):
-        solve_zq(cycle(6), GameConfig(q=0, memo_limit=4))
+    monkeypatch.setattr(zqforce.game, "MEMO_LIMIT", 4)
+    with pytest.raises(ResourceLimitError, match="memo limit 4 reached"):
+        solve_zq(cycle(6), GameConfig(q=0))
 
 
 def test_solver_requires_connected_graph():
@@ -389,9 +412,10 @@ def test_config_validation():
 def test_solution_report_shape():
     g = cycle(5)
     sol = solve_zq(g, GameConfig(q=0))
-    report = solution_report(sol)
+    cert = extract_player_trace(sol)
+    report = solution_report(sol, cert)
     assert report["value"] == 2
     assert report["q"] == 0
     assert report["rule3_mode"] == MODE_CLOSURE
-    assert report["states_explored"] == sol.states_explored > 0
-    assert isinstance(report["trace"], list) and report["trace"]
+    assert report["states_explored"] == sol.states_explored == len(sol.values) > 0
+    assert report["trace"] == format_certificate(cert).splitlines()

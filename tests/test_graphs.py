@@ -43,7 +43,7 @@ def test_parse_header_isolated_vertices():
     g = parse_edge_list("n 4\n0 1")
     assert g.n == 4
     assert g.edges == ((0, 1),)
-    assert g.degree(2) == g.degree(3) == 0
+    assert g.adjacency[2] == g.adjacency[3] == ()
 
 
 def test_parse_collapses_duplicates_and_orientation():
@@ -208,9 +208,9 @@ def test_block_order_prefix_invariant_on_random_block_graphs():
 
 
 def test_is_block_graph_examples():
-    assert is_block_graph(BOWTIE, 3)
-    assert not is_block_graph(path(4), 3)
-    assert is_block_graph(clique(4), 3)
+    assert is_block_graph(BOWTIE)
+    assert not is_block_graph(path(4))
+    assert is_block_graph(clique(4))
 
 
 def test_is_cactus_examples():

@@ -6,12 +6,10 @@ from zqforce import (
     GameConfig,
     ScopeError,
     block_graph_Z,
-    block_graph_Zq,
     brute_force_Z,
     cactus_Z0,
     check_certificate,
     find_blocks,
-    is_zero_forcing_set,
     solve_zq,
     Graph,
 )
@@ -21,6 +19,7 @@ from helpers import (
     cactus_Z0_dp,
     clique,
     cycle,
+    naive_window_closure,
     path,
     random_block_graph,
     random_cactus,
@@ -34,7 +33,7 @@ def test_block_solver_cliques():
     for n in range(3, 8):
         value, cert = block_graph_Z(clique(n))
         assert value == n - 1
-        assert is_zero_forcing_set(clique(n), cert.tokens)
+        assert naive_window_closure(clique(n), cert.tokens, range(n)) == frozenset(range(n))
 
 
 def test_block_solver_bowtie_matches_brute_force():
@@ -56,7 +55,7 @@ def test_block_solver_formula_and_brute_agreement():
         value, cert = block_graph_Z(g)
         assert value == g.n - len(find_blocks(g))
         assert value == brute_force_Z(g)[0]
-        assert is_zero_forcing_set(g, cert.tokens)
+        assert naive_window_closure(g, cert.tokens, range(g.n)) == frozenset(range(g.n))
         assert len(cert.tokens) == value
 
 
@@ -80,8 +79,9 @@ def test_block_solver_zq_equals_game():
     for _ in range(12):
         n = rng.randint(3, 10)
         g = random_block_graph(n, rng)
+        value, _ = block_graph_Z(g)
         for q in (0, 1, 2, n):
-            assert block_graph_Zq(g, q) == solve_zq(g, GameConfig(q=q)).value
+            assert value == solve_zq(g, GameConfig(q=q)).value
 
 
 def test_block_solver_rejects_wrong_class():
@@ -89,9 +89,7 @@ def test_block_solver_rejects_wrong_class():
         block_graph_Z(path(4))
     assert "block" in str(excinfo.value)
     with pytest.raises(ScopeError):
-        block_graph_Zq(cycle(5), 1)
-    with pytest.raises(ScopeError):
-        block_graph_Zq(BOWTIE, -1)
+        block_graph_Z(cycle(5))
 
 
 def test_structured_solvers_decompose_once(monkeypatch):
@@ -109,7 +107,6 @@ def test_structured_solvers_decompose_once(monkeypatch):
     monkeypatch.setattr(zqforce.structured, "find_blocks", counting)
     for solve in (
         lambda: block_graph_Z(BOWTIE),
-        lambda: block_graph_Zq(BOWTIE, 1),
         lambda: cactus_Z0(BOWTIE),
     ):
         calls.clear()
@@ -182,7 +179,7 @@ def test_block_solver_exhaustive_up_to_7_vertices():
 
     count = 0
     for g in _atlas_connected(7):
-        if g.n < 3 or not is_block_graph(g, 3):
+        if g.n < 3 or not is_block_graph(g):
             continue
         value, cert = block_graph_Z(g)
         assert value == brute_force_Z(g)[0], g.edges
