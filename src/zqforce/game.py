@@ -17,6 +17,13 @@ forcing-closed states. V(F) = V(closure(F)) holds one force at a time:
 
 The search therefore reads and writes every state under its closure, never
 meets a force move at a state it expands, and stores no non-closed state.
+It scores a state's tokens only when no announcement there is worth 0 or 1:
+
+    a token is worth 1 + V(F + v) >= 1, and on equal value an announcement
+    beats a token, so such an announcement is the move the tie-break picks.
+
+States reached only through the skipped tokens are never stored.
+
 Optimal play for both sides is re-derived from that table on demand: one move
 evaluator scores the player's moves and the oracle's reveals, and the search,
 the trace and the adversarial oracle all call it. It picks moves at closed
@@ -80,9 +87,10 @@ class GameSolution:
     """Game value and the value table of a solve.
 
     States and components are vertex bitmasks; values maps every
-    forcing-closed state the search reached to its game value, and a
+    forcing-closed state the search scored to its game value, and a
     non-closed state has the value of its closure. states_explored counts
-    those closed states. Moves and reveals are not stored:
+    those closed states, which leave out the ones reached only through
+    token moves the search skipped. Moves and reveals are not stored:
     extract_player_trace and adversarial_oracle derive them on demand from
     values. oracle_response keeps the reveals the adversarial oracle has
     been asked for, keyed by (state, announced component masks); it is empty
@@ -191,10 +199,12 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
         and may be shared by the announcements of one state.
 
     best() is defined at closed states only: a closed state has no force
-    move, and trace replay plays a non-closed state's forces itself. The
-    search scores every successor of each closed state it memoizes, so
-    replay over a finished table only reads it; replay passes a memo_limit
-    of the table's size to make that a checked fact.
+    move, and trace replay plays a non-closed state's forces itself. It
+    scores every announcement and reveal, and the tokens only when no
+    announcement is worth 0 or 1. The search memoizes every successor best()
+    scores, so replay over a finished table, which calls the same best(),
+    only reads it; replay passes a memo_limit of the table's size to make
+    that a checked fact.
     """
     memo = sol.values
     masks = _adjacency_masks(sol.graph)
@@ -208,7 +218,9 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
         if cached is not None:
             return cached
         if len(memo) >= memo_limit:
-            raise ResourceLimitError(f"memo limit {memo_limit} reached; raise memo_limit to continue")
+            raise ResourceLimitError(
+                f"memo limit {memo_limit} reached; solve a smaller graph or raise zqforce.game.MEMO_LIMIT"
+            )
         val = best(filled)[0]
         memo[filled] = val
         return val
@@ -226,6 +238,9 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
                     worst = worst_reveal(filled, combo, cache)
                     if worst is not None:
                         moves.append((worst[0], _ANNOUNCE, combo))
+        # A token costs at least 1 and loses ties to an announcement.
+        if moves and min(moves)[0] <= 1:
+            return min(moves)
 
         # Rule 1: tokens.
         m = unfilled
@@ -290,9 +305,11 @@ def adversarial_oracle(sol: GameSolution):
     Each reveal is derived from the value table when first asked for and
     kept in `sol.oracle_response`. The policy answers only at the
     forcing-closed states of the table, which are the only states where the
-    player's optimal play announces (elsewhere a force is its best move); an
-    announcement at any other state, or one that is not q+1 live components,
-    raises OracleProtocolError.
+    player's optimal play announces (elsewhere a force is its best move).
+    The search scored every announcement at each of them, skipping tokens
+    only, so every live announcement there has an answer; an announcement
+    at any other state, or one that is not q+1 live components, raises
+    OracleProtocolError.
     """
     _, _, worst_reveal = _move_evaluator(sol, len(sol.values))
     masks = _adjacency_masks(sol.graph)

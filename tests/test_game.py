@@ -229,10 +229,12 @@ def test_values_invariant_under_closure_and_monotone():
 
 
 def test_both_rule3_modes_produce_the_same_table():
-    # Rule 3's closure mode and single_force mode reach the same closed
-    # states with the same values, not just the same game value. A proof of
-    # this would let one search serve both modes; per reveal the claim is
-    # false, so it has to go through the oracle's maximum.
+    # Rule 3's closure mode and single_force mode give every filled set the
+    # same value, not just the root. A proof of this would let one search
+    # serve both modes; per reveal the claim is false, so it has to go
+    # through the oracle's maximum. The two searches skip different token
+    # moves and so store different states; each value is read through that
+    # mode's searching evaluator.
     rng = random.Random(43)
     makers = (
         lambda n: random_connected_graph(n, rng.random() * 0.5, rng),
@@ -242,9 +244,25 @@ def test_both_rule3_modes_produce_the_same_table():
     for i in range(300):
         g = makers[i % 3](rng.randint(4, 9))
         for q in (0, 1, 2):
-            closure = solve_zq(g, GameConfig(q, MODE_CLOSURE)).values
-            single = solve_zq(g, GameConfig(q, MODE_SINGLE_FORCE)).values
-            assert closure == single, (g.edges, q)
+            closure = solve_zq(g, GameConfig(q, MODE_CLOSURE))
+            single = solve_zq(g, GameConfig(q, MODE_SINGLE_FORCE))
+            assert closure.value == single.value, (g.edges, q)
+            closure_value = _move_evaluator(closure, 1 << g.n)[0]
+            single_value = _move_evaluator(single, 1 << g.n)[0]
+            for filled in range(1 << g.n):
+                assert closure_value(filled) == single_value(filled), (g.edges, q, filled)
+
+
+def test_search_skips_tokens_where_an_announcement_costs_at_most_one():
+    # A token costs at least 1 and loses ties to an announcement, so the
+    # search scores no token where an announcement is worth 0 or 1. Scoring
+    # every token successor reaches all 2,208 closed states of C16 at each q.
+    # Upper bounds, so that a search that skips more still passes.
+    for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+        for q, bound in ((0, 122), (1, 474), (2, 1134)):
+            sol = solve_zq(cycle(16), GameConfig(q=q, rule3_mode=mode))
+            assert sol.value == 2
+            assert sol.states_explored <= bound, (mode, q, sol.states_explored)
 
 
 def test_naive_table_is_closure_invariant_and_monotone():
@@ -390,8 +408,10 @@ def test_vertex_cap_and_memo_limit_errors(monkeypatch):
     with pytest.raises(ResourceLimitError):
         solve_zq(path(17), GameConfig(q=0))
     monkeypatch.setattr(zqforce.game, "MEMO_LIMIT", 4)
-    with pytest.raises(ResourceLimitError, match="memo limit 4 reached"):
+    with pytest.raises(ResourceLimitError, match="memo limit 4 reached") as err:
         solve_zq(cycle(6), GameConfig(q=0))
+    assert "raise memo_limit" not in str(err.value)
+    assert "MEMO_LIMIT" in str(err.value)
 
 
 def test_solver_requires_connected_graph():
