@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from functools import cache
 
 from . import closed_forms
 from .certificates import certificate_from_tokens, check_certificate, format_certificate
@@ -33,7 +34,7 @@ from .game import (
     solution_report,
     solve_zq,
 )
-from .generators import FamilyParams, generate_family
+from .generators import FAMILY_KINDS, FamilyParams, generate_family
 from .graphs import (
     Graph,
     connected_components,
@@ -47,20 +48,19 @@ from .graphs import (
 from .structured import block_graph_Z, cactus_Z0
 
 _FAMILY_ALIASES = {
-    "path": "path",
-    "cycle": "cycle",
-    "clique": "clique",
+    **{kind: kind for kind in FAMILY_KINDS},
     "star": "generalized_star",
-    "generalized_star": "generalized_star",
     "windmill1": "windmill_I",
-    "windmill_I": "windmill_I",
     "windmill2": "windmill_II",
-    "windmill_II": "windmill_II",
-    "random_block_graph": "random_block_graph",
-    "random_cactus": "random_cactus",
 }
 
-_FORMULA_FAMILIES = ("generalized_star", "windmill_I", "windmill_II")
+# Z_q(family params, q) by family kind; a ScopeError means no closed form
+# covers these parameters, and the caller falls through to the other methods.
+_CLOSED_FORMS = {
+    "generalized_star": lambda p, q: closed_forms.star_Zq(p.path_lengths, q),
+    "windmill_I": lambda p, q: closed_forms.windmill_I_Zq(p.eta, p.k, p.l, q),
+    "windmill_II": lambda p, q: closed_forms.windmill_II_Zq(p.eta, p.k, p.l, q),
+}
 
 METHODS = ("auto", "exact", "block", "cactus", "formula", "brute")
 
@@ -129,18 +129,6 @@ def _load_graph(args):
     raise GraphValidationError("an input graph is required: --file or --family")
 
 
-def _formula_value(kind: str, params: FamilyParams, q: int) -> int:
-    if kind == "generalized_star":
-        if not params.path_lengths:
-            raise GraphValidationError("generalized_star needs --arms")
-        return closed_forms.star_Zq(params.path_lengths, q)
-    if None in (params.eta, params.k, params.l):
-        raise GraphValidationError("windmill formulas need --eta, --k and --l")
-    if kind == "windmill_I":
-        return closed_forms.windmill_I_Zq(params.eta, params.k, params.l, q)
-    return closed_forms.windmill_II_Zq(params.eta, params.k, params.l, q)
-
-
 def _solve_connected(g: Graph, method: str, cfg: GameConfig):
     """Value of a connected graph by a concrete non-formula method.
 
@@ -166,20 +154,44 @@ def _solve_connected(g: Graph, method: str, cfg: GameConfig):
     raise ScopeError(f"method {method!r} cannot run here")
 
 
+def _coverage(g: Graph, cap: int):
+    """The coverage rule of a connected graph g: a function of q that
+    yields, lazily and in this order, every concrete method whose value is
+    Z_q(g):
+
+    - block, when every block of g is a clique with at least three vertices;
+    - cactus, at q = 0 when g is a cactus;
+    - exact, when n <= cap;
+    - brute, when q >= n (there Z_q = Z) and n <= BRUTE_FORCE_CAP.
+
+    `compute` takes the first entry, `verify` runs them all. Each class
+    check runs at most once per rule, however many q it is asked about.
+    """
+    block = cache(lambda: is_block_graph(g))
+    cactus = cache(lambda: is_cactus(g))
+
+    def methods(q: int):
+        if block():
+            yield "block"
+        if q == 0 and cactus():
+            yield "cactus"
+        if g.n <= cap:
+            yield "exact"
+        if q >= g.n and g.n <= BRUTE_FORCE_CAP:
+            yield "brute"
+
+    return methods
+
+
 def _auto_method(g: Graph, q: int, cap: int) -> str:
-    if is_block_graph(g):
-        return "block"
-    if q == 0 and is_cactus(g):
-        return "cactus"
-    if g.n <= cap:
-        return "exact"
-    if q >= g.n and g.n <= BRUTE_FORCE_CAP:
-        return "brute"
-    raise ScopeError(
-        f"no solver for this class/size: n={g.n} exceeds the exact cap {cap}, the "
-        "graph is neither a block graph with blocks >= 3 nor (at q=0) a cactus, and "
-        f"brute force needs q >= n and n <= {BRUTE_FORCE_CAP}"
-    )
+    method = next(_coverage(g, cap)(q), None)
+    if method is None:
+        raise ScopeError(
+            f"no solver for this class/size: n={g.n} exceeds the exact cap {cap}, the "
+            "graph is neither a block graph with blocks >= 3 nor (at q=0) a cactus, and "
+            f"brute force needs q >= n and n <= {BRUTE_FORCE_CAP}"
+        )
+    return method
 
 
 def cmd_compute(args) -> int:
@@ -194,37 +206,36 @@ def cmd_compute(args) -> int:
     used = None
     disconnected = False
 
-    if method in ("auto", "formula") and family_kind in _FORMULA_FAMILIES:
-        params = _family_params(args)
+    form = _CLOSED_FORMS.get(family_kind)
+    if method == "formula" and form is None:
+        raise ScopeError("--method formula needs a --family with a closed form (star/windmill)")
+    if method in ("auto", "formula") and form is not None:
         try:
-            value = _formula_value(family_kind, params, q)
-            used = "formula"
+            value, used = form(_family_params(args), q), "formula"
         except ScopeError:
             if method == "formula":
                 raise
-    elif method == "formula":
-        raise ScopeError("--method formula needs a --family with a closed form (star/windmill)")
 
     if used is None:
         comps = connected_components(g)
-        if len(comps) == 1:
-            used = _auto_method(g, q, cfg.vertex_cap) if method == "auto" else method
-            value, cert, sol = _solve_connected(g, used, cfg)
-            if sol is not None and (args.trace or args.json):
-                cert = extract_player_trace(sol)
-        else:
+        disconnected = len(comps) > 1
+        if disconnected:
             _warn(
                 f"input has {len(comps)} components; reporting the sum of per-component "
                 "values (a CLI convention, defined for connected graphs otherwise)"
             )
-            disconnected = True
-            value = 0
-            for comp in comps:
-                sub, _ = induced_subgraph(g, comp)
-                used = _auto_method(sub, q, cfg.vertex_cap) if method == "auto" else method
-                part, _, _ = _solve_connected(sub, used, cfg)
-                value += part
             shown_params = dict(shown_params or {}, components=len(comps))
+        value, chosen = 0, []
+        for comp in comps:
+            sub = induced_subgraph(g, comp)[0] if disconnected else g
+            chosen.append(_auto_method(sub, q, cfg.vertex_cap) if method == "auto" else method)
+            part, cert, sol = _solve_connected(sub, chosen[-1], cfg)
+            value += part
+        used = "+".join(dict.fromkeys(chosen))  # distinct, in component order
+        if disconnected:
+            cert = sol = None
+        elif sol is not None and (args.trace or args.json):
+            cert = extract_player_trace(sol)
 
     cert_path = None
     if args.trace:
@@ -276,38 +287,26 @@ def cmd_verify(args) -> int:
         raise GraphValidationError("--q-list must name at least one q")
     configs = {q: _game_config(args, q) for q in q_list}
 
-    block_value = None
-    if is_block_graph(g):
-        block_value, _ = block_graph_Z(g)
-    cactus_value = None
-    if 0 in q_list and is_cactus(g):
-        cactus_value = cactus_Z0(g)
-    brute_value = None
-    if g.n <= BRUTE_FORCE_CAP and any(q >= g.n for q in q_list):
-        brute_value, _ = brute_force_Z(g)
-    exact_values = {}
     if g.n > args.cap:
         _warn(f"n={g.n} exceeds the exact cap {args.cap}; skipping the exact solver")
-    else:
-        exact_values = {q: solve_zq(g, cfg).value for q, cfg in configs.items()}
 
+    form = _CLOSED_FORMS.get(family_kind)
+    methods = _coverage(g, args.cap)
+    solved = {}  # by method, and by (method, q) for exact, the one that depends on q
     rows = []
     mismatch = False
     for q in q_list:
         row = {}
-        if q in exact_values:
-            row["exact"] = exact_values[q]
-        if family_kind in _FORMULA_FAMILIES:
+        if form is not None:
             try:
-                row["formula"] = _formula_value(family_kind, _family_params(args), q)
+                row["formula"] = form(_family_params(args), q)
             except ScopeError:
                 pass  # no closed form for this shape; the other methods still check it
-        if block_value is not None:
-            row["block"] = block_value
-        if q == 0 and cactus_value is not None:
-            row["cactus"] = cactus_value
-        if q >= g.n and brute_value is not None:
-            row["brute"] = brute_value
+        for method in methods(q):
+            key = (method, q) if method == "exact" else method
+            if key not in solved:
+                solved[key] = _solve_connected(g, method, configs[q])[0]
+            row[method] = solved[key]
         agreed = len(set(row.values())) <= 1
         mismatch = mismatch or not agreed
         rows.append({"q": q, "values": row, "agree": agreed})

@@ -308,8 +308,8 @@ def adversarial_oracle(sol: GameSolution):
     player's optimal play announces (elsewhere a force is its best move).
     The search scored every announcement at each of them, skipping tokens
     only, so every live announcement there has an answer; an announcement
-    at any other state, or one that is not q+1 live components, raises
-    OracleProtocolError.
+    at any other state, or one that is not q+1 distinct live components,
+    raises OracleProtocolError.
     """
     _, _, worst_reveal = _move_evaluator(sol, len(sol.values))
     masks = _adjacency_masks(sol.graph)
@@ -317,15 +317,18 @@ def adversarial_oracle(sol: GameSolution):
 
     def policy(filled, announcement):
         state = vertices_to_mask(filled)
-        announced = {vertices_to_mask(c) for c in announcement}
+        announced = [vertices_to_mask(c) for c in announcement]
         combo = tuple(c for c in _mask_components(masks, full & ~state) if c in announced)
         key = (state, combo)
-        if key not in sol.oracle_response:
-            legal = state in sol.values and len(combo) == len(announced) == sol.q + 1
-            worst = worst_reveal(state, combo, {}) if legal else None
-            if worst is None:
-                raise OracleProtocolError("announcement was never evaluated by the solver")
-            sol.oracle_response[key] = worst[1]
+        # combo holds each unfilled component at most once, so equal lengths
+        # rule out repeated entries and non-components alike.
+        legal = state in sol.values and len(combo) == len(announced) == sol.q + 1
+        if legal and key not in sol.oracle_response:
+            worst = worst_reveal(state, combo, {})
+            if worst is not None:
+                sol.oracle_response[key] = worst[1]
+        if not legal or key not in sol.oracle_response:
+            raise OracleProtocolError("announcement was never evaluated by the solver")
         return tuple(mask_to_vertices(c) for c in sol.oracle_response[key])
 
     return policy

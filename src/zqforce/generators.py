@@ -9,22 +9,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import GraphValidationError
+from . import graphs
+from .errors import GraphValidationError, ResourceLimitError
 from .graphs import Graph
-
-FAMILY_KINDS = (
-    "path",
-    "cycle",
-    "clique",
-    "generalized_star",
-    "windmill_I",
-    "windmill_II",
-    "random_block_graph",
-    "random_cactus",
-)
-
-_RANDOM_KINDS = ("random_block_graph", "random_cactus")
-
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -49,6 +36,15 @@ def _require(cond: bool, message: str) -> None:
         raise GraphValidationError(message)
 
 
+def _check_size(n: int, m: int) -> None:
+    """Refuse an instance above graphs.MAX_VERTICES or graphs.MAX_EDGES
+    before its edge list is built."""
+    if n > graphs.MAX_VERTICES:
+        raise ResourceLimitError(f"vertex count {n} exceeds the limit of {graphs.MAX_VERTICES}")
+    if m > graphs.MAX_EDGES:
+        raise ResourceLimitError(f"edge count {m} exceeds the limit of {graphs.MAX_EDGES}")
+
+
 def _path_edges(n: int, offset: int = 0):
     return [(offset + i, offset + i + 1) for i in range(n - 1)]
 
@@ -60,11 +56,13 @@ def _clique_edges(members) -> list:
 
 def _make_path(params: FamilyParams) -> Graph:
     _require(params.n is not None and params.n >= 1, "path requires n >= 1")
+    _check_size(params.n, params.n - 1)
     return Graph.from_edges(params.n, _path_edges(params.n))
 
 
 def _make_cycle(params: FamilyParams) -> Graph:
     _require(params.n is not None and params.n >= 3, "cycle requires n >= 3")
+    _check_size(params.n, params.n)
     edges = _path_edges(params.n)
     edges.append((params.n - 1, 0))
     return Graph.from_edges(params.n, edges)
@@ -72,6 +70,7 @@ def _make_cycle(params: FamilyParams) -> Graph:
 
 def _make_clique(params: FamilyParams) -> Graph:
     _require(params.n is not None and params.n >= 1, "clique requires n >= 1")
+    _check_size(params.n, params.n * (params.n - 1) // 2)
     return Graph.from_edges(params.n, _clique_edges(range(params.n)))
 
 
@@ -79,6 +78,7 @@ def _make_generalized_star(params: FamilyParams) -> Graph:
     lengths = params.path_lengths
     _require(bool(lengths), "generalized_star requires nonempty path_lengths")
     _require(all(x >= 1 for x in lengths), "arm lengths must be >= 1")
+    _check_size(1 + sum(lengths), sum(lengths))
     edges = []
     nxt = 1  # vertex 0 is the center
     for length in lengths:
@@ -95,6 +95,7 @@ def _make_windmill(params: FamilyParams, center_clique: bool) -> Graph:
         "windmill requires eta, k, l >= 1",
     )
     n = eta * k + l
+    _check_size(n, eta * (k * (k - 1) // 2 + k * l) + (l * (l - 1) // 2 if center_clique else 0))
     centers = range(eta * k, n)
     edges = []
     for copy in range(eta):
@@ -110,6 +111,7 @@ def _make_windmill(params: FamilyParams, center_clique: bool) -> Graph:
 def _make_random_block_graph(params: FamilyParams, rng: random.Random) -> Graph:
     n = params.n
     _require(n is not None and n >= 3, "random_block_graph requires n >= 3")
+    _check_size(n, n - 1)  # a connected graph has at least n - 1 edges
     max_blocks = (n - 1) // 2
     _require(max_blocks >= 1, "random_block_graph requires n >= 3")
     b = params.blocks if params.blocks is not None else rng.randint(1, max_blocks)
@@ -118,6 +120,7 @@ def _make_random_block_graph(params: FamilyParams, rng: random.Random) -> Graph:
     parts = [2] * b
     for _ in range(n - 1 - 2 * b):
         parts[rng.randrange(b)] += 1
+    _check_size(n, sum(p * (p + 1) // 2 for p in parts))
     edges = []
     first = parts[0] + 1
     edges.extend(_clique_edges(range(first)))
@@ -133,6 +136,7 @@ def _make_random_block_graph(params: FamilyParams, rng: random.Random) -> Graph:
 def _make_random_cactus(params: FamilyParams, rng: random.Random) -> Graph:
     n = params.n
     _require(n is not None and n >= 1, "random_cactus requires n >= 1")
+    _check_size(n, 3 * (n - 1) // 2)  # a cactus has at most 3(n - 1)/2 edges
     edges = []
     placed = 1
     while placed < n:
@@ -150,24 +154,28 @@ def _make_random_cactus(params: FamilyParams, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+_MAKERS = {
+    "path": _make_path,
+    "cycle": _make_cycle,
+    "clique": _make_clique,
+    "generalized_star": _make_generalized_star,
+    "windmill_I": lambda params: _make_windmill(params, center_clique=True),
+    "windmill_II": lambda params: _make_windmill(params, center_clique=False),
+}
+_RANDOM_MAKERS = {
+    "random_block_graph": _make_random_block_graph,
+    "random_cactus": _make_random_cactus,
+}
+FAMILY_KINDS = (*_MAKERS, *_RANDOM_MAKERS)
+
+
 def generate_family(kind: str, params: FamilyParams, seed: int | None = None) -> Graph:
-    """Build a named family instance; random kinds require a seed."""
-    if kind not in FAMILY_KINDS:
-        raise GraphValidationError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
-    if kind in _RANDOM_KINDS:
+    """Build a named family instance; random kinds require a seed. An
+    instance above graphs.MAX_VERTICES or graphs.MAX_EDGES raises
+    ResourceLimitError before its edges are built."""
+    if kind in _RANDOM_MAKERS:
         _require(seed is not None, f"{kind} requires a seed")
-        rng = random.Random(seed)
-        if kind == "random_block_graph":
-            return _make_random_block_graph(params, rng)
-        return _make_random_cactus(params, rng)
-    if kind == "path":
-        return _make_path(params)
-    if kind == "cycle":
-        return _make_cycle(params)
-    if kind == "clique":
-        return _make_clique(params)
-    if kind == "generalized_star":
-        return _make_generalized_star(params)
-    if kind == "windmill_I":
-        return _make_windmill(params, center_clique=True)
-    return _make_windmill(params, center_clique=False)
+        return _RANDOM_MAKERS[kind](params, random.Random(seed))
+    if kind not in _MAKERS:
+        raise GraphValidationError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
+    return _MAKERS[kind](params)

@@ -16,6 +16,11 @@ from .errors import EdgeListParseError, GraphValidationError, ResourceLimitError
 # peak puts this near 3 GB.
 MAX_VERTICES = 1 << 21
 
+# Largest edge count generate_family builds; it checks the count before it
+# builds any edge. A generated clique peaks near 180 B/edge, so this too is
+# near 3 GB.
+MAX_EDGES = 1 << 24
+
 
 @dataclass(frozen=True)
 class Graph:

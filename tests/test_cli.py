@@ -78,6 +78,16 @@ def test_compute_disconnected_sums_components(tmp_path, capsys):
     assert payload["detected_class"] == "disconnected"
 
 
+def test_compute_disconnected_reports_each_method_used(tmp_path, capsys):
+    # A bowtie, a C5 and a triangle: the distinct methods in component order.
+    f = _write(tmp_path, "mixed.el", BOWTIE_TEXT + "5 6\n6 7\n7 8\n8 9\n9 5\n10 11\n11 12\n12 10\n")
+    for q, used in ((0, "block+cactus"), (1, "block+exact")):
+        assert main(["compute", "--file", f, "--q", str(q)]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [f"method: {used}", f"q: {q}", "value: 7"]
+    code, payload = _run_json(capsys, ["compute", "--file", f, "--method", "exact", "--json"])
+    assert (code, payload["method"], payload["value"]) == (0, "exact", 7)
+
+
 def test_compute_no_solver_exit_code(tmp_path, capsys):
     # n=18 path with q=1: not a block graph, cactus needs q=0, over the cap.
     edges = "\n".join(f"{i} {i+1}" for i in range(17))
@@ -140,6 +150,17 @@ def test_verify_drops_a_formula_that_refuses_its_input(capsys):
     ]
     assert main(["compute", *argv, "--q", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[2:] == ["method: exact", "q: 1", "value: 2"]
+
+
+def test_verify_windmill1_formula_block_and_brute_in_one_row(capsys):
+    argv = ["verify", "--family", "windmill1", "--eta", "2", "--k", "3", "--l", "1", "--q-list", "0,1,7"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "source: family:windmill_I",
+        "q=0: block=5, exact=5, formula=5 [ok]",
+        "q=1: block=5, exact=5, formula=5 [ok]",
+        "q=7: block=5, brute=5, exact=5, formula=5 [ok]",
+    ]
 
 
 def test_verify_c6(tmp_path, capsys):

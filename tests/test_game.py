@@ -142,10 +142,14 @@ def test_oracle_response_attains_reveal_maximum():
 
 
 def test_adversarial_oracle_refuses_unevaluated_announcements():
-    sol = solve_zq(cycle(5), GameConfig(q=0))
-    assert adversarial_oracle(sol)({0, 2}, (frozenset({3, 4}),)) == (frozenset({3, 4}),)
+    oracle = adversarial_oracle(solve_zq(cycle(5), GameConfig(q=0)))
+    assert oracle({0, 2}, (frozenset({3, 4}),)) == (frozenset({3, 4}),)
+    assert oracle({0, 2}, (frozenset({1}),)) == (frozenset({1}),)
+    with pytest.raises(OracleProtocolError):  # the answered announcement, listed twice
+        oracle({0, 2}, (frozenset({1}), frozenset({1})))
     for g, q, filled, announcement in (
         (cycle(5), 0, {0, 2}, (frozenset({1}), frozenset({3, 4}))),  # q+2 components
+        (cycle(5), 0, {0, 2}, (frozenset({1}), frozenset({1}))),  # one component twice
         (cycle(5), 0, {0, 2}, (frozenset({1, 3}),)),  # not a component
         (cycle(5), 0, {0}, (frozenset({1, 2, 3, 4}),)),  # dead: revealing it admits no force
         (cycle(5), 0, {0, 1}, (frozenset({2, 3, 4}),)),  # not forcing-closed: 0 forces 4

@@ -5,11 +5,15 @@ import pytest
 from zqforce import (
     FamilyParams,
     GraphValidationError,
+    ResourceLimitError,
     generate_family,
     is_block_graph,
     is_cactus,
     is_connected,
 )
+
+from zqforce import generators, graphs
+from zqforce.cli import main
 
 from helpers import clique
 
@@ -89,3 +93,43 @@ def test_invalid_params_rejected():
         generate_family("mystery", FamilyParams(n=5))
     with pytest.raises(GraphValidationError):
         generate_family("random_block_graph", FamilyParams(n=7, blocks=4), seed=1)
+
+
+def test_generate_family_refuses_oversized_instances_before_building_them(monkeypatch, capsys):
+    # Each limit is set to the instance's own size, then one below it: the
+    # up-front counts are exact for every kind but random_cactus, whose
+    # edge count is bounded by 3(n - 1)/2.
+    for kind, params, seed in (
+        ("path", FamilyParams(n=30), None),
+        ("cycle", FamilyParams(n=30), None),
+        ("clique", FamilyParams(n=12), None),
+        ("generalized_star", FamilyParams(path_lengths=(3, 1, 4)), None),
+        ("windmill_I", FamilyParams(eta=3, k=4, l=2), None),
+        ("windmill_II", FamilyParams(eta=3, k=4, l=2), None),
+        ("random_block_graph", FamilyParams(n=40, blocks=5), 3),
+        ("random_cactus", FamilyParams(n=40), 3),
+    ):
+        g = generate_family(kind, params, seed=seed)
+        with monkeypatch.context() as limits:
+            limits.setattr(graphs, "MAX_VERTICES", g.n)
+            limits.setattr(graphs, "MAX_EDGES", g.m if kind != "random_cactus" else 3 * (g.n - 1) // 2)
+            assert generate_family(kind, params, seed=seed).edges == g.edges
+            if kind != "random_cactus":
+                limits.setattr(graphs, "MAX_EDGES", g.m - 1)
+                with pytest.raises(ResourceLimitError, match=f"edge count {g.m} exceeds the limit of {g.m - 1}"):
+                    generate_family(kind, params, seed=seed)
+                limits.setattr(graphs, "MAX_EDGES", g.m)
+            limits.setattr(graphs, "MAX_VERTICES", g.n - 1)
+            with pytest.raises(ResourceLimitError, match=f"vertex count {g.n} exceeds the limit of {g.n - 1}"):
+                generate_family(kind, params, seed=seed)
+
+    def unbuilt(*args):
+        raise AssertionError("the edge list was built")
+
+    monkeypatch.setattr(generators, "_clique_edges", unbuilt)
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 100)
+    monkeypatch.setattr(graphs, "MAX_EDGES", 1000)
+    assert main(["compute", "--family", "clique", "--n", "46"]) == 3
+    assert capsys.readouterr().err == "error: edge count 1035 exceeds the limit of 1000\n"
+    assert main(["compute", "--family", "path", "--n", "101"]) == 3
+    assert capsys.readouterr().err == "error: vertex count 101 exceeds the limit of 100\n"
