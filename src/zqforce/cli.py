@@ -129,46 +129,55 @@ def _load_graph(args):
     raise GraphValidationError("an input graph is required: --file or --family")
 
 
-def _solve_connected(g: Graph, method: str, cfg: GameConfig):
-    """Value of a connected graph by a concrete non-formula method.
+def _solve(g: Graph, method: str, cfg: GameConfig):
+    """Value of g by a concrete non-formula method.
 
-    Returns (value, certificate or None, solution or None). The exact solver
-    returns no certificate; its caller replays one from the solution.
+    Returns (value, certificate maker or None, solution or None). The maker
+    builds the certificate when called, so a caller that prints no
+    certificate never pays for one.
     """
     q = cfg.q
     if method == "block":
         value, cert = block_graph_Z(g)
-        return value, cert, None
+        return value, lambda: cert, None
     if method == "cactus":
         if q != 0:
             raise ScopeError("the cactus solver computes Z_0 only; use it with q=0")
         return cactus_Z0(g), None, None
     if method == "exact":
         sol = solve_zq(g, cfg)
-        return sol.value, None, sol
+        return sol.value, lambda: extract_player_trace(sol), sol
     if method == "brute":
         if q < g.n:
             _warn(f"brute force computes plain Z, which equals Z_q only for q >= n={g.n}")
         value, witness = brute_force_Z(g)
-        return value, certificate_from_tokens(g, sorted(witness)), None
+        return value, lambda: certificate_from_tokens(g, sorted(witness)), None
+    if method == "sum":
+        parts = (induced_subgraph(g, comp)[0] for comp in connected_components(g))
+        value = sum(_solve(sub, _auto_method(sub, q, cfg.vertex_cap), cfg)[0] for sub in parts)
+        return value, None, None
     raise ScopeError(f"method {method!r} cannot run here")
 
 
 def _coverage(g: Graph, cap: int):
-    """The coverage rule of a connected graph g: a function of q that
-    yields, lazily and in this order, every concrete method whose value is
-    Z_q(g):
+    """The coverage rule of g: a function of q that yields, lazily and in
+    this order, every concrete method whose value is Z_q(g):
 
     - block, when every block of g is a clique with at least three vertices;
     - cactus, at q = 0 when g is a cactus;
     - exact, when n <= cap;
-    - brute, when q >= n (there Z_q = Z) and n <= BRUTE_FORCE_CAP.
+    - brute, when q >= n (there Z_q = Z) and n <= BRUTE_FORCE_CAP;
+    - sum, at q = 0 when g is disconnected: the first entry of this rule on
+      each component, added up. An announcement at q = 0 names one
+      component, so the parts never interact and the sum is exact; at
+      q >= 1 one announcement can span parts, and the sum only bounds Z_q.
 
     `compute` takes the first entry, `verify` runs them all. Each class
     check runs at most once per rule, however many q it is asked about.
     """
     block = cache(lambda: is_block_graph(g))
     cactus = cache(lambda: is_cactus(g))
+    disconnected = cache(lambda: not is_connected(g))
 
     def methods(q: int):
         if block():
@@ -179,6 +188,8 @@ def _coverage(g: Graph, cap: int):
             yield "exact"
         if q >= g.n and g.n <= BRUTE_FORCE_CAP:
             yield "brute"
+        if q == 0 and disconnected():
+            yield "sum"
 
     return methods
 
@@ -204,7 +215,6 @@ def cmd_compute(args) -> int:
     cert = None
     sol = None
     used = None
-    disconnected = False
 
     form = _CLOSED_FORMS.get(family_kind)
     if method == "formula" and form is None:
@@ -217,31 +227,14 @@ def cmd_compute(args) -> int:
                 raise
 
     if used is None:
-        comps = connected_components(g)
-        disconnected = len(comps) > 1
-        if disconnected:
-            _warn(
-                f"input has {len(comps)} components; reporting the sum of per-component "
-                "values (a CLI convention, defined for connected graphs otherwise)"
-            )
-            shown_params = dict(shown_params or {}, components=len(comps))
-        value, chosen = 0, []
-        for comp in comps:
-            sub = induced_subgraph(g, comp)[0] if disconnected else g
-            chosen.append(_auto_method(sub, q, cfg.vertex_cap) if method == "auto" else method)
-            part, cert, sol = _solve_connected(sub, chosen[-1], cfg)
-            value += part
-        used = "+".join(dict.fromkeys(chosen))  # distinct, in component order
-        if disconnected:
-            cert = sol = None
-        elif sol is not None and (args.trace or args.json):
-            cert = extract_player_trace(sol)
+        used = _auto_method(g, q, cfg.vertex_cap) if method == "auto" else method
+        value, make_cert, sol = _solve(g, used, cfg)
+        if make_cert is not None and (args.trace or args.json):
+            cert = make_cert()
 
     cert_path = None
     if args.trace:
-        if disconnected:
-            _warn("input is disconnected and no certificate covers the summed value; --trace ignored")
-        elif cert is None:
+        if cert is None:
             _warn(f"method {used!r} does not produce a certificate; --trace ignored")
         else:
             with open(args.trace, "w", encoding="utf-8") as fh:
@@ -280,8 +273,6 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     g, source, family_kind, _ = _load_graph(args)
-    if not is_connected(g):
-        raise GraphValidationError("verify requires a connected graph")
     q_list = _parse_int_list(args.q_list, "--q-list")
     if not q_list:
         raise GraphValidationError("--q-list must name at least one q")
@@ -305,7 +296,7 @@ def cmd_verify(args) -> int:
         for method in methods(q):
             key = (method, q) if method == "exact" else method
             if key not in solved:
-                solved[key] = _solve_connected(g, method, configs[q])[0]
+                solved[key] = _solve(g, method, configs[q])[0]
             row[method] = solved[key]
         agreed = len(set(row.values())) <= 1
         mismatch = mismatch or not agreed
@@ -359,8 +350,6 @@ def cmd_bench(args) -> int:
 
 def cmd_strategy(args) -> int:
     g, source, _, _ = _load_graph(args)
-    if not is_connected(g):
-        raise GraphValidationError("strategy requires a connected graph")
     cfg = _game_config(args, args.q)
     sol = solve_zq(g, cfg)
     cert = extract_player_trace(sol)

@@ -19,8 +19,7 @@ class EdgeListParseError(ZqError):
 
 class GraphValidationError(ZqError):
     """Structurally invalid graph or graph argument (self-loop, bad vertex,
-    disconnected input where a connected graph is required, bad family
-    parameters)."""
+    bad family parameters)."""
 
 
 class ScopeError(ZqError):

@@ -57,7 +57,7 @@ from .errors import (
     OracleProtocolError,
     ResourceLimitError,
 )
-from .graphs import Graph, is_connected
+from .graphs import Graph
 
 MODE_CLOSURE = "closure"
 MODE_SINGLE_FORCE = "single_force"
@@ -284,14 +284,14 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
 def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
     """Exact game value and the value table of every state searched.
 
+    g may be disconnected: the announcement rule counts the unfilled
+    components of the whole graph, so it is one game, not one per component.
     Optimal moves for both sides are re-derived from the table on demand by
     `extract_player_trace` and `adversarial_oracle`.
     """
     n = g.n
     if n > cfg.vertex_cap:
         raise ResourceLimitError(f"n={n} exceeds vertex cap {cfg.vertex_cap}; raise the cap to allow this")
-    if not is_connected(g):
-        raise GraphValidationError("solve_zq requires a connected graph")
 
     sol = GameSolution(value=0, values={(1 << n) - 1: 0}, q=cfg.q, rule3_mode=cfg.rule3_mode, graph=g)
     value, _, _ = _move_evaluator(sol, MEMO_LIMIT)

@@ -66,9 +66,11 @@ def parse_edge_list(text: str) -> Graph:
     Each non-comment line is "u v" with nonnegative integer endpoints; `#`
     starts a comment. An optional first line "n <count>" fixes the vertex
     count (allowing isolated vertices); otherwise n = 1 + max endpoint.
-    Duplicate edges and both orientations collapse to a single edge. A
-    vertex count above MAX_VERTICES raises ResourceLimitError.
+    Duplicate edges and both orientations collapse to a single edge. More
+    than MAX_EDGES edge lines, or a vertex count above MAX_VERTICES, raise
+    ResourceLimitError; the edge lines as soon as one too many is read.
     """
+    edge_limit = MAX_EDGES
     header_n = None
     edges = []
     self_loop = None  # (line, vertex) of the first self-loop
@@ -99,6 +101,8 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(lineno, "negative vertex id")
         if u == v and self_loop is None:
             self_loop = (lineno, u)
+        if len(edges) == edge_limit:
+            raise ResourceLimitError(f"line {lineno}: edge count exceeds the limit of {edge_limit}")
         edges.append((u, v))
 
     if header_n is None and not edges:
@@ -169,7 +173,8 @@ class Block:
 
     In the leaf-to-root order `find_blocks` returns, anchor is the single
     vertex the block shares with the union of the blocks after it (the
-    articulation vertex it hangs from); the last block has none.
+    articulation vertex it hangs from); the last block of each component
+    has none.
     """
 
     vertices: frozenset
@@ -177,62 +182,62 @@ class Block:
 
 
 def find_blocks(g: Graph) -> tuple:
-    """Biconnected components of a connected graph, as a tuple of Block in
-    DFS pop order.
+    """Biconnected components of g, as a tuple of Block in DFS pop order.
 
-    Standard disc/low edge-stack traversal from vertex 0: a block is emitted
-    when the DFS returns to the articulation vertex it hangs from, so the
-    emitted order is leaf-to-root, each block's anchor is that vertex, and the
-    last block contains vertex 0. Runs in O(n + m).
+    Standard disc/low edge-stack traversal, restarted at each undiscovered
+    vertex in increasing order: a block is emitted when the DFS returns to
+    the articulation vertex it hangs from, so each component's blocks come
+    leaf-to-root, each block's anchor is that vertex, and the component's
+    last block contains its root. An isolated vertex is in no block. Runs
+    in O(n + m).
     """
     n = g.n
     adj = g.adjacency
     disc = [0] * n
     low = [0] * n
     estack = []
-    popped = []  # (vertex set, vertex the block was popped at)
+    blocks = []
 
-    timer = 1
-    disc[0] = low[0] = 1
-    stack = [[0, -1, 0]]  # vertex, DFS parent, next adjacency index
-    while stack:
-        frame = stack[-1]
-        v, parent, i = frame
-        if i < len(adj[v]):
-            frame[2] = i + 1
-            u = adj[v][i]
-            if not disc[u]:
-                estack.append((v, u))
-                timer += 1
-                disc[u] = low[u] = timer
-                stack.append([u, v, 0])
-            elif u != parent and disc[u] < disc[v]:
-                estack.append((v, u))
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-        else:
-            stack.pop()
-            if not stack:
-                break
-            p = stack[-1][0]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if low[v] >= disc[p]:
-                members = set()
-                while True:
-                    a, b = estack.pop()
-                    members.add(a)
-                    members.add(b)
-                    if (a, b) == (p, v):
-                        break
-                popped.append((frozenset(members), p))
-
-    if any(not disc[v] for v in range(n)):
-        raise GraphValidationError("find_blocks requires a connected graph")
-
-    blocks = [Block(vertices=verts, anchor=at) for verts, at in popped]
-    if blocks:
-        blocks[-1] = Block(vertices=blocks[-1].vertices, anchor=None)
+    timer = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        timer += 1
+        disc[root] = low[root] = timer
+        stack = [[root, -1, 0]]  # vertex, DFS parent, next adjacency index
+        while stack:
+            frame = stack[-1]
+            v, parent, i = frame
+            if i < len(adj[v]):
+                frame[2] = i + 1
+                u = adj[v][i]
+                if not disc[u]:
+                    estack.append((v, u))
+                    timer += 1
+                    disc[u] = low[u] = timer
+                    stack.append([u, v, 0])
+                elif u != parent and disc[u] < disc[v]:
+                    estack.append((v, u))
+                    if disc[u] < low[v]:
+                        low[v] = disc[u]
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    members = set()
+                    while True:
+                        a, b = estack.pop()
+                        members.add(a)
+                        members.add(b)
+                        if (a, b) == (p, v):
+                            break
+                    blocks.append(Block(vertices=frozenset(members), anchor=p))
+        if adj[root]:  # the component's last block, which holds the root
+            blocks[-1] = Block(vertices=blocks[-1].vertices, anchor=None)
     return tuple(blocks)
 
 
@@ -251,8 +256,8 @@ def _is_clique_block(g: Graph, vertices) -> bool:
 
 
 def is_block_graph(g: Graph) -> bool:
-    """True iff every block of the connected graph g induces a clique with at
-    least three vertices."""
+    """True iff every block of g induces a clique with at least three
+    vertices; isolated vertices are in no block and do not count."""
     return all(_is_clique_block(g, block.vertices) for block in find_blocks(g))
 
 
@@ -262,8 +267,8 @@ def _is_cactus_block(g: Graph, vertices) -> bool:
 
 
 def is_cactus(g: Graph) -> bool:
-    """True iff every block of the connected graph g is a single edge or an
-    induced cycle (equivalently, every edge lies on at most one cycle)."""
+    """True iff every block of g is a single edge or an induced cycle
+    (equivalently, every edge lies on at most one cycle)."""
     return all(_is_cactus_block(g, block.vertices) for block in find_blocks(g))
 
 

@@ -1,17 +1,19 @@
 """Polynomial-time solvers for structured graph classes, as counting rules
-over the leaf-to-root block order of find_blocks.
+over the leaf-to-root block order of find_blocks, on any graph.
 
 block_graph_Z puts tokens on all but one non-anchor vertex of every block,
-and on all but one vertex of the last block, which has no anchor. That is
-n - b tokens for b blocks, the zero forcing number of a block graph whose
-blocks all have at least three vertices, and the tokens force everything:
-once a block's anchor is filled, the blocks hanging from its token vertices
-fill (by induction), and then any of its token vertices forces the one
-vertex it left out. Z_q of such a block graph equals Z for every q, so
-block_graph_Z is also its Z_q.
+on all but one vertex of each component's last block, which has no
+anchor, and on every isolated vertex. On a connected block graph whose
+blocks all have at least three vertices, that is n - b tokens for b
+blocks, the zero forcing number, and the tokens force everything: once a
+block's anchor is filled, the blocks hanging from its token vertices fill
+(by induction), and then any of its token vertices forces the one vertex
+it left out. Such a graph has Z_0 = Z_q = Z for every q. Z_0 and Z both
+add over components and Z_0 <= Z_q <= Z, so on a forest of such block
+graphs Z_q = Z at every q too, and block_graph_Z is its Z_q.
 
-cactus_Z0 is the closed form m - n + 2, which is the number of cycles plus
-one; the reason is in its docstring.
+cactus_Z0 is the closed form m - n + 2c for c components, which is the
+number of cycles plus c; the reason is in its docstring.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ def _require_block_graph(g: Graph):
 
 
 def block_graph_Z(g: Graph) -> tuple:
-    """Zero forcing number of a connected block graph whose blocks all have
+    """Zero forcing number of a forest of block graphs whose blocks all have
     at least three vertices, with a token-set certificate. O(n + m)."""
-    if g.n == 1:
-        return 1, certificate_from_tokens(g, [0])
-    tokens = []
+    tokens = [v for v, nbrs in enumerate(g.adjacency) if not nbrs]
     # No fill bookkeeping: earlier blocks hold this block's members only as their unfilled anchors.
     for block in _require_block_graph(g):
         tokens.extend(sorted(block.vertices - {block.anchor})[:-1])
@@ -44,8 +44,9 @@ def block_graph_Z(g: Graph) -> tuple:
 
 
 def cactus_Z0(g: Graph) -> int:
-    """Z_0 of a connected cactus: m - n + 2, after checking that every block
-    is a bridge or an induced cycle. O(n + m).
+    """Z_0 of a forest of cacti: m - n + 2c for c connected components,
+    after checking that every block is a bridge or an induced cycle.
+    O(n + m).
 
     The block-tree dynamic program (kept as the test oracle) picks, for
     every vertex, the one incident block that fills it; each other block
@@ -55,8 +56,12 @@ def cactus_Z0(g: Graph) -> int:
     in d - 1 of them, so the b blocks hold n + b - 1 memberships and b - 1
     seeds in all, whatever the choice. Every feasible choice therefore
     costs (bridges + 2 * cycles) - (b - 1) = cycles + 1 tokens, and a
-    cactus has m - n + 1 cycles. A single vertex (no blocks) gives 1.
+    connected cactus has m - n + 1 cycles. A single vertex gives 1. Z_0
+    adds over components, and by the membership count each component of
+    k vertices has sum(|B| - 1) = k - 1, so c = n - sum(|B| - 1).
     """
-    if not all(_is_cactus_block(g, block.vertices) for block in find_blocks(g)):
+    blocks = find_blocks(g)
+    if not all(_is_cactus_block(g, block.vertices) for block in blocks):
         raise ScopeError("cactus_Z0 requires a cactus graph (every edge on at most one cycle)")
-    return g.m - g.n + 2
+    components = g.n - sum(len(block.vertices) - 1 for block in blocks)
+    return g.m - g.n + 2 * components

@@ -52,6 +52,41 @@ def random_cactus(n: int, rng: random.Random) -> Graph:
     return generate_family("random_cactus", FamilyParams(n=n), seed=rng.randrange(1 << 30))
 
 
+def disjoint_union(*parts: Graph, rng: random.Random | None = None) -> Graph:
+    """The parts side by side, numbered part after part, or with their
+    vertex labels shuffled by rng."""
+    labels = list(range(sum(part.n for part in parts)))
+    if rng is not None:
+        rng.shuffle(labels)
+    edges = []
+    base = 0
+    for part in parts:
+        edges += [(labels[base + u], labels[base + v]) for u, v in part.edges]
+        base += part.n
+    return Graph.from_edges(len(labels), edges)
+
+
+def random_forest_parts(rng: random.Random, max_n: int) -> list:
+    """Up to three random connected parts, as many as fit in max_n
+    vertices. Half the time the first is a star K_{1,3}, K_{1,4} or spider
+    S(1,1,2): beside another small star, at q = 1, it makes a union worth
+    less than the sum of its parts. The others are trees, graphs, block
+    graphs and cacti of at most 5 vertices, one in seven an isolated
+    vertex."""
+    makers = (
+        lambda n: random_tree(n, rng),
+        lambda n: random_connected_graph(n, rng.random() * 0.5, rng),
+        lambda n: random_block_graph(max(n, 3), rng),
+        lambda n: random_cactus(n, rng),
+    )
+    parts = [star(rng.choice(([1, 1, 1], [1, 1, 1, 1], [1, 1, 2])))] if rng.random() < 0.5 else []
+    for _ in range(rng.randint(2, 3) - len(parts)):
+        part = rng.choice(makers)(1 if rng.random() < 1 / 7 else rng.randint(2, 5))
+        if sum(p.n for p in parts) + part.n <= max_n:
+            parts.append(part)
+    return parts
+
+
 def triangle_chain(t: int) -> Graph:
     """t triangles where consecutive triangles share a cut vertex."""
     edges = []

@@ -1,11 +1,26 @@
 import json
+import random
 
 import pytest
 
-from zqforce import check_certificate, parse_certificate
+from zqforce import (
+    GameConfig,
+    Graph,
+    block_graph_Z,
+    check_certificate,
+    format_edge_list,
+    parse_certificate,
+    solve_zq,
+)
 from zqforce.cli import main
 
-from helpers import cycle
+from helpers import (
+    cycle,
+    disjoint_union,
+    naive_zq_value,
+    random_block_graph,
+    random_forest_parts,
+)
 
 BOWTIE_TEXT = "0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n"
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n4 0\n"
@@ -79,9 +94,10 @@ def test_compute_disconnected_sums_components(tmp_path, capsys):
 
 
 def test_compute_disconnected_reports_each_method_used(tmp_path, capsys):
-    # A bowtie, a C5 and a triangle: the distinct methods in component order.
+    # A bowtie, a C5 and a triangle, solved whole: a forest of cacti at q=0,
+    # and small enough for the exact solver at q=1.
     f = _write(tmp_path, "mixed.el", BOWTIE_TEXT + "5 6\n6 7\n7 8\n8 9\n9 5\n10 11\n11 12\n12 10\n")
-    for q, used in ((0, "block+cactus"), (1, "block+exact")):
+    for q, used in ((0, "cactus"), (1, "exact")):
         assert main(["compute", "--file", f, "--q", str(q)]) == 0
         assert capsys.readouterr().out.splitlines()[2:] == [f"method: {used}", f"q: {q}", "value: 7"]
     code, payload = _run_json(capsys, ["compute", "--file", f, "--method", "exact", "--json"])
@@ -294,15 +310,18 @@ def test_verify_refuses_q_values_no_method_covers(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["q=0: cactus=2 [ok]", "q=20: brute=2 [ok]"]
 
 
-def test_compute_disconnected_trace_warns_and_writes_nothing(tmp_path, capsys):
+def test_compute_disconnected_trace_writes_a_checked_certificate(tmp_path, capsys):
     f = _write(tmp_path, "two_triangles.el", "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
     trace = tmp_path / "out.cert"
     assert main(["compute", "--file", f, "--trace", str(trace)]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1] == (
-        "warning: input is disconnected and no certificate covers the summed value; --trace ignored"
-    )
-    assert not trace.exists()
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1:] == [
+        "class: disconnected", "method: block", "q: 0", "value: 4", f"certificate: {trace}",
+    ]
+    cert = parse_certificate(trace.read_text())
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert len(cert.tokens) == 4 and check_certificate(two_triangles, 0, cert)
 
 
 def test_compute_brute_with_trace(tmp_path, capsys):
@@ -375,12 +394,23 @@ def test_compute_exact_replays_a_certificate_only_when_asked(tmp_path, capsys, m
     two_c4 = _write(tmp_path, "two_c4.el", "0 1\n1 2\n2 3\n3 0\n4 5\n5 6\n6 7\n7 4\n")
     assert main(["compute", "--file", two_c4, "--method", "exact"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "value: 4"
+    assert calls == []
     assert main(["compute", "--file", two_c4, "--method", "exact", "--json"]) == 0
+    assert len(calls) == 1
     c5 = _write(tmp_path, "c5.el", C5_TEXT)
     assert main(["compute", "--file", c5, "--method", "exact"]) == 0
-    assert calls == []
-    assert main(["compute", "--file", c5, "--method", "exact", "--json"]) == 0
     assert len(calls) == 1
+    assert main(["compute", "--file", c5, "--method", "exact", "--json"]) == 0
+    assert len(calls) == 2
+
+
+def test_verify_builds_no_certificate(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "certificate_from_tokens")
+    assert main(["verify", "--family", "cycle", "--n", "6", "--q-list", "6"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["q=6: brute=2, exact=2 [ok]"]
+    assert calls == []
+    assert main(["compute", "--family", "cycle", "--n", "6", "--q", "6", "--method", "brute"]) == 0
+    assert calls == []
 
 
 def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):
@@ -391,3 +421,79 @@ def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):
         "source: family:cycle",
         *["q=0: cactus=2, exact=2 [ok]"] * 3,
     ]
+
+
+TWO_STARS_TEXT = "0 1\n0 2\n0 3\n4 5\n4 6\n4 7\n"
+
+
+def test_two_stars_are_one_game(tmp_path, capsys):
+    # Alone, each K_{1,3} has Z_1 = 2; in the union one announcement names
+    # a leaf of each star, and Z_1 is 3, not the sum 4.
+    f = _write(tmp_path, "two_stars.el", TWO_STARS_TEXT)
+    assert main(["compute", "--file", f, "--q", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "class: disconnected", "method: exact", "q: 1", "value: 3",
+    ]
+    assert main(["verify", "--file", f, "--q-list", "0,1,2,8"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "q=0: cactus=2, exact=2, sum=2 [ok]",
+        "q=1: exact=3 [ok]",
+        "q=2: exact=4 [ok]",
+        "q=8: brute=4, exact=4 [ok]",
+    ]
+    assert main(["strategy", "--file", f, "--q", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "tokens spent: 3 (game value 3)"
+
+
+def test_compute_sums_the_parts_at_q0_when_nothing_covers_the_whole(tmp_path, capsys):
+    # A diamond (K4 minus an edge) beside a 40-vertex block graph: too big
+    # for the exact solver, neither a block graph nor a cactus. At q=0 the
+    # parts' values add up; at q=1 no method covers the union.
+    diamond = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    blocks = random_block_graph(40, random.Random(3))
+    f = _write(tmp_path, "diamond_blocks.el", format_edge_list(disjoint_union(diamond, blocks)))
+    expected = solve_zq(diamond, GameConfig(q=0)).value + block_graph_Z(blocks)[0]
+    trace = tmp_path / "sum.cert"
+    assert main(["compute", "--file", f, "--trace", str(trace)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [
+        "class: disconnected", "method: sum", "q: 0", f"value: {expected}",
+    ]
+    assert captured.err == "warning: method 'sum' does not produce a certificate; --trace ignored\n"
+    assert not trace.exists()
+    assert main(["verify", "--file", f, "--q-list", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [f"q=0: sum={expected} [ok]"]
+    assert main(["compute", "--file", f, "--q", "1"]) == 3
+    with pytest.raises(SystemExit):  # the fallback is no --method choice
+        main(["compute", "--file", f, "--method", "sum"])
+
+
+def test_compute_matches_the_reference_game_on_disjoint_unions(tmp_path, capsys):
+    # Seeded unions of stars, trees, graphs, block graphs and cacti, with
+    # isolated vertices among the parts, at most 9 vertices in all. The
+    # seed's corpus holds unions worth less than the sum of their parts,
+    # where a per-part sum would be wrong.
+    rng = random.Random(1)
+    trace = tmp_path / "union.cert"
+    below_sum = 0
+    for _ in range(32):
+        parts = random_forest_parts(rng, 9)
+        g = disjoint_union(*parts, rng=rng)
+        f = _write(tmp_path, "union.el", format_edge_list(g))
+        for q in range(3):
+            whole = naive_zq_value(g, q)
+            parts_sum = sum(naive_zq_value(part, q) for part in parts)
+            assert whole <= parts_sum and (q > 0 or whole == parts_sum), (g.edges, q)
+            below_sum += whole < parts_sum
+            for method in ("auto", "exact"):
+                trace.unlink(missing_ok=True)
+                argv = ["compute", "--file", f, "--q", str(q), "--method", method,
+                        "--trace", str(trace), "--json"]
+                code, payload = _run_json(capsys, argv)
+                assert (code, payload["value"]) == (0, whole), (g.edges, q, method)
+                if payload["certificate_path"] is None:
+                    assert payload["method"] in ("cactus", "sum")
+                    continue
+                cert = parse_certificate(trace.read_text())
+                assert len(cert.tokens) == whole and check_certificate(g, q, cert)
+    assert below_sum >= 1

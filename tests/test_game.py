@@ -34,6 +34,7 @@ from helpers import (
     BOWTIE,
     clique,
     cycle,
+    disjoint_union,
     naive_components,
     naive_reveal_successors,
     naive_window_closure,
@@ -418,10 +419,15 @@ def test_vertex_cap_and_memo_limit_errors(monkeypatch):
     assert "MEMO_LIMIT" in str(err.value)
 
 
-def test_solver_requires_connected_graph():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(GraphValidationError):
-        solve_zq(g, GameConfig(q=0))
+def test_solver_plays_two_stars_as_one_game():
+    # Two disjoint K_{1,3}: each alone has Z_1 = 2, but at q = 1 one
+    # announcement can name a leaf of each star, and the union needs 3.
+    g = disjoint_union(star([1, 1, 1]), star([1, 1, 1]))
+    for q, expected in ((0, 2), (1, 3), (2, 4), (8, 4)):
+        sol = solve_zq(g, GameConfig(q=q))
+        assert sol.value == expected == naive_zq_table(g, q)[frozenset()]
+        cert = extract_player_trace(sol)
+        assert len(cert.tokens) == expected and check_certificate(g, q, cert)
 
 
 def test_config_validation():

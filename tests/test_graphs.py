@@ -27,6 +27,7 @@ from helpers import (
     brute_blocks,
     clique,
     cycle,
+    disjoint_union,
     path,
     random_block_graph,
     random_connected_graph,
@@ -88,8 +89,21 @@ def test_parse_refuses_vertex_counts_above_limit(monkeypatch, tmp_path):
         assert main(["compute", "--file", str(big)]) == 3
 
 
+def test_parse_refuses_edge_counts_above_limit(monkeypatch, tmp_path):
+    monkeypatch.setattr(graphs, "MAX_EDGES", 3)
+    assert parse_edge_list("n 9\n0 1\n0 1\n1 0").m == 1  # every line counts, duplicates too
+    text = "0 1\n1 2\n2 3\n3 4\n"
+    with pytest.raises(ResourceLimitError, match="line 4: edge count exceeds the limit of 3"):
+        parse_edge_list(text)
+    big = tmp_path / "big.el"
+    big.write_text(text)
+    assert main(["compute", "--file", str(big)]) == 3
+
+
 def test_parse_errors_keep_their_precedence(monkeypatch):
-    # A self-loop is reported last: after line errors and the vertex limit.
+    # A self-loop is reported last: after line errors and both limits. The
+    # edge limit stops the read loop, so it beats a line error after it and
+    # the vertex limit; a line error before it still comes first.
     with pytest.raises(EdgeListParseError):
         parse_edge_list("0 0\nx y")
     monkeypatch.setattr(graphs, "MAX_VERTICES", 100)
@@ -97,6 +111,11 @@ def test_parse_errors_keep_their_precedence(monkeypatch):
         parse_edge_list("0 0\n0 500")
     with pytest.raises(GraphValidationError, match="line 2: self-loop at vertex 1"):
         parse_edge_list("0 1\n1 1\n2 2")
+    monkeypatch.setattr(graphs, "MAX_EDGES", 2)
+    with pytest.raises(EdgeListParseError):
+        parse_edge_list("0 1\nx y\n1 2\n2 3")
+    with pytest.raises(ResourceLimitError, match="edge count"):
+        parse_edge_list("0 0\n0 500\n1 2\nx y")
 
 
 def test_edge_list_round_trip():
@@ -151,16 +170,33 @@ def test_find_blocks_bowtie_matches_brute_force():
     assert brute_articulation_points(BOWTIE) == {2}
 
 
-def test_find_blocks_rejects_disconnected():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(GraphValidationError):
-        find_blocks(g)
+def test_find_blocks_anchors_each_component():
+    # A path 0-5-2, the isolated vertex 1, a bowtie on 3,4,6,7,8, and the
+    # isolated vertex 9: one anchorless block per component with an edge,
+    # components in the order of their smallest vertex.
+    g = Graph.from_edges(10, [(0, 5), (5, 2), (3, 4), (3, 6), (4, 6), (6, 7), (6, 8), (7, 8)])
+    order = find_blocks(g)
+    assert [b.anchor for b in order] == [5, None, 6, None]
+    assert [b.vertices for b in order] == [
+        frozenset({2, 5}), frozenset({0, 5}), frozenset({6, 7, 8}), frozenset({3, 4, 6}),
+    ]
+    assert find_blocks(Graph.from_edges(3, [])) == ()
+    rng = random.Random(5)
+    for _ in range(40):
+        parts = [random_connected_graph(rng.randint(1, 6), rng.random() * 0.6, rng) for _ in range(3)]
+        g = disjoint_union(*parts, rng=rng)
+        order = find_blocks(g)
+        assert sum(b.anchor is None for b in order) == sum(part.m > 0 for part in parts)
+        covered = frozenset().union(*(b.vertices for b in order))
+        assert covered == {v for v in range(g.n) if g.adjacency[v]}
 
 
 def test_blocks_partition_edges_and_overlap_in_at_most_one_vertex():
     rng = random.Random(7)
     for _ in range(40):
-        g = random_connected_graph(rng.randint(2, 12), rng.random() * 0.6, rng)
+        parts = [random_connected_graph(rng.randint(1, 12), rng.random() * 0.6, rng)
+                 for _ in range(rng.randint(1, 3))]
+        g = disjoint_union(*parts, rng=rng)
         order = find_blocks(g)
         seen = []
         for block in order:
@@ -179,7 +215,9 @@ def test_blocks_partition_edges_and_overlap_in_at_most_one_vertex():
 def test_find_blocks_agrees_with_networkx_on_random_graphs():
     rng = random.Random(11)
     for _ in range(60):
-        g = random_connected_graph(rng.randint(2, 25), rng.random() * 0.4, rng)
+        parts = [random_connected_graph(rng.randint(1, 25), rng.random() * 0.4, rng)
+                 for _ in range(rng.randint(1, 3))]
+        g = disjoint_union(*parts, rng=rng)
         ours = {b.vertices for b in find_blocks(g)}
         nxg = nx.Graph(list(g.edges))
         nxg.add_nodes_from(range(g.n))
