@@ -1,13 +1,16 @@
 """Graph representation, edge-list I/O, and structural decomposition.
 
 Vertices are dense 0-based integers. Graphs are immutable after construction
-and safe to share between threads; every function here is pure.
+and safe to share between threads. Every function here is pure, except that
+find_blocks stores its result on the graph it decomposed: a memo that no
+field, comparison, hash or repr of Graph sees, and that two threads can at
+worst both compute.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import EdgeListParseError, GraphValidationError, ResourceLimitError
 
@@ -171,14 +174,16 @@ def unfilled_components(g: Graph, filled) -> list:
 class Block:
     """A biconnected component (maximal 2-connected subgraph or bridge edge).
 
-    In the leaf-to-root order `find_blocks` returns, anchor is the single
-    vertex the block shares with the union of the blocks after it (the
+    edges is the number of edges of g between members of vertices. In the
+    leaf-to-root order `find_blocks` returns, anchor is the single vertex
+    the block shares with the union of the blocks after it (the
     articulation vertex it hangs from); the last block of each component
     has none.
     """
 
     vertices: frozenset
     anchor: int | None
+    edges: int
 
 
 def find_blocks(g: Graph) -> tuple:
@@ -189,7 +194,25 @@ def find_blocks(g: Graph) -> tuple:
     the articulation vertex it hangs from, so each component's blocks come
     leaf-to-root, each block's anchor is that vertex, and the component's
     last block contains its root. An isolated vertex is in no block. Runs
-    in O(n + m).
+    in O(n + m) the first time it is asked about a graph object; the result
+    is kept on that object, and later calls return the same tuple.
+    """
+    blocks = g.__dict__.get("_blocks")
+    if blocks is None:
+        blocks = _block_dfs(g)
+        object.__setattr__(g, "_blocks", blocks)
+    return blocks
+
+
+def _block_dfs(g: Graph) -> tuple:
+    """The traversal behind find_blocks.
+
+    Each edge is pushed on the edge stack exactly once: as a tree edge, or
+    as a back edge from its deeper end. Each pushed edge is popped into
+    exactly one block, whose vertices it joins. An edge with both endpoints
+    in a block B was popped into B, since two blocks share at most one
+    vertex. So the edges popped into B, which Block.edges counts, are the
+    edges of g induced on B.vertices, and the counts sum to m.
     """
     n = g.n
     adj = g.adjacency
@@ -229,47 +252,41 @@ def find_blocks(g: Graph) -> tuple:
                     low[p] = low[v]
                 if low[v] >= disc[p]:
                     members = set()
+                    pushed = len(estack)
                     while True:
                         a, b = estack.pop()
                         members.add(a)
                         members.add(b)
                         if (a, b) == (p, v):
                             break
-                    blocks.append(Block(vertices=frozenset(members), anchor=p))
+                    edges = pushed - len(estack)
+                    blocks.append(Block(vertices=frozenset(members), anchor=p, edges=edges))
         if adj[root]:  # the component's last block, which holds the root
-            blocks[-1] = Block(vertices=blocks[-1].vertices, anchor=None)
+            blocks[-1] = replace(blocks[-1], anchor=None)
     return tuple(blocks)
 
 
-def _induced_edge_count(g: Graph, vertices) -> int:
-    total = 0
-    for v in vertices:
-        for u in g.adjacency[v]:
-            if u in vertices:
-                total += 1
-    return total // 2
-
-
-def _is_clique_block(g: Graph, vertices) -> bool:
-    size = len(vertices)
-    return size >= 3 and _induced_edge_count(g, vertices) == size * (size - 1) // 2
+def _is_clique_block(block: Block) -> bool:
+    size = len(block.vertices)
+    return size >= 3 and block.edges == size * (size - 1) // 2
 
 
 def is_block_graph(g: Graph) -> bool:
     """True iff every block of g induces a clique with at least three
     vertices; isolated vertices are in no block and do not count."""
-    return all(_is_clique_block(g, block.vertices) for block in find_blocks(g))
+    return all(_is_clique_block(block) for block in find_blocks(g))
 
 
-def _is_cactus_block(g: Graph, vertices) -> bool:
-    size = len(vertices)
-    return size == 2 or _induced_edge_count(g, vertices) == size
+def _is_cactus_block(block: Block) -> bool:
+    # A 2-connected block with as many edges as vertices is a cycle.
+    size = len(block.vertices)
+    return size == 2 or block.edges == size
 
 
 def is_cactus(g: Graph) -> bool:
     """True iff every block of g is a single edge or an induced cycle
     (equivalently, every edge lies on at most one cycle)."""
-    return all(_is_cactus_block(g, block.vertices) for block in find_blocks(g))
+    return all(_is_cactus_block(block) for block in find_blocks(g))
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple:

@@ -18,7 +18,6 @@ number of cycles plus c; the reason is in its docstring.
 
 from __future__ import annotations
 
-from .certificates import certificate_from_tokens
 from .errors import ScopeError
 from .graphs import Graph, _is_cactus_block, _is_clique_block, find_blocks
 
@@ -26,7 +25,7 @@ from .graphs import Graph, _is_cactus_block, _is_clique_block, find_blocks
 def _require_block_graph(g: Graph):
     order = find_blocks(g)
     for block in order:
-        if not _is_clique_block(g, block.vertices):
+        if not _is_clique_block(block):
             raise ScopeError(
                 f"not a block graph with blocks of size >= 3: offending block {sorted(block.vertices)}"
             )
@@ -35,12 +34,13 @@ def _require_block_graph(g: Graph):
 
 def block_graph_Z(g: Graph) -> tuple:
     """Zero forcing number of a forest of block graphs whose blocks all have
-    at least three vertices, with a token-set certificate. O(n + m)."""
+    at least three vertices, and a zero forcing set of that size as a list
+    of tokens. O(n + m)."""
     tokens = [v for v, nbrs in enumerate(g.adjacency) if not nbrs]
     # No fill bookkeeping: earlier blocks hold this block's members only as their unfilled anchors.
     for block in _require_block_graph(g):
         tokens.extend(sorted(block.vertices - {block.anchor})[:-1])
-    return len(tokens), certificate_from_tokens(g, tokens)
+    return len(tokens), tokens
 
 
 def cactus_Z0(g: Graph) -> int:
@@ -61,7 +61,7 @@ def cactus_Z0(g: Graph) -> int:
     k vertices has sum(|B| - 1) = k - 1, so c = n - sum(|B| - 1).
     """
     blocks = find_blocks(g)
-    if not all(_is_cactus_block(g, block.vertices) for block in blocks):
+    if not all(_is_cactus_block(block) for block in blocks):
         raise ScopeError("cactus_Z0 requires a cactus graph (every edge on at most one cycle)")
     components = g.n - sum(len(block.vertices) - 1 for block in blocks)
     return g.m - g.n + 2 * components

@@ -6,7 +6,6 @@ import random
 from itertools import combinations
 
 from zqforce import FamilyParams, Graph, ScopeError, find_blocks, generate_family, unfilled_components
-from zqforce.graphs import _is_cactus_block
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -126,6 +125,17 @@ def _induced_connected(g: Graph, vertices) -> bool:
     return seen == vertices
 
 
+def induced_edge_count(g: Graph, vertices) -> int:
+    """Edges of g with both endpoints in `vertices`, by scanning their
+    adjacency lists."""
+    total = 0
+    for v in vertices:
+        for u in g.adjacency[v]:
+            if u in vertices:
+                total += 1
+    return total // 2
+
+
 def brute_blocks(g: Graph) -> set:
     """Blocks by subset enumeration (n <= 10): maximal vertex sets whose
     induced subgraph is a single edge or 2-connected."""
@@ -160,7 +170,8 @@ def cactus_Z0_dp(g: Graph) -> int:
     when v is pre-filled by i in {0,1} outside fills and j in {0,1,2} member
     subtrees deliver their own shared vertex. Per vertex, dp1 accumulates the
     cheapest pre-filled variant of each attached block and dp0 adds the
-    cheapest single-block upgrade to self-delivery."""
+    cheapest single-block upgrade to self-delivery. The cactus check
+    counts each block's edges afresh rather than reading Block.edges."""
     n = g.n
     if n == 1:
         return 1
@@ -168,7 +179,8 @@ def cactus_Z0_dp(g: Graph) -> int:
     dp1 = [0.0] * n  # subtree cost when the vertex is filled from outside
     min_upgrade = [_INF] * n
     for block in find_blocks(g):
-        if not _is_cactus_block(g, block.vertices):
+        size = len(block.vertices)
+        if size > 2 and induced_edge_count(g, block.vertices) != size:
             raise ScopeError("cactus_Z0 requires a cactus graph (every edge on at most one cycle)")
         # The DFS behind find_blocks starts at vertex 0, so the last block
         # (no anchor) hangs from it.

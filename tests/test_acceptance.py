@@ -66,8 +66,8 @@ def _block_corpus():
     while len(corpus) < 200:
         n = rng.randint(3, 12)
         g = random_block_graph(n, rng)
-        value, cert = block_graph_Z(g)
-        corpus.append((g, value, cert))
+        value, tokens = block_graph_Z(g)
+        corpus.append((g, value, certificate_from_tokens(g, tokens)))
     return corpus
 
 
@@ -262,11 +262,15 @@ def _fit_slope(sizes, times):
     return num / den
 
 
-def _best_time(fn, repeats=3):
+def _best_time(solve, g, repeats=3):
+    """Best of `repeats` timed solves, each on a fresh copy of g built
+    before its timer starts: find_blocks keeps its result on the graph
+    object, so a second solve of the same object would skip the DFS."""
     best = math.inf
     for _ in range(repeats):
+        fresh = Graph.from_edges(g.n, g.edges)
         started = time.perf_counter()
-        fn()
+        solve(fresh)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -276,16 +280,16 @@ def test_criterion_9_scaling():
     block_times = []
     for n in sizes:
         g = generate_family("random_block_graph", FamilyParams(n=n, blocks=max(1, n // 8)), seed=n)
-        block_times.append(_best_time(lambda: block_graph_Z(g)))
+        block_times.append(_best_time(block_graph_Z, g))
     cactus_times = []
     for n in sizes:
         g = generate_family("random_cactus", FamilyParams(n=n), seed=n)
-        cactus_times.append(_best_time(lambda: cactus_Z0(g)))
+        cactus_times.append(_best_time(cactus_Z0, g))
 
     g1000 = generate_family("random_block_graph", FamilyParams(n=1000, blocks=125), seed=1000)
-    block_1000 = _best_time(lambda: block_graph_Z(g1000))
+    block_1000 = _best_time(block_graph_Z, g1000)
     c1000 = generate_family("random_cactus", FamilyParams(n=1000), seed=1000)
-    cactus_1000 = _best_time(lambda: cactus_Z0(c1000))
+    cactus_1000 = _best_time(cactus_Z0, c1000)
 
     block_slope = _fit_slope(sizes, block_times)
     cactus_slope = _fit_slope(sizes, cactus_times)

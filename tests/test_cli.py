@@ -112,6 +112,23 @@ def test_compute_no_solver_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_uncovered_component_refuses_the_whole_input(tmp_path, capsys):
+    # A diamond (K4 minus an edge) beside an isolated vertex, with the exact
+    # cap below the diamond: no method covers the diamond, so the parts do
+    # not add up at q=0, and the refusal names the input, not the diamond.
+    f = _write(tmp_path, "diamond_dot.el", "n 5\n0 1\n0 2\n1 2\n1 3\n2 3\n")
+    assert main(["compute", "--file", f, "--q", "0", "--cap", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: no solver for this class/size: n=5 exceeds the exact cap 3, the graph is "
+        "neither a block graph with blocks >= 3 nor (at q=0) a cactus, and brute force needs "
+        "q >= n and n <= 20\n"
+    )
+    assert main(["verify", "--file", f, "--q-list", "0,1", "--cap", "3"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: no method applies at q=0,1: n=5 exceeds the exact cap 3 and no other method covers it"
+    )
+
+
 def test_compute_auto_uses_brute_force_at_q_at_least_n(tmp_path, capsys):
     # C18 is over the exact cap, but at q >= n Z_q is plain Z, which brute
     # force covers as verify already does.
@@ -404,13 +421,48 @@ def test_compute_exact_replays_a_certificate_only_when_asked(tmp_path, capsys, m
     assert len(calls) == 2
 
 
-def test_verify_builds_no_certificate(capsys, monkeypatch):
+def test_verify_builds_no_certificate(tmp_path, capsys, monkeypatch):
     calls = _count_calls(monkeypatch, "certificate_from_tokens")
     assert main(["verify", "--family", "cycle", "--n", "6", "--q-list", "6"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["q=6: brute=2, exact=2 [ok]"]
     assert calls == []
     assert main(["compute", "--family", "cycle", "--n", "6", "--q", "6", "--method", "brute"]) == 0
     assert calls == []
+    capsys.readouterr()
+    bowtie = _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
+    assert main(["verify", "--file", bowtie, "--q-list", "0,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "q=0: block=3, cactus=3, exact=3 [ok]", "q=1: block=3, exact=3 [ok]",
+    ]
+    assert main(["compute", "--file", bowtie]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["method: block", "q: 0", "value: 3"]
+    assert calls == []
+    assert main(["compute", "--file", bowtie, "--json"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "random_block_graph", "--n", "60", "--blocks", "12", "--seed", "1", "--trace"],
+    ["--family", "random_cactus", "--n", "60", "--seed", "1"],
+], ids=["block-trace", "cactus"])
+def test_compute_decomposes_the_graph_once(tmp_path, capsys, monkeypatch, argv):
+    # find_blocks is asked for the blocks by the coverage rule, the solver
+    # and the class line, and runs its DFS for the first of them only.
+    from zqforce import graphs
+
+    real = graphs._block_dfs
+    runs = []
+
+    def counting(g):
+        runs.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "_block_dfs", counting)
+    if argv[-1] == "--trace":
+        argv = argv + [str(tmp_path / "cert.txt")]
+    assert main(["compute", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[1] in ("class: block-graph", "class: cactus")
+    assert len(runs) == 1
 
 
 def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):

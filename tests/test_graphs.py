@@ -28,6 +28,7 @@ from helpers import (
     clique,
     cycle,
     disjoint_union,
+    induced_edge_count,
     path,
     random_block_graph,
     random_connected_graph,
@@ -192,11 +193,15 @@ def test_find_blocks_anchors_each_component():
 
 
 def test_blocks_partition_edges_and_overlap_in_at_most_one_vertex():
+    # Every atlas graph with n <= 7, connected or not, then seeded random
+    # disjoint unions.
+    corpus = [Graph.from_edges(len(nxg), list(nxg.edges())) for nxg in nx.graph_atlas_g()[1:]]
     rng = random.Random(7)
     for _ in range(40):
         parts = [random_connected_graph(rng.randint(1, 12), rng.random() * 0.6, rng)
                  for _ in range(rng.randint(1, 3))]
-        g = disjoint_union(*parts, rng=rng)
+        corpus.append(disjoint_union(*parts, rng=rng))
+    for g in corpus:
         order = find_blocks(g)
         seen = []
         for block in order:
@@ -204,12 +209,35 @@ def test_blocks_partition_edges_and_overlap_in_at_most_one_vertex():
                 for v in g.adjacency[u]:
                     if v > u and v in block.vertices:
                         seen.append((u, v))
+            assert block.edges == induced_edge_count(g, block.vertices), g.edges
         assert sorted(seen) == list(g.edges)
         assert len(seen) == g.m  # each edge in exactly one block
+        assert sum(block.edges for block in order) == g.m, g.edges
         blocks = [b.vertices for b in order]
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
                 assert len(blocks[i] & blocks[j]) <= 1
+
+
+def test_find_blocks_decomposes_each_graph_object_once(monkeypatch):
+    runs = []
+    real = graphs._block_dfs
+
+    def counting(g):
+        runs.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "_block_dfs", counting)
+    g = Graph.from_edges(BOWTIE.n, BOWTIE.edges)
+    assert find_blocks(g) is find_blocks(g)
+    assert is_block_graph(g) and is_cactus(g)
+    assert len(runs) == 1
+    # An equal but distinct graph gets its own decomposition, and the memo
+    # leaves equality, hashing and repr alone.
+    twin = Graph.from_edges(BOWTIE.n, BOWTIE.edges)
+    assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+    assert find_blocks(twin) == find_blocks(g) and find_blocks(twin) is not find_blocks(g)
+    assert len(runs) == 2
 
 
 def test_find_blocks_agrees_with_networkx_on_random_graphs():

@@ -8,6 +8,7 @@ from zqforce import (
     block_graph_Z,
     brute_force_Z,
     cactus_Z0,
+    certificate_from_tokens,
     check_certificate,
     find_blocks,
     solve_zq,
@@ -31,32 +32,31 @@ from helpers import (
 
 def test_block_solver_cliques():
     for n in range(3, 8):
-        value, cert = block_graph_Z(clique(n))
+        value, tokens = block_graph_Z(clique(n))
         assert value == n - 1
-        assert naive_window_closure(clique(n), cert.tokens, range(n)) == frozenset(range(n))
+        assert naive_window_closure(clique(n), tokens, range(n)) == frozenset(range(n))
 
 
 def test_block_solver_bowtie_matches_brute_force():
-    value, cert = block_graph_Z(BOWTIE)
+    value, tokens = block_graph_Z(BOWTIE)
     assert value == brute_force_Z(BOWTIE)[0] == 3
-    assert check_certificate(BOWTIE, None, cert)
+    assert check_certificate(BOWTIE, None, certificate_from_tokens(BOWTIE, tokens))
 
 
 def test_block_solver_single_vertex():
     g = Graph.from_edges(1, [])
-    value, cert = block_graph_Z(g)
-    assert value == 1 and cert.tokens == frozenset({0})
+    assert block_graph_Z(g) == (1, [0])
 
 
 def test_block_solver_formula_and_brute_agreement():
     rng = random.Random(43)
     for _ in range(60):
         g = random_block_graph(rng.randint(3, 12), rng)
-        value, cert = block_graph_Z(g)
+        value, tokens = block_graph_Z(g)
         assert value == g.n - len(find_blocks(g))
         assert value == brute_force_Z(g)[0]
-        assert naive_window_closure(g, cert.tokens, range(g.n)) == frozenset(range(g.n))
-        assert len(cert.tokens) == value
+        assert naive_window_closure(g, tokens, range(g.n)) == frozenset(range(g.n))
+        assert len(set(tokens)) == value
 
 
 def test_block_solver_per_block_token_counts():
@@ -65,7 +65,7 @@ def test_block_solver_per_block_token_counts():
     rng = random.Random(47)
     for _ in range(60):
         g = random_block_graph(rng.randint(3, 14), rng)
-        value, cert = block_graph_Z(g)
+        cert = certificate_from_tokens(g, block_graph_Z(g)[1])
         for block in find_blocks(g):
             eta = len(block.vertices)
             spent = cert.tokens & block.vertices
@@ -181,10 +181,10 @@ def test_block_solver_exhaustive_up_to_7_vertices():
     for g in _atlas_connected(7):
         if g.n < 3 or not is_block_graph(g):
             continue
-        value, cert = block_graph_Z(g)
+        value, tokens = block_graph_Z(g)
         assert value == brute_force_Z(g)[0], g.edges
         assert value == g.n - len(find_blocks(g)), g.edges
-        assert check_certificate(g, None, cert)
+        assert check_certificate(g, None, certificate_from_tokens(g, tokens))
         count += 1
     assert count > 10
 
