@@ -158,9 +158,13 @@ def _solve(g: Graph, method: str, cfg: GameConfig):
     raise ScopeError(f"method {method!r} cannot run here")
 
 
-def _parts(g: Graph):
-    """The connected components of g, each as a graph of its own."""
-    return (induced_subgraph(g, comp)[0] for comp in connected_components(g))
+def _parts(g: Graph) -> tuple:
+    """The connected components of g, each as a graph of its own. Kept on g,
+    as find_blocks keeps its blocks, so that the coverage rule and the sum
+    solver read, and decompose, the same part objects."""
+    if "_parts" not in g.__dict__:
+        object.__setattr__(g, "_parts", tuple(induced_subgraph(g, c)[0] for c in connected_components(g)))
+    return g._parts
 
 
 def _coverage(g: Graph, cap: int):

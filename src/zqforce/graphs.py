@@ -29,38 +29,36 @@ MAX_EDGES = 1 << 24
 class Graph:
     """Simple undirected graph: no self-loops, no parallel edges.
 
-    edges holds each edge once as an ordered pair (u, v) with u < v;
-    adjacency[v] is the sorted tuple of neighbors of v.
+    adjacency[v] is the sorted tuple of neighbors of v, and is the only
+    stored form: two graphs are equal, and hash alike, iff they have the
+    same n and the same edge set. edges and m are derived from it.
     """
 
     n: int
-    edges: tuple
     adjacency: tuple
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         if n < 1:
             raise GraphValidationError("graph needs at least one vertex")
-        canon = set()
+        adj = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphValidationError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise GraphValidationError(f"self-loop at vertex {u}")
-            canon.add((u, v) if u < v else (v, u))
-        edges = tuple(sorted(canon))
-        # Filling from the sorted edges leaves every list ascending: v meets
-        # its smaller neighbors u as (u, v) in order of u, all before its
-        # larger neighbors w as (v, w) in order of w.
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        return cls(n=n, edges=edges, adjacency=tuple(map(tuple, adj)))
+        return cls(n=n, adjacency=tuple(tuple(sorted(set(nbrs))) for nbrs in adj))
+
+    @property
+    def edges(self) -> tuple:
+        """Sorted (u, v) pairs with u < v, rebuilt from adjacency in O(n + m) per access."""
+        return tuple((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -293,14 +291,10 @@ def induced_subgraph(g: Graph, vertices) -> tuple:
     """Subgraph induced on `vertices`, with vertices renumbered densely.
 
     Returns (subgraph, old_ids) where old_ids[i] is the original id of the
-    subgraph's vertex i.
+    subgraph's vertex i. Costs O(sum of the degrees of `vertices`).
     """
     old_ids = sorted(vertices)
     _check_vertex_subset(g, old_ids)
     pos = {v: i for i, v in enumerate(old_ids)}
-    edges = [
-        (pos[u], pos[v])
-        for u, v in g.edges
-        if u in pos and v in pos
-    ]
+    edges = [(i, pos[w]) for v, i in pos.items() for w in g.adjacency[v] if v < w and w in pos]
     return Graph.from_edges(len(old_ids), edges), old_ids

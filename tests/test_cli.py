@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -441,28 +442,44 @@ def test_verify_builds_no_certificate(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["--family", "random_block_graph", "--n", "60", "--blocks", "12", "--seed", "1", "--trace"],
-    ["--family", "random_cactus", "--n", "60", "--seed", "1"],
-], ids=["block-trace", "cactus"])
-def test_compute_decomposes_the_graph_once(tmp_path, capsys, monkeypatch, argv):
+def _diamond_beside_blocks(tmp_path):
+    """A diamond (K4 minus an edge) beside a 40-vertex block graph: too big
+    for the exact solver, neither a block graph nor a cactus. Returns the
+    edge-list file and the two parts."""
+    diamond = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    blocks = random_block_graph(40, random.Random(3))
+    f = _write(tmp_path, "diamond_blocks.el", format_edge_list(disjoint_union(diamond, blocks)))
+    return f, diamond, blocks
+
+
+@pytest.mark.parametrize("argv, detected, runs", [
+    (["--family", "random_block_graph", "--n", "60", "--blocks", "12", "--seed", "1", "--trace"],
+     "block-graph", 1),
+    (["--family", "random_cactus", "--n", "60", "--seed", "1"], "cactus", 1),
+    (["--file"], "disconnected", 3),
+], ids=["block-trace", "cactus", "sum"])
+def test_compute_decomposes_the_graph_once(tmp_path, capsys, monkeypatch, argv, detected, runs):
     # find_blocks is asked for the blocks by the coverage rule, the solver
-    # and the class line, and runs its DFS for the first of them only.
+    # and the class line, and runs its DFS for the first of them only. On
+    # the sum path (the diamond beside a block graph) it runs once on the
+    # whole graph and once on each of its c = 2 parts: c + 1 runs.
     from zqforce import graphs
 
     real = graphs._block_dfs
-    runs = []
+    seen = []
 
     def counting(g):
-        runs.append(g)
+        seen.append(g)
         return real(g)
 
     monkeypatch.setattr(graphs, "_block_dfs", counting)
     if argv[-1] == "--trace":
         argv = argv + [str(tmp_path / "cert.txt")]
+    if argv == ["--file"]:
+        argv = argv + [_diamond_beside_blocks(tmp_path)[0]]
     assert main(["compute", *argv]) == 0
-    assert capsys.readouterr().out.splitlines()[1] in ("class: block-graph", "class: cactus")
-    assert len(runs) == 1
+    assert capsys.readouterr().out.splitlines()[1] == f"class: {detected}"
+    assert len(seen) == runs
 
 
 def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):
@@ -498,12 +515,8 @@ def test_two_stars_are_one_game(tmp_path, capsys):
 
 
 def test_compute_sums_the_parts_at_q0_when_nothing_covers_the_whole(tmp_path, capsys):
-    # A diamond (K4 minus an edge) beside a 40-vertex block graph: too big
-    # for the exact solver, neither a block graph nor a cactus. At q=0 the
-    # parts' values add up; at q=1 no method covers the union.
-    diamond = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    blocks = random_block_graph(40, random.Random(3))
-    f = _write(tmp_path, "diamond_blocks.el", format_edge_list(disjoint_union(diamond, blocks)))
+    # At q=0 the parts' values add up; at q=1 no method covers the union.
+    f, diamond, blocks = _diamond_beside_blocks(tmp_path)
     expected = solve_zq(diamond, GameConfig(q=0)).value + block_graph_Z(blocks)[0]
     trace = tmp_path / "sum.cert"
     assert main(["compute", "--file", f, "--trace", str(trace)]) == 0
@@ -518,6 +531,24 @@ def test_compute_sums_the_parts_at_q0_when_nothing_covers_the_whole(tmp_path, ca
     assert main(["compute", "--file", f, "--q", "1"]) == 3
     with pytest.raises(SystemExit):  # the fallback is no --method choice
         main(["compute", "--file", f, "--method", "sum"])
+
+
+def test_sum_path_builds_each_part_in_time_linear_in_its_degrees(tmp_path, capsys):
+    # 3,000 K4 and 3,000 C4 parts (n = 24,000): only the sum covers the
+    # union. Building a part walks its own adjacency only; a scan of every
+    # edge of the input per part made this input take about 20 s.
+    edges = []
+    for base in range(0, 24_000, 8):
+        edges += [(base + u, base + v) for u in range(4) for v in range(u + 1, 4)]
+        edges += [(base + 4 + i, base + 4 + (i + 1) % 4) for i in range(4)]
+    f = _write(tmp_path, "mixed.el", "".join(f"{u} {v}\n" for u, v in edges))
+    started = time.perf_counter()
+    assert main(["compute", "--file", f, "--q", "0"]) == 0
+    elapsed = time.perf_counter() - started
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "class: disconnected", "method: sum", "q: 0", f"value: {3_000 * 3 + 3_000 * 2}",
+    ]
+    assert elapsed < 5.0, elapsed
 
 
 def test_compute_matches_the_reference_game_on_disjoint_unions(tmp_path, capsys):

@@ -70,6 +70,7 @@ def _mutate_lines(lines, rng, junk_line):
 def _assert_canonical(g: Graph):
     assert all(u < v for u, v in g.edges)
     assert list(g.edges) == sorted(set(g.edges))
+    assert g.m == len(g.edges)
     nbrs = [[] for _ in range(g.n)]
     for u, v in g.edges:
         nbrs[u].append(v)

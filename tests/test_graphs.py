@@ -129,6 +129,17 @@ def test_graph_adjacency_is_sorted_and_symmetric():
     assert g.adjacency == ((1, 2), (0, 2), (0, 1))
 
 
+def test_graph_is_its_edge_set_whatever_the_edge_order():
+    # Adjacency is the only stored form: any order, orientation or
+    # repetition of the same pairs gives an equal graph with an equal hash.
+    g = random_connected_graph(12, 0.3, random.Random(5))
+    listed = list(g.edges) + [(v, u) for u, v in g.edges] + list(g.edges)
+    random.Random(6).shuffle(listed)
+    got = Graph.from_edges(g.n, listed)
+    assert got == g and hash(got) == hash(g)
+    assert got.edges == g.edges and got.m == g.m == len(g.edges)
+
+
 def test_unfilled_components_cycle_single_gap():
     comps = unfilled_components(cycle(5), frozenset({0}))
     assert comps == [frozenset({1, 2, 3, 4})]
