@@ -1,10 +1,16 @@
-"""Standard zero forcing: the forcing closure with one force sequence that
-realizes it, and a brute-force oracle for the zero forcing number Z.
+"""Standard zero forcing: the forcing closure, as a set with one force
+sequence that realizes it and as a bitmask, and a brute-force oracle for
+the zero forcing number Z.
 
 A filled vertex with a unique unfilled neighbor forces that neighbor; the
 closure iterates this to a fixed point. The closure is confluent, so the
 resulting set does not depend on force order. A set is zero forcing when
-closure_with_forces(g, s)[0] is every vertex.
+its closure is every vertex.
+
+`_window_closure` is the bitmask closure, restricted to a window of
+vertices; with the whole vertex set as the window it is the plain closure.
+It is the hot loop of the exact game search and of `brute_force_Z`.
+`closure_with_forces` also records the forces, which certificates need.
 """
 
 from __future__ import annotations
@@ -17,6 +23,34 @@ from .errors import ScopeError
 from .graphs import Graph, _check_vertex_subset
 
 BRUTE_FORCE_CAP = 20
+
+
+def vertices_to_mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _adjacency_masks(g: Graph) -> list:
+    return [vertices_to_mask(g.adjacency[v]) for v in range(g.n)]
+
+
+def _window_closure(masks, filled: int, window: int) -> int:
+    """Forcing closure of the `filled` mask inside `window`: neighbors
+    outside the window are ignored when counting a source's unfilled
+    neighbors."""
+    # A filled vertex is checked again only when a neighbor gets filled: that
+    # is the only way its count of unfilled window neighbors drops to one.
+    check = filled
+    while check:
+        low = check & -check
+        check ^= low
+        cand = masks[low.bit_length() - 1] & window & ~filled
+        if cand and not (cand & (cand - 1)):
+            filled |= cand
+            check |= cand | (masks[cand.bit_length() - 1] & filled)
+    return filled
 
 
 def closure_with_forces(g: Graph, filled) -> tuple:
@@ -55,14 +89,16 @@ def brute_force_Z(g: Graph) -> tuple:
     """Exhaustive zero forcing number: smallest k admitting a zero forcing
     set of size k, with the lexicographically first witness of that size.
 
-    Subsets are enumerated by increasing size with no structural pruning;
+    Subsets are enumerated by increasing size with no structural pruning,
+    and each is tested with the bitmask closure `_window_closure`;
     BRUTE_FORCE_CAP keeps the runtime bounded.
     """
     if g.n > BRUTE_FORCE_CAP:
         raise ScopeError(f"brute_force_Z refused: n={g.n} exceeds cap {BRUTE_FORCE_CAP}")
-    everything = frozenset(range(g.n))
+    masks = _adjacency_masks(g)
+    full = (1 << g.n) - 1
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
-            if closure_with_forces(g, combo)[0] == everything:
+            if _window_closure(masks, vertices_to_mask(combo), full) == full:
                 return k, frozenset(combo)
     raise AssertionError("the full vertex set is always a zero forcing set")

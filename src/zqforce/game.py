@@ -24,6 +24,13 @@ It scores a state's tokens only when no announcement there is worth 0 or 1:
 
 States reached only through the skipped tokens are never stored.
 
+Each move evaluator also keeps a second, private memo from the raw argument
+of value() to its value, read before the closure is computed: about half of
+value()'s calls repeat an argument, a successor reached again from another
+state, and a dict lookup costs less than closing it again. That memo is not
+part of the value table: it keeps unclosed arguments too, is never
+returned, and is cleared whenever it reaches the memo limit.
+
 Optimal play for both sides is re-derived from that table on demand: one move
 evaluator scores the player's moves and the oracle's reveals, and the search,
 the trace and the adversarial oracle all call it. It picks moves at closed
@@ -35,8 +42,8 @@ the revealed subgraph: the oracle would pick that reveal and the state would
 not change, so the move is a value-neutral self-loop. Announcing more than
 q+1 components only enlarges the oracle's choice set and can never help the
 player, so the search enumerates announcements of exactly q+1 components.
-The move evaluator, with `_window_forces` and `_window_closure`, is the
-package's one statement of these rules.
+The move evaluator, with `_window_forces` and forcing's `_window_closure`,
+is the package's one statement of these rules.
 """
 
 from __future__ import annotations
@@ -57,13 +64,17 @@ from .errors import (
     OracleProtocolError,
     ResourceLimitError,
 )
+from .forcing import _adjacency_masks, _window_closure, vertices_to_mask
 from .graphs import Graph
 
 MODE_CLOSURE = "closure"
 MODE_SINGLE_FORCE = "single_force"
 
 DEFAULT_VERTEX_CAP = 16
-# About 73 B per values-only entry (tracemalloc, C16 at q=1): ~1.2 GB.
+# Bounds both memos of a move evaluator: the value table, which raises
+# ResourceLimitError when full, and the raw-argument memo, which is cleared.
+# About 73 B per table entry and 61 B per raw entry (tracemalloc, C16 at
+# q=1): ~1.2 GB and ~1.0 GB at the limit.
 MEMO_LIMIT = 1 << 24
 
 
@@ -109,13 +120,6 @@ class GameSolution:
         return len(self.values)
 
 
-def vertices_to_mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 def mask_to_vertices(mask: int) -> frozenset:
     out = []
     while mask:
@@ -123,10 +127,6 @@ def mask_to_vertices(mask: int) -> frozenset:
         out.append(low.bit_length() - 1)
         mask ^= low
     return frozenset(out)
-
-
-def _adjacency_masks(g: Graph) -> list:
-    return [vertices_to_mask(g.adjacency[v]) for v in range(g.n)]
 
 
 def _mask_components(masks, live: int) -> list:
@@ -166,20 +166,6 @@ def _window_forces(masks, filled: int, window: int) -> list:
     return out
 
 
-def _window_closure(masks, filled: int, window: int) -> int:
-    # A filled vertex is checked again only when a neighbor gets filled: that
-    # is the only way its count of unfilled window neighbors drops to one.
-    check = filled
-    while check:
-        low = check & -check
-        check ^= low
-        cand = masks[low.bit_length() - 1] & window & ~filled
-        if cand and not (cand & (cand - 1)):
-            filled |= cand
-            check |= cand | (masks[cand.bit_length() - 1] & filled)
-    return filled
-
-
 # Move kinds, numbered in tie-break order so that free moves come first.
 _ANNOUNCE, _TOKEN = 0, 1
 
@@ -189,7 +175,11 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
 
     Returns three closures over the value table `sol.values`:
       value(state): the game value, read under the forcing closure of
-        `state` and computed and memoized there on a miss;
+        `state` and computed and memoized there on a miss. It first looks
+        `state` up, unclosed, in the evaluator's own raw memo, which maps
+        each argument value() has seen to its value. That memo is not part
+        of `sol.values`, which keeps closed states only; it is cleared when
+        it reaches memo_limit entries;
       best(state) -> (value, kind, key): the optimal move at a forcing-closed
         state. Ties break by kind (announce, token), then by key: the
         component masks for an announcement, (v,) for a token;
@@ -207,22 +197,27 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
     that a checked fact.
     """
     memo = sol.values
+    raw = {}
     masks = _adjacency_masks(sol.graph)
     full = (1 << sol.graph.n) - 1
     q = sol.q
     closure_mode = sol.rule3_mode == MODE_CLOSURE
 
     def value(filled: int) -> int:
-        filled = _window_closure(masks, filled, full)
-        cached = memo.get(filled)
-        if cached is not None:
-            return cached
-        if len(memo) >= memo_limit:
-            raise ResourceLimitError(
-                f"memo limit {memo_limit} reached; solve a smaller graph or raise zqforce.game.MEMO_LIMIT"
-            )
-        val = best(filled)[0]
-        memo[filled] = val
+        val = raw.get(filled)
+        if val is not None:
+            return val
+        closed = _window_closure(masks, filled, full)
+        val = memo.get(closed)
+        if val is None:
+            if len(memo) >= memo_limit:
+                raise ResourceLimitError(
+                    f"memo limit {memo_limit} reached; solve a smaller graph or raise zqforce.game.MEMO_LIMIT"
+                )
+            val = memo[closed] = best(closed)[0]
+        if len(raw) >= memo_limit:
+            raw.clear()
+        raw[filled] = val
         return val
 
     def best(filled: int) -> tuple:

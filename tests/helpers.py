@@ -259,6 +259,18 @@ def naive_window_closure(g: Graph, filled, window) -> frozenset:
         filled.add(forces[0][1])
 
 
+def naive_brute_force_Z(g: Graph) -> tuple:
+    """Reference for brute_force_Z: vertex sets by increasing size, each
+    size in combinations order, each tested with naive_window_closure.
+    Returns the first zero forcing set found, with its size."""
+    everything = frozenset(range(g.n))
+    for k in range(g.n + 1):
+        for combo in combinations(range(g.n), k):
+            if naive_window_closure(g, combo, everything) == everything:
+                return k, frozenset(combo)
+    raise AssertionError("the full vertex set is always a zero forcing set")
+
+
 def naive_reveal_successors(g: Graph, filled, reveal, mode: str = "closure") -> list:
     """Filled sets the player can reach after the oracle reveals the
     components in `reveal`: the in-window closure in closure mode, or one

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,21 +7,31 @@ import zqforce.forcing
 from zqforce import (
     Certificate,
     ForceMove,
+    Graph,
     ScopeError,
     TokenMove,
     brute_force_Z,
     check_certificate,
     closure_with_forces,
+    is_connected,
+    mask_to_vertices,
+    vertices_to_mask,
 )
+from zqforce.forcing import _adjacency_masks, _window_closure
 
 from helpers import (
     BOWTIE,
     clique,
     cycle,
+    disjoint_union,
+    naive_brute_force_Z,
     naive_window_closure,
     naive_window_forces,
     path,
+    random_cactus,
     random_connected_graph,
+    random_forest_parts,
+    random_tree,
 )
 
 
@@ -76,6 +87,50 @@ def test_closure_properties_on_random_graphs():
         assert ca <= cb
         assert closure_with_forces(g, ca)[0] == ca
         assert ca == naive_window_closure(g, a, range(n))
+
+
+def _seeded_graphs(rng, count, max_n):
+    """count graphs with at most max_n vertices, one in three a shuffled
+    union of random parts (isolated vertices among them), the rest random
+    connected graphs, trees and cacti."""
+    makers = (
+        lambda n: random_connected_graph(n, rng.random() * 0.5, rng),
+        lambda n: random_tree(n, rng),
+        lambda n: random_cactus(n, rng),
+    )
+    graphs = []
+    for i in range(count):
+        if i % 3 == 2:
+            graphs.append(disjoint_union(*random_forest_parts(rng, max_n), rng=rng))
+        else:
+            graphs.append(makers[i % 3](rng.randint(2, max_n)))
+    return graphs
+
+
+def test_bitmask_closure_matches_closure_with_forces_on_every_subset():
+    # Brute force and the game search close bitmasks, certificates close
+    # sets; all three closures must agree on every filled set.
+    graphs = [Graph.from_edges(1, []), Graph.from_edges(4, []), Graph.from_edges(5, [(1, 3)]), BOWTIE]
+    graphs += _seeded_graphs(random.Random(71), 45, 7)
+    assert sum(not is_connected(g) for g in graphs) >= 5
+    assert any(not nbrs for g in graphs[4:] for nbrs in g.adjacency)
+    for g in graphs:
+        masks = _adjacency_masks(g)
+        full = (1 << g.n) - 1
+        for k in range(g.n + 1):
+            for s in combinations(range(g.n), k):
+                closed = closure_with_forces(g, s)[0]
+                assert mask_to_vertices(_window_closure(masks, vertices_to_mask(s), full)) == closed, (g.n, g.edges, s)
+                assert naive_window_closure(g, s, range(g.n)) == closed, (g.n, g.edges, s)
+
+
+def test_brute_force_witness_matches_naive_reference():
+    # The witness is the first zero forcing set in (size, combinations)
+    # order, whatever closure tests it; CLI certificates print it.
+    graphs = _seeded_graphs(random.Random(73), 120, 9)
+    assert sum(not is_connected(g) for g in graphs) >= 30
+    for g in graphs:
+        assert brute_force_Z(g) == naive_brute_force_Z(g), (g.n, g.edges)
 
 
 def _zero_forcing(g, s):

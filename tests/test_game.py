@@ -10,6 +10,7 @@ from zqforce import (
     AnnounceMove,
     ForceMove,
     GameConfig,
+    GameSolution,
     GraphValidationError,
     OracleProtocolError,
     ResourceLimitError,
@@ -28,6 +29,7 @@ from zqforce import (
     solve_zq,
     vertices_to_mask,
 )
+from zqforce.forcing import _adjacency_masks, _window_closure
 from zqforce.game import _TOKEN, _move_evaluator
 
 from helpers import (
@@ -417,6 +419,72 @@ def test_vertex_cap_and_memo_limit_errors(monkeypatch):
         solve_zq(cycle(6), GameConfig(q=0))
     assert "raise memo_limit" not in str(err.value)
     assert "MEMO_LIMIT" in str(err.value)
+
+
+def _keep_evaluators(m):
+    """Make solve_zq keep each value() it builds, with that value()'s raw
+    argument memo read from the closure's cells; returns the list of
+    (value, raw memo) pairs."""
+    kept = []
+
+    def keep(sol, memo_limit):
+        evaluator = _move_evaluator(sol, memo_limit)
+        value = evaluator[0]
+        cells = dict(zip(value.__code__.co_freevars, value.__closure__))
+        kept.append((value, cells["raw"].cell_contents))
+        return evaluator
+
+    m.setattr(zqforce.game, "_move_evaluator", keep)
+    return kept
+
+
+def test_raw_memo_gives_a_warm_evaluator_the_fresh_values(monkeypatch):
+    # value() answers an argument it has seen from the raw memo without
+    # closing it. After the whole solve the search's own evaluator must
+    # still agree, on every filled set, with a new evaluator over an empty
+    # table, and the table must hold closed states only.
+    rng = random.Random(59)
+    graphs = [cycle(6), random_connected_graph(7, 0.1, rng), random_connected_graph(7, 0.1, rng)]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        masks = _adjacency_masks(g)
+        for q in (0, 1, 2):
+            for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+                case = (g.edges, q, mode)
+                with monkeypatch.context() as m:
+                    kept = _keep_evaluators(m)
+                    sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
+                ((warm, raw),) = kept
+                assert any(state not in sol.values for state in raw), case
+                for filled in range(1 << g.n):
+                    fresh_sol = GameSolution(value=0, values={full: 0}, q=q, rule3_mode=mode, graph=g)
+                    fresh = _move_evaluator(fresh_sol, 1 << g.n)[0]
+                    assert warm(filled) == fresh(filled), case + (filled,)
+                assert all(_window_closure(masks, state, full) == state for state in sol.values), case
+
+
+def test_raw_memo_is_cleared_at_the_memo_limit(monkeypatch):
+    # C16 at q = 1 stores 474 closed states but calls value() on about
+    # 1,900 distinct arguments. With room for exactly the value table, the
+    # raw memo must be cleared to stay within the limit, which changes
+    # neither the value nor the states searched.
+    reference = solve_zq(cycle(16), GameConfig(q=1))
+    limit = reference.states_explored
+    monkeypatch.setattr(zqforce.game, "MEMO_LIMIT", limit)
+    kept = _keep_evaluators(monkeypatch)
+    sizes = []
+
+    def closure_spy(masks, filled, window):
+        sizes.append(len(kept[0][1]))
+        return _window_closure(masks, filled, window)
+
+    monkeypatch.setattr(zqforce.game, "_window_closure", closure_spy)
+    sol = solve_zq(cycle(16), GameConfig(q=1))
+    assert sol.value == reference.value == 2
+    assert sol.values == reference.values
+    sizes.append(len(kept[0][1]))
+    assert max(sizes) <= limit
+    assert any(b < a for a, b in zip(sizes, sizes[1:])), "the raw memo was never cleared"
 
 
 def test_solver_plays_two_stars_as_one_game():
