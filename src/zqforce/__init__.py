@@ -1,8 +1,9 @@
 """Zero forcing numbers and their q-analogue.
 
 Exact values via an adversarial game solver on small graphs, polynomial
-solvers for block graphs and cactus graphs, closed forms for generalized
-stars and windmills, and machine-checkable certificates tying it together.
+solvers for block graphs and cactus graphs, Z_0 as a fold over blocks,
+closed forms for generalized stars and windmills, and machine-checkable
+certificates tying it together.
 """
 
 from .certificates import (
@@ -48,13 +49,12 @@ from .graphs import (
     connected_components,
     find_blocks,
     format_edge_list,
-    induced_subgraph,
     is_block_graph,
     is_cactus,
     is_connected,
     parse_edge_list,
     unfilled_components,
 )
-from .structured import block_graph_Z, cactus_Z0
+from .structured import block_graph_Z, block_Z0, cactus_Z0
 
 __version__ = "0.1.0"

@@ -37,15 +37,13 @@ from .game import (
 from .generators import FAMILY_KINDS, FamilyParams, generate_family
 from .graphs import (
     Graph,
-    connected_components,
     find_blocks,
-    induced_subgraph,
     is_block_graph,
     is_cactus,
     is_connected,
     parse_edge_list,
 )
-from .structured import block_graph_Z, cactus_Z0
+from .structured import _unfoldable_block, block_graph_Z, block_Z0, cactus_Z0
 
 _FAMILY_ALIASES = {
     **{kind: kind for kind in FAMILY_KINDS},
@@ -136,35 +134,24 @@ def _solve(g: Graph, method: str, cfg: GameConfig):
     builds the certificate when called, so a caller that prints no
     certificate never pays for one.
     """
-    q = cfg.q
     if method == "block":
         value, tokens = block_graph_Z(g)
         return value, lambda: certificate_from_tokens(g, tokens), None
     if method == "cactus":
-        if q != 0:
+        if cfg.q != 0:
             raise ScopeError("the cactus solver computes Z_0 only; use it with q=0")
         return cactus_Z0(g), None, None
     if method == "exact":
         sol = solve_zq(g, cfg)
         return sol.value, lambda: extract_player_trace(sol), sol
     if method == "brute":
-        if q < g.n:
+        if cfg.q < g.n:
             _warn(f"brute force computes plain Z, which equals Z_q only for q >= n={g.n}")
         value, witness = brute_force_Z(g)
         return value, lambda: certificate_from_tokens(g, sorted(witness)), None
-    if method == "sum":
-        value = sum(_solve(sub, _auto_method(sub, q, cfg.vertex_cap), cfg)[0] for sub in _parts(g))
-        return value, None, None
+    if method == "fold":
+        return block_Z0(g, cfg.vertex_cap), None, None
     raise ScopeError(f"method {method!r} cannot run here")
-
-
-def _parts(g: Graph) -> tuple:
-    """The connected components of g, each as a graph of its own. Kept on g,
-    as find_blocks keeps its blocks, so that the coverage rule and the sum
-    solver read, and decompose, the same part objects."""
-    if "_parts" not in g.__dict__:
-        object.__setattr__(g, "_parts", tuple(induced_subgraph(g, c)[0] for c in connected_components(g)))
-    return g._parts
 
 
 def _coverage(g: Graph, cap: int):
@@ -175,19 +162,16 @@ def _coverage(g: Graph, cap: int):
     - cactus, at q = 0 when g is a cactus;
     - exact, when n <= cap;
     - brute, when q >= n (there Z_q = Z) and n <= BRUTE_FORCE_CAP;
-    - sum, at q = 0 when g is disconnected and this rule covers each
-      component at q = 0: the first entry of this rule on each component,
-      added up. An announcement at q = 0 names one component, so the parts
-      never interact and the sum is exact; at q >= 1 one announcement can
-      span parts, and the sum only bounds Z_q.
+    - fold, at q = 0 when every block of g is a bridge, a cycle, a clique
+      or has at most cap vertices: structured.block_Z0, which adds up the
+      blocks' Z_0 and so covers disconnected inputs too.
 
     `compute` takes the first entry, `verify` runs them all. Each class
     check runs at most once per rule, however many q it is asked about.
     """
     block = cache(lambda: is_block_graph(g))
     cactus = cache(lambda: is_cactus(g))
-    summable = cache(lambda: not is_connected(g) and all(
-        next(_coverage(sub, cap)(0), None) is not None for sub in _parts(g)))
+    foldable = cache(lambda: _unfoldable_block(find_blocks(g), cap) is None)
 
     def methods(q: int):
         if block():
@@ -198,21 +182,26 @@ def _coverage(g: Graph, cap: int):
             yield "exact"
         if q >= g.n and g.n <= BRUTE_FORCE_CAP:
             yield "brute"
-        if q == 0 and summable():
-            yield "sum"
+        if q == 0 and foldable():
+            yield "fold"
 
     return methods
 
 
+def _refusal(g: Graph, q_list, cap: int) -> ScopeError:
+    """Why the coverage rule of g lists no method at any q of q_list."""
+    return ScopeError(
+        f"no method applies at q={','.join(map(str, q_list))}: n={g.n} exceeds the exact cap {cap}, the "
+        f"graph is not a block graph with blocks >= 3, brute force needs q >= n and n <= {BRUTE_FORCE_CAP}, "
+        f"and the block fold needs q=0 and no block of more than {cap} vertices that is neither a clique "
+        "nor a cycle"
+    )
+
+
 def _auto_method(g: Graph, q: int, cap: int) -> str:
-    method = next(_coverage(g, cap)(q), None)
-    if method is None:
-        raise ScopeError(
-            f"no solver for this class/size: n={g.n} exceeds the exact cap {cap}, the "
-            "graph is neither a block graph with blocks >= 3 nor (at q=0) a cactus, and "
-            f"brute force needs q >= n and n <= {BRUTE_FORCE_CAP}"
-        )
-    return method
+    for method in _coverage(g, cap)(q):
+        return method
+    raise _refusal(g, [q], cap)
 
 
 def cmd_compute(args) -> int:
@@ -221,7 +210,6 @@ def cmd_compute(args) -> int:
     cfg = _game_config(args, args.q)
     q = cfg.q
     method = args.method
-    value = None
     cert = None
     sol = None
     used = None
@@ -295,7 +283,6 @@ def cmd_verify(args) -> int:
     methods = _coverage(g, args.cap)
     solved = {}  # by method, and by (method, q) for exact, the one that depends on q
     rows = []
-    mismatch = False
     for q in q_list:
         row = {}
         if form is not None:
@@ -308,15 +295,10 @@ def cmd_verify(args) -> int:
             if key not in solved:
                 solved[key] = _solve(g, method, configs[q])[0]
             row[method] = solved[key]
-        agreed = len(set(row.values())) <= 1
-        mismatch = mismatch or not agreed
-        rows.append({"q": q, "values": row, "agree": agreed})
+        rows.append({"q": q, "values": row, "agree": len(set(row.values())) <= 1})
     uncovered = sorted({row["q"] for row in rows if not row["values"]})
     if uncovered:
-        raise ScopeError(
-            f"no method applies at q={','.join(map(str, uncovered))}: n={g.n} exceeds the exact "
-            f"cap {args.cap} and no other method covers it"
-        )
+        raise _refusal(g, uncovered, args.cap)
 
     if args.json:
         _emit(json.dumps({"source": source, "rows": rows}, indent=2), args.output)
@@ -327,7 +309,7 @@ def cmd_verify(args) -> int:
             status = "ok" if row["agree"] else "MISMATCH"
             lines.append(f"q={row['q']}: {cells} [{status}]")
         _emit("\n".join(lines), args.output)
-    if mismatch:
+    if not all(row["agree"] for row in rows):
         raise VerificationMismatch(f"methods disagree on {source}")
     return 0
 
@@ -367,12 +349,10 @@ def cmd_strategy(args) -> int:
             lines.append(f"move {i}: token on {mv.vertex}")
         elif name == "ForceMove":
             lines.append(f"move {i}: force {mv.source} -> {mv.target}")
-        elif name == "AnnounceMove":
-            body = " | ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in mv.components)
-            lines.append(f"move {i}: announce {body}")
         else:
+            verb = "announce" if name == "AnnounceMove" else "oracle reveals"
             body = " | ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in mv.components)
-            lines.append(f"move {i}: oracle reveals {body}")
+            lines.append(f"move {i}: {verb} {body}")
     lines.append(f"tokens spent: {len(cert.tokens)} (game value {sol.value})")
     _emit("\n".join(lines), args.output)
     return 0

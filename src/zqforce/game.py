@@ -173,7 +173,7 @@ _ANNOUNCE, _TOKEN = 0, 1
 def _move_evaluator(sol: GameSolution, memo_limit: int):
     """The one scorer of moves, shared by the search and by trace replay.
 
-    Returns three closures over the value table `sol.values`:
+    Returns four closures over the value table `sol.values`:
       value(state): the game value, read under the forcing closure of
         `state` and computed and memoized there on a miss. It first looks
         `state` up, unclosed, in the evaluator's own raw memo, which maps
@@ -186,7 +186,11 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
       worst_reveal(state, combo, cache) -> (value, reveal) for the first
         strict-maximum reveal of the announcement in subset order, or None
         if some reveal is dead. `cache` maps a revealed union to its value
-        and may be shared by the announcements of one state.
+        and may be shared by the announcements of one state;
+      release(): unlinks value() from best(). The two call each other, so
+        without it the evaluator and its raw memo outlive their last caller
+        until the cyclic GC runs; after it, value() may no longer be called
+        on a miss, and reference counting frees the evaluator.
 
     best() is defined at closed states only: a closed state has no force
     move, and trace replay plays a non-closed state's forces itself. It
@@ -273,7 +277,11 @@ def _move_evaluator(sol: GameSolution, memo_limit: int):
             return value(closed)
         return min((value(filled | 1 << t) for _, t in _window_forces(masks, filled, window)), default=-1)
 
-    return value, best, worst_reveal
+    def release():
+        nonlocal best
+        best = None
+
+    return value, best, worst_reveal, release
 
 
 def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
@@ -289,8 +297,9 @@ def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
         raise ResourceLimitError(f"n={n} exceeds vertex cap {cfg.vertex_cap}; raise the cap to allow this")
 
     sol = GameSolution(value=0, values={(1 << n) - 1: 0}, q=cfg.q, rule3_mode=cfg.rule3_mode, graph=g)
-    value, _, _ = _move_evaluator(sol, MEMO_LIMIT)
+    value, _, _, release = _move_evaluator(sol, MEMO_LIMIT)
     sol.value = value(0)
+    release()
     return sol
 
 
@@ -306,7 +315,7 @@ def adversarial_oracle(sol: GameSolution):
     at any other state, or one that is not q+1 distinct live components,
     raises OracleProtocolError.
     """
-    _, _, worst_reveal = _move_evaluator(sol, len(sol.values))
+    _, _, worst_reveal, _ = _move_evaluator(sol, len(sol.values))
     masks = _adjacency_masks(sol.graph)
     full = (1 << sol.graph.n) - 1
 
@@ -339,7 +348,7 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
     """
     if oracle is None:
         oracle = adversarial_oracle(sol)
-    value, best, _ = _move_evaluator(sol, len(sol.values))
+    value, best, _, _ = _move_evaluator(sol, len(sol.values))
     masks = _adjacency_masks(sol.graph)
     full = (1 << sol.graph.n) - 1
     closure_mode = sol.rule3_mode == MODE_CLOSURE

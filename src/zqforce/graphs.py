@@ -286,15 +286,3 @@ def is_cactus(g: Graph) -> bool:
     (equivalently, every edge lies on at most one cycle)."""
     return all(_is_cactus_block(block) for block in find_blocks(g))
 
-
-def induced_subgraph(g: Graph, vertices) -> tuple:
-    """Subgraph induced on `vertices`, with vertices renumbered densely.
-
-    Returns (subgraph, old_ids) where old_ids[i] is the original id of the
-    subgraph's vertex i. Costs O(sum of the degrees of `vertices`).
-    """
-    old_ids = sorted(vertices)
-    _check_vertex_subset(g, old_ids)
-    pos = {v: i for i, v in enumerate(old_ids)}
-    edges = [(i, pos[w]) for v, i in pos.items() for w in g.adjacency[v] if v < w and w in pos]
-    return Graph.from_edges(len(old_ids), edges), old_ids

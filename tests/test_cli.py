@@ -115,19 +115,20 @@ def test_compute_no_solver_exit_code(tmp_path, capsys):
 
 def test_uncovered_component_refuses_the_whole_input(tmp_path, capsys):
     # A diamond (K4 minus an edge) beside an isolated vertex, with the exact
-    # cap below the diamond: no method covers the diamond, so the parts do
-    # not add up at q=0, and the refusal names the input, not the diamond.
+    # cap below the diamond: the fold can neither count nor search the
+    # diamond, and the refusal names the fold's condition.
     f = _write(tmp_path, "diamond_dot.el", "n 5\n0 1\n0 2\n1 2\n1 3\n2 3\n")
     assert main(["compute", "--file", f, "--q", "0", "--cap", "3"]) == 3
-    assert capsys.readouterr().err == (
-        "error: no solver for this class/size: n=5 exceeds the exact cap 3, the graph is "
-        "neither a block graph with blocks >= 3 nor (at q=0) a cactus, and brute force needs "
-        "q >= n and n <= 20\n"
+    refusal = (
+        "n=5 exceeds the exact cap 3, the graph is not a block graph with blocks >= 3, brute "
+        "force needs q >= n and n <= 20, and the block fold needs q=0 and no block of more than "
+        "3 vertices that is neither a clique nor a cycle"
     )
+    assert capsys.readouterr().err == f"error: no method applies at q=0: {refusal}\n"
     assert main(["verify", "--file", f, "--q-list", "0,1", "--cap", "3"]) == 3
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "error: no method applies at q=0,1: n=5 exceeds the exact cap 3 and no other method covers it"
-    )
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: no method applies at q=0,1: {refusal}"
+    assert main(["compute", "--file", f, "--q", "0", "--cap", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["method: fold", "q: 0", "value: 3"]
 
 
 def test_compute_auto_uses_brute_force_at_q_at_least_n(tmp_path, capsys):
@@ -179,7 +180,7 @@ def test_verify_drops_a_formula_that_refuses_its_input(capsys):
     assert main(["verify", *argv, "--q-list", "0,1"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "source: family:windmill_II",
-        "q=0: cactus=2, exact=2 [ok]",
+        "q=0: cactus=2, exact=2, fold=2 [ok]",
         "q=1: exact=2 [ok]",
     ]
     assert main(["compute", *argv, "--q", "1"]) == 0
@@ -191,7 +192,7 @@ def test_verify_windmill1_formula_block_and_brute_in_one_row(capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == [
         "source: family:windmill_I",
-        "q=0: block=5, exact=5, formula=5 [ok]",
+        "q=0: block=5, exact=5, fold=5, formula=5 [ok]",
         "q=1: block=5, exact=5, formula=5 [ok]",
         "q=7: block=5, brute=5, exact=5, formula=5 [ok]",
     ]
@@ -322,10 +323,12 @@ def test_verify_refuses_q_values_no_method_covers(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == (
-        "error: no method applies at q=1,2: n=20 exceeds the exact cap 16 and no other method covers it"
+        "error: no method applies at q=1,2: n=20 exceeds the exact cap 16, the graph is not a block "
+        "graph with blocks >= 3, brute force needs q >= n and n <= 20, and the block fold needs q=0 "
+        "and no block of more than 16 vertices that is neither a clique nor a cycle"
     )
     assert main(["verify", "--family", "cycle", "--n", "20", "--q-list", "0,20"]) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == ["q=0: cactus=2 [ok]", "q=20: brute=2 [ok]"]
+    assert capsys.readouterr().out.splitlines()[1:] == ["q=0: cactus=2, fold=2 [ok]", "q=20: brute=2 [ok]"]
 
 
 def test_compute_disconnected_trace_writes_a_checked_certificate(tmp_path, capsys):
@@ -433,7 +436,7 @@ def test_verify_builds_no_certificate(tmp_path, capsys, monkeypatch):
     bowtie = _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
     assert main(["verify", "--file", bowtie, "--q-list", "0,1"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
-        "q=0: block=3, cactus=3, exact=3 [ok]", "q=1: block=3, exact=3 [ok]",
+        "q=0: block=3, cactus=3, exact=3, fold=3 [ok]", "q=1: block=3, exact=3 [ok]",
     ]
     assert main(["compute", "--file", bowtie]) == 0
     assert capsys.readouterr().out.splitlines()[2:] == ["method: block", "q: 0", "value: 3"]
@@ -456,13 +459,13 @@ def _diamond_beside_blocks(tmp_path):
     (["--family", "random_block_graph", "--n", "60", "--blocks", "12", "--seed", "1", "--trace"],
      "block-graph", 1),
     (["--family", "random_cactus", "--n", "60", "--seed", "1"], "cactus", 1),
-    (["--file"], "disconnected", 3),
-], ids=["block-trace", "cactus", "sum"])
+    (["--file"], "disconnected", 1),
+], ids=["block-trace", "cactus", "fold"])
 def test_compute_decomposes_the_graph_once(tmp_path, capsys, monkeypatch, argv, detected, runs):
     # find_blocks is asked for the blocks by the coverage rule, the solver
-    # and the class line, and runs its DFS for the first of them only. On
-    # the sum path (the diamond beside a block graph) it runs once on the
-    # whole graph and once on each of its c = 2 parts: c + 1 runs.
+    # and the class line, and runs its DFS for the first of them only. The
+    # fold (the diamond beside a block graph) searches the diamond from its
+    # own adjacency and decomposes nothing else.
     from zqforce import graphs
 
     real = graphs._block_dfs
@@ -488,7 +491,7 @@ def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):
     assert len(calls) == 1
     assert capsys.readouterr().out.splitlines() == [
         "source: family:cycle",
-        *["q=0: cactus=2, exact=2 [ok]"] * 3,
+        *["q=0: cactus=2, exact=2, fold=2 [ok]"] * 3,
     ]
 
 
@@ -505,7 +508,7 @@ def test_two_stars_are_one_game(tmp_path, capsys):
     ]
     assert main(["verify", "--file", f, "--q-list", "0,1,2,8"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
-        "q=0: cactus=2, exact=2, sum=2 [ok]",
+        "q=0: cactus=2, exact=2, fold=2 [ok]",
         "q=1: exact=3 [ok]",
         "q=2: exact=4 [ok]",
         "q=8: brute=4, exact=4 [ok]",
@@ -515,38 +518,42 @@ def test_two_stars_are_one_game(tmp_path, capsys):
 
 
 def test_compute_sums_the_parts_at_q0_when_nothing_covers_the_whole(tmp_path, capsys):
-    # At q=0 the parts' values add up; at q=1 no method covers the union.
+    # At q=0 the parts' values add up, through the fold over their blocks;
+    # at q=1 no method covers the union.
     f, diamond, blocks = _diamond_beside_blocks(tmp_path)
     expected = solve_zq(diamond, GameConfig(q=0)).value + block_graph_Z(blocks)[0]
-    trace = tmp_path / "sum.cert"
+    trace = tmp_path / "fold.cert"
     assert main(["compute", "--file", f, "--trace", str(trace)]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1:] == [
-        "class: disconnected", "method: sum", "q: 0", f"value: {expected}",
+        "class: disconnected", "method: fold", "q: 0", f"value: {expected}",
     ]
-    assert captured.err == "warning: method 'sum' does not produce a certificate; --trace ignored\n"
+    assert captured.err == "warning: method 'fold' does not produce a certificate; --trace ignored\n"
     assert not trace.exists()
     assert main(["verify", "--file", f, "--q-list", "0"]) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == [f"q=0: sum={expected} [ok]"]
+    assert capsys.readouterr().out.splitlines()[1:] == [f"q=0: fold={expected} [ok]"]
     assert main(["compute", "--file", f, "--q", "1"]) == 3
-    with pytest.raises(SystemExit):  # the fallback is no --method choice
-        main(["compute", "--file", f, "--method", "sum"])
+    with pytest.raises(SystemExit):  # the fold is no --method choice
+        main(["compute", "--file", f, "--method", "fold"])
 
 
-def test_sum_path_builds_each_part_in_time_linear_in_its_degrees(tmp_path, capsys):
-    # 3,000 K4 and 3,000 C4 parts (n = 24,000): only the sum covers the
-    # union. Building a part walks its own adjacency only; a scan of every
-    # edge of the input per part made this input take about 20 s.
+def test_fold_builds_each_block_in_time_linear_in_its_degrees(tmp_path, capsys):
+    # 6,000 diamonds glued at one hub (n = 18,001): only the fold covers
+    # it, and it searches every diamond. Building a block reads the
+    # adjacency of its non-anchor members only; reading every member's
+    # adjacency, the hub's 18,000 neighbours included, took 4.2 s for the
+    # 6,000 builds alone.
+    diamond = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
     edges = []
-    for base in range(0, 24_000, 8):
-        edges += [(base + u, base + v) for u in range(4) for v in range(u + 1, 4)]
-        edges += [(base + 4 + i, base + 4 + (i + 1) % 4) for i in range(4)]
-    f = _write(tmp_path, "mixed.el", "".join(f"{u} {v}\n" for u, v in edges))
+    for base in range(1, 18_001, 3):
+        ids = (0, base, base + 1, base + 2)
+        edges += [(ids[u], ids[v]) for u, v in diamond]
+    f = _write(tmp_path, "hub.el", "".join(f"{u} {v}\n" for u, v in edges))
     started = time.perf_counter()
     assert main(["compute", "--file", f, "--q", "0"]) == 0
     elapsed = time.perf_counter() - started
     assert capsys.readouterr().out.splitlines()[1:] == [
-        "class: disconnected", "method: sum", "q: 0", f"value: {3_000 * 3 + 3_000 * 2}",
+        "class: general", "method: fold", "q: 0", f"value: {1 + 6_000}",
     ]
     assert elapsed < 5.0, elapsed
 
@@ -575,7 +582,7 @@ def test_compute_matches_the_reference_game_on_disjoint_unions(tmp_path, capsys)
                 code, payload = _run_json(capsys, argv)
                 assert (code, payload["value"]) == (0, whole), (g.edges, q, method)
                 if payload["certificate_path"] is None:
-                    assert payload["method"] in ("cactus", "sum")
+                    assert payload["method"] in ("cactus", "fold")
                     continue
                 cert = parse_certificate(trace.read_text())
                 assert len(cert.tokens) == whole and check_certificate(g, q, cert)

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -194,7 +195,7 @@ def test_solver_matches_unoptimized_reference():
 def test_best_move_achieves_memoized_value_everywhere():
     for g, q in ((cycle(6), 0), (BOWTIE, 0), (star((1, 1, 2)), 1)):
         sol = solve_zq(g, GameConfig(q=q))
-        value, best, _ = _move_evaluator(sol, len(sol.values))
+        value, best, _, _ = _move_evaluator(sol, len(sol.values))
         oracle = adversarial_oracle(sol)
         full = (1 << g.n) - 1
         for state, val in sol.values.items():
@@ -423,16 +424,15 @@ def test_vertex_cap_and_memo_limit_errors(monkeypatch):
 
 def _keep_evaluators(m):
     """Make solve_zq keep each value() it builds, with that value()'s raw
-    argument memo read from the closure's cells; returns the list of
-    (value, raw memo) pairs."""
+    argument memo read from the closure's cells, and never release them;
+    returns the list of (value, raw memo) pairs."""
     kept = []
 
     def keep(sol, memo_limit):
-        evaluator = _move_evaluator(sol, memo_limit)
-        value = evaluator[0]
+        value, best, worst_reveal, _ = _move_evaluator(sol, memo_limit)
         cells = dict(zip(value.__code__.co_freevars, value.__closure__))
         kept.append((value, cells["raw"].cell_contents))
-        return evaluator
+        return value, best, worst_reveal, lambda: None
 
     m.setattr(zqforce.game, "_move_evaluator", keep)
     return kept
@@ -485,6 +485,22 @@ def test_raw_memo_is_cleared_at_the_memo_limit(monkeypatch):
     sizes.append(len(kept[0][1]))
     assert max(sizes) <= limit
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "the raw memo was never cleared"
+
+
+def test_a_dropped_solve_leaves_no_cyclic_garbage():
+    # The evaluator's closures call each other. solve_zq releases its
+    # evaluator before it returns, so a dropped result is freed by
+    # reference counting and the cyclic GC finds nothing to collect.
+    gc.collect()
+    gc.disable()
+    try:
+        sol = solve_zq(cycle(16), GameConfig(q=2))
+        assert sol.value == 2
+        del sol
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_solver_plays_two_stars_as_one_game():

@@ -10,7 +10,6 @@ from zqforce import (
     ResourceLimitError,
     find_blocks,
     format_edge_list,
-    induced_subgraph,
     is_block_graph,
     is_cactus,
     is_connected,
@@ -314,12 +313,6 @@ def test_cactus_vertex_pairs_share_at_most_one_cycle():
                     key = (min(cyc[i], cyc[j]), max(cyc[i], cyc[j]))
                     pair_counts[key] = pair_counts.get(key, 0) + 1
         assert all(c <= 1 for c in pair_counts.values())
-
-
-def test_induced_subgraph_reindexes():
-    sub, old = induced_subgraph(BOWTIE, {2, 3, 4})
-    assert old == [2, 3, 4]
-    assert sub.n == 3 and sub.m == 3
 
 
 def test_connectivity_helpers():

@@ -5,6 +5,7 @@ import pytest
 from zqforce import (
     GameConfig,
     ScopeError,
+    block_Z0,
     block_graph_Z,
     brute_force_Z,
     cactus_Z0,
@@ -14,15 +15,18 @@ from zqforce import (
     solve_zq,
     Graph,
 )
+from zqforce.structured import _block_graph
 
 from helpers import (
     BOWTIE,
     cactus_Z0_dp,
     clique,
     cycle,
+    induced_edge_count,
     naive_window_closure,
     path,
     random_block_graph,
+    random_connected_graph,
     random_cactus,
     random_tree,
     star,
@@ -108,6 +112,7 @@ def test_structured_solvers_decompose_once(monkeypatch):
     for solve in (
         lambda: block_graph_Z(BOWTIE),
         lambda: cactus_Z0(BOWTIE),
+        lambda: block_Z0(BOWTIE, 16),
     ):
         calls.clear()
         solve()
@@ -204,3 +209,60 @@ def test_cactus_closed_form_matches_dp():
         relabelled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
         for h in (g, relabelled):
             assert cactus_Z0(h) == cactus_Z0_dp(h), h.edges
+
+
+def test_fold_matches_game_on_the_atlas_and_seeded_graphs():
+    # Every atlas graph with n <= 7, connected or not, then seeded sparse
+    # graphs with n = 8..12; most of the latter have several blocks, and
+    # many a block that is no bridge, cycle or clique, which the fold
+    # searches.
+    import networkx as nx
+
+    rng = random.Random(71)
+    atlas = [Graph.from_edges(len(nxg), list(nxg.edges())) for nxg in nx.graph_atlas_g()[1:]]
+    seeded = [random_connected_graph(rng.randint(8, 12), rng.choice((0.05, 0.1, 0.15)), rng)
+              for _ in range(300)]
+    for g in atlas + seeded:
+        assert block_Z0(g, 16) == solve_zq(g, GameConfig(q=0)).value, g.edges
+
+    def searched(block):
+        size = len(block.vertices)
+        return size > 2 and block.edges not in (size, size * (size - 1) // 2)
+
+    multi_block = [g for g in seeded if len(find_blocks(g)) > 1]
+    assert len(multi_block) > 250
+    assert sum(any(map(searched, find_blocks(g))) for g in multi_block) > 150
+
+
+def test_fold_matches_the_cactus_and_block_counts_at_scale():
+    rng = random.Random(73)
+    g = random_cactus(1_200, rng)
+    assert block_Z0(g, 16) == cactus_Z0(g) == g.m - g.n + 2
+    g = random_block_graph(10_000, rng)
+    assert block_Z0(g, 16) == block_graph_Z(g)[0] == g.n - len(find_blocks(g))
+
+
+def test_fold_refuses_a_block_it_can_neither_count_nor_search():
+    # A diamond (K4 minus the edge 03) with a pendant edge at 3.
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)])
+    assert block_Z0(g, 4) == 2
+    with pytest.raises(ScopeError, match=r"block \[0, 1, 2, 3\] has over 3 vertices and no closed-form Z_0"):
+        block_Z0(g, 3)
+    # Cliques and cycles of any size need no search.
+    assert block_Z0(clique(20), 3) == 19
+    assert block_Z0(cycle(40), 3) == 2
+    assert block_Z0(Graph.from_edges(3, []), 1) == 3
+
+
+def test_block_graph_is_the_induced_subgraph():
+    # Built from the non-anchor members' adjacency only, each block's graph
+    # is still the subgraph induced on the block, renumbered in vertex order.
+    rng = random.Random(79)
+    for _ in range(40):
+        g = random_connected_graph(rng.randint(2, 14), rng.random() * 0.3, rng)
+        for block in find_blocks(g):
+            sub = _block_graph(g, block)
+            old = sorted(block.vertices)
+            assert sub.n == len(old)
+            assert sub.m == block.edges == induced_edge_count(g, block.vertices)
+            assert all(old[v] in g.adjacency[old[u]] for u, v in sub.edges)
