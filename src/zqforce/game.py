@@ -9,33 +9,51 @@ player still has to spend against a worst-case oracle:
         (b) V(F + target)         for every applicable force      [force]
         (c) max over reveals L of the announcement's successors   [announce]
 
-States are bitmasks and the memo holds game values only, keyed by
-forcing-closed states. V(F) = V(closure(F)) holds one force at a time:
+States are bitmasks, and the search answers bounded questions:
+value(F, k) = min(V(F), k), which tells whether V(F) < k and, if so, gives
+V(F). A search of F with budget k keeps the best value found so far, which
+starts at k:
+
+    a token is scored with budget best - 1: 1 + V(F + v) beats best only if
+    V(F + v) < best - 1;
+    an announcement is cut at its first reveal whose value reaches best:
+    the oracle picks a reveal at least that bad for the player;
+    the search stops once best reaches a known lower bound on V(F).
+
+Two memos keep the answers: exact values, for searches that found a value
+below their budget, and lower bounds "V(F) >= k" for those that found none.
+A question is answered from them whenever it can be; only a budget above
+the stored lower bound searches again.
+
+Both memos are keyed by a canonical form of the forcing closure of F.
+V(F) = V(closure(F)) holds one force at a time:
 
     a force is free, so V(F) <= V(F + t) for a force target t, and
     filling a vertex never hurts, so V(F + t) <= V(F) (monotonicity).
 
-The search therefore reads and writes every state under its closure, never
-meets a force move at a state it expands, and stores no non-closed state.
-It scores a state's tokens only when no announcement there is worth 0 or 1:
+Twins are vertices with equal open or equal closed neighbourhoods; the two
+kinds of twin class never share a vertex. Swapping two twins is an
+automorphism of the graph, and the game is stated in terms of the graph
+alone, so the swap maps states, components, forces and reveals onto each
+other and leaves V unchanged. The canonical form fills the lowest-indexed
+members of each twin class first. It is forcing-closed too, since an
+automorphism maps a closed set onto a closed set. The search scores a token
+only on the lowest unfilled vertex of each twin class: a token on another
+member of the class leads to the same canonical state.
 
-    a token is worth 1 + V(F + v) >= 1, and on equal value an announcement
-    beats a token, so such an announcement is the move the tie-break picks.
+Each move evaluator also keeps a private raw memo from each argument of
+value() to its key, read before the closure is computed: a successor is
+often reached again, from another state or with another budget, and a dict
+lookup costs less than closing it again. That memo is never returned and is
+cleared whenever it reaches the memo limit.
 
-States reached only through the skipped tokens are never stored.
-
-Each move evaluator also keeps a second, private memo from the raw argument
-of value() to its value, read before the closure is computed: about half of
-value()'s calls repeat an argument, a successor reached again from another
-state, and a dict lookup costs less than closing it again. That memo is not
-part of the value table: it keeps unclosed arguments too, is never
-returned, and is cleared whenever it reaches the memo limit.
-
-Optimal play for both sides is re-derived from that table on demand: one move
-evaluator scores the player's moves and the oracle's reveals, and the search,
-the trace and the adversarial oracle all call it. It picks moves at closed
-states only; trace replay plays the forces of a non-closed state itself,
-lowest (u, target) first.
+Optimal play for both sides is re-derived from the memos on demand by the
+same evaluator, which searches with a budget on a miss. At a closed state
+the player's move is the first, in (value, kind, key) order, whose value is
+V(F): announcements before tokens, then by key. Each candidate is checked
+with budget V(F) + 1, so the choice is the one a full value table would
+give. Moves are picked at closed states only; trace replay plays the forces
+of a non-closed state itself, lowest (u, target) first.
 
 An announcement is discarded when some nonempty reveal admits no force in
 the revealed subgraph: the oracle would pick that reveal and the state would
@@ -71,10 +89,11 @@ MODE_CLOSURE = "closure"
 MODE_SINGLE_FORCE = "single_force"
 
 DEFAULT_VERTEX_CAP = 16
-# Bounds both memos of a move evaluator: the value table, which raises
-# ResourceLimitError when full, and the raw-argument memo, which is cleared.
-# About 73 B per table entry and 61 B per raw entry (tracemalloc, C16 at
-# q=1): ~1.2 GB and ~1.0 GB at the limit.
+# Bounds each move evaluator's memos: the solve's values and bounds together,
+# which raise ResourceLimitError when full, and the raw-argument memo, which
+# is cleared. About 60 B per values/bounds entry and 85 B per raw entry
+# (tracemalloc, random_cactus n=20 seed 1 at q=2, 5,321 and 19,893 entries):
+# ~1.0 GB and ~1.4 GB at the limit.
 MEMO_LIMIT = 1 << 24
 
 
@@ -95,17 +114,18 @@ class GameConfig:
 
 @dataclass
 class GameSolution:
-    """Game value and the value table of a solve.
+    """Game value and the memos of a solve.
 
-    States and components are vertex bitmasks; values maps every
-    forcing-closed state the search scored to its game value, and a
-    non-closed state has the value of its closure. states_explored counts
-    those closed states, which leave out the ones reached only through
-    token moves the search skipped. Moves and reveals are not stored:
-    extract_player_trace and adversarial_oracle derive them on demand from
-    values. oracle_response keeps the reveals the adversarial oracle has
-    been asked for, keyed by (state, announced component masks); it is empty
-    when solve_zq returns.
+    States and components are vertex bitmasks. Each memo key is the
+    canonical form of a forcing-closed state (see the module docstring),
+    and a state has the value of its key. values maps a key to its game
+    value; bounds maps a key whose value was only ever shown to be at least
+    k to that k. The two hold different keys, and states_explored counts
+    both. Moves and reveals are not stored: extract_player_trace and
+    adversarial_oracle derive them on demand from the memos, searching on
+    and adding to them where a memo falls short. oracle_response keeps the
+    reveals the adversarial oracle has been asked for, keyed by (state,
+    announced component masks); it is empty when solve_zq returns.
     """
 
     value: int
@@ -114,10 +134,11 @@ class GameSolution:
     rule3_mode: str
     graph: Graph
     oracle_response: dict = field(default_factory=dict)
+    bounds: dict = field(default_factory=dict)
 
     @property
     def states_explored(self) -> int:
-        return len(self.values)
+        return len(self.values) + len(self.bounds)
 
 
 def mask_to_vertices(mask: int) -> frozenset:
@@ -166,130 +187,203 @@ def _window_forces(masks, filled: int, window: int) -> list:
     return out
 
 
+def _twin_classes(masks) -> list:
+    """Classes of two or more twins, vertices with equal open or equal
+    closed neighbourhoods, as member lists in increasing order."""
+    groups = {}
+    for v, nbrs in enumerate(masks):
+        groups.setdefault((False, nbrs), []).append(v)
+        groups.setdefault((True, nbrs | 1 << v), []).append(v)
+    return [members for members in groups.values() if len(members) > 1]
+
+
+def _subset_unions(combo: tuple) -> list:
+    """The union of each nonempty subset of `combo`, in subset order: bit j
+    of the position plus one picks combo[j]."""
+    unions = [0]
+    for comp in combo:
+        unions += [union | comp for union in unions]
+    return unions[1:]
+
+
 # Move kinds, numbered in tie-break order so that free moves come first.
 _ANNOUNCE, _TOKEN = 0, 1
 
 
-def _move_evaluator(sol: GameSolution, memo_limit: int):
-    """The one scorer of moves, shared by the search and by trace replay.
+class _MoveEvaluator:
+    """The one scorer of moves, shared by the search and by replay.
 
-    Returns four closures over the value table `sol.values`:
-      value(state): the game value, read under the forcing closure of
-        `state` and computed and memoized there on a miss. It first looks
-        `state` up, unclosed, in the evaluator's own raw memo, which maps
-        each argument value() has seen to its value. That memo is not part
-        of `sol.values`, which keeps closed states only; it is cleared when
-        it reaches memo_limit entries;
+    It reads and extends the memos `sol.values` and `sol.bounds` and holds
+    no reference to its own methods, so it is freed by reference counting.
+      value(state, budget): min(V(state), budget), answered from the memos
+        under the canonical key of `state` or searched and memoized there.
+        It first looks `state` up in the evaluator's own raw memo, which
+        maps each argument value() has seen to its key; that memo is
+        cleared when it reaches memo_limit entries;
       best(state) -> (value, kind, key): the optimal move at a forcing-closed
         state. Ties break by kind (announce, token), then by key: the
         component masks for an announcement, (v,) for a token;
-      worst_reveal(state, combo, cache) -> (value, reveal) for the first
+      worst_reveal(state, combo) -> (value, reveal) for the first
         strict-maximum reveal of the announcement in subset order, or None
-        if some reveal is dead. `cache` maps a revealed union to its value
-        and may be shared by the announcements of one state;
-      release(): unlinks value() from best(). The two call each other, so
-        without it the evaluator and its raw memo outlive their last caller
-        until the cyclic GC runs; after it, value() may no longer be called
-        on a miss, and reference counting frees the evaluator.
-
-    best() is defined at closed states only: a closed state has no force
-    move, and trace replay plays a non-closed state's forces itself. It
-    scores every announcement and reveal, and the tokens only when no
-    announcement is worth 0 or 1. The search memoizes every successor best()
-    scores, so replay over a finished table, which calls the same best(),
-    only reads it; replay passes a memo_limit of the table's size to make
-    that a checked fact.
+        if some reveal is dead.
+    A search that would add a key to memos already holding memo_limit keys
+    between them raises ResourceLimitError.
     """
-    memo = sol.values
-    raw = {}
-    masks = _adjacency_masks(sol.graph)
-    full = (1 << sol.graph.n) - 1
-    q = sol.q
-    closure_mode = sol.rule3_mode == MODE_CLOSURE
 
-    def value(filled: int) -> int:
-        val = raw.get(filled)
+    __slots__ = (
+        "values", "bounds", "raw", "memo_limit", "masks", "full", "exact", "q", "closure_mode", "lone", "classes"
+    )
+
+    def __init__(self, sol: GameSolution, memo_limit: int):
+        self.values = sol.values
+        self.bounds = sol.bounds
+        self.raw = {}
+        self.memo_limit = memo_limit
+        self.masks = _adjacency_masks(sol.graph)
+        self.full = (1 << sol.graph.n) - 1
+        self.exact = sol.graph.n + 1  # above every value: no budget bites
+        self.q = sol.q
+        self.closure_mode = sol.rule3_mode == MODE_CLOSURE
+        # Per twin class, its mask and the masks of its lowest 0, 1, ... members.
+        self.classes = []
+        self.lone = self.full
+        for members in _twin_classes(self.masks):
+            prefix = [0]
+            for v in members:
+                prefix.append(prefix[-1] | 1 << v)
+            self.classes.append((prefix[-1], prefix))
+            self.lone &= ~prefix[-1]
+
+    def value(self, filled: int, budget: int) -> int:
+        key = self.raw.get(filled)
+        if key is None:
+            closed = _window_closure(self.masks, filled, self.full)
+            key = closed & self.lone
+            for members, prefix in self.classes:
+                key |= prefix[(closed & members).bit_count()]
+            if len(self.raw) >= self.memo_limit:
+                self.raw.clear()
+            self.raw[filled] = key
+        val = self.values.get(key)
         if val is not None:
-            return val
-        closed = _window_closure(masks, filled, full)
-        val = memo.get(closed)
-        if val is None:
-            if len(memo) >= memo_limit:
-                raise ResourceLimitError(
-                    f"memo limit {memo_limit} reached; solve a smaller graph or raise zqforce.game.MEMO_LIMIT"
-                )
-            val = memo[closed] = best(closed)[0]
-        if len(raw) >= memo_limit:
-            raw.clear()
-        raw[filled] = val
+            return val if val < budget else budget
+        floor = self.bounds.get(key, 0)
+        if floor >= budget:
+            return budget
+        val = self._search(key, budget, floor)
+        if not floor and len(self.values) + len(self.bounds) >= self.memo_limit:
+            raise ResourceLimitError(
+                f"memo limit {self.memo_limit} reached; solve a smaller graph or raise zqforce.game.MEMO_LIMIT"
+            )
+        if val < budget:
+            self.values[key] = val
+            if floor:
+                del self.bounds[key]
+        else:
+            self.bounds[key] = budget
         return val
 
-    def best(filled: int) -> tuple:
-        unfilled = full & ~filled
+    def _search(self, filled: int, budget: int, floor: int) -> int:
+        """min(V(filled), budget) at a canonical closed state other than the
+        full one, where V(filled) >= floor is known."""
+        unfilled = self.full & ~filled
+        best = budget
 
         # Rule 3: announcements of exactly q+1 unfilled components.
-        moves = []
-        if unfilled.bit_count() > q:
-            comps = _mask_components(masks, unfilled)
-            if len(comps) > q:
+        if unfilled.bit_count() > self.q:
+            comps = _mask_components(self.masks, unfilled)
+            if len(comps) > self.q:
                 cache = {}
-                for combo in combinations(comps, q + 1):
-                    worst = worst_reveal(filled, combo, cache)
-                    if worst is not None:
-                        moves.append((worst[0], _ANNOUNCE, combo))
-        # A token costs at least 1 and loses ties to an announcement.
-        if moves and min(moves)[0] <= 1:
-            return min(moves)
+                for combo in combinations(comps, self.q + 1):
+                    best = self._announce(filled, combo, best, cache)
+                    if best <= floor:
+                        return best
 
-        # Rule 1: tokens.
+        # Rule 1: tokens, worth at least 1, on the lowest unfilled twin only.
+        tokens = unfilled
+        for members, _ in self.classes:
+            twins = unfilled & members
+            tokens ^= twins & (twins - 1)
+        while tokens and best > max(floor, 1):
+            low = tokens & -tokens
+            tokens ^= low
+            val = 1 + self.value(filled | low, best - 1)
+            if val < best:
+                best = val
+        return best
+
+    def _announce(self, filled: int, combo: tuple, best: int, cache: dict) -> int:
+        """min(the announcement's value, best), or best if some reveal is
+        dead. `cache` maps a revealed union to its _reveal() result and is
+        shared by the announcements of one state, over which best never
+        rises: a cached result at least best shows V >= best, and one below
+        best is exact."""
+        worst = 0
+        for union in _subset_unions(combo):
+            res = cache.get(union)
+            if res is None:
+                res = cache[union] = self._reveal(filled, union, best)
+            if res < 0 or res >= best:
+                return best
+            if res > worst:
+                worst = res
+        return worst
+
+    def _reveal(self, filled: int, union: int, budget: int) -> int:
+        """min(player's best continuation value after the reveal, budget);
+        -1 if the reveal admits no force (a dead reveal)."""
+        window = filled | union
+        if self.closure_mode:
+            closed = _window_closure(self.masks, filled, window)
+            if closed == filled:
+                return -1
+            return self.value(closed, budget)
+        forces = _window_forces(self.masks, filled, window)
+        if not forces:
+            return -1
+        for _, t in forces:
+            budget = self.value(filled | 1 << t, budget)
+        return budget
+
+    def best(self, filled: int) -> tuple:
+        """The first move at a closed state, in (value, kind, key) order,
+        whose value is the state's; a closed state has no force move."""
+        target = self.value(filled, self.exact)
+        unfilled = self.full & ~filled
+        if unfilled.bit_count() > self.q:
+            comps = _mask_components(self.masks, unfilled)
+            if len(comps) > self.q:
+                cache = {}
+                for combo in sorted(combinations(comps, self.q + 1)):
+                    if self._announce(filled, combo, target + 1, cache) == target:
+                        return target, _ANNOUNCE, combo
         m = unfilled
         while m:
             low = m & -m
             m ^= low
-            moves.append((1 + value(filled | low), _TOKEN, (low.bit_length() - 1,)))
-        return min(moves)  # tuple order is the tie-break order
+            if self.value(filled | low, target) == target - 1:
+                return target, _TOKEN, (low.bit_length() - 1,)
+        raise AssertionError("no move attains the state's value")
 
-    def worst_reveal(filled: int, combo: tuple, cache: dict):
+    def worst_reveal(self, filled: int, combo: tuple):
         worst = -1
         worst_sub = 0
-        for sub in range(1, 1 << len(combo)):
-            union = 0
-            for j, comp in enumerate(combo):
-                if sub >> j & 1:
-                    union |= comp
-            res = cache.get(union)
-            if res is None:
-                res = cache[union] = _reveal_value(filled, union)
+        for sub, union in enumerate(_subset_unions(combo), 1):
+            # Budget worst + 1 tells whether the reveal beats the worst so far.
+            res = self._reveal(filled, union, worst + 1)
             if res < 0:
                 return None
             if res > worst:
-                worst, worst_sub = res, sub
+                worst, worst_sub = self._reveal(filled, union, self.exact), sub
         return worst, tuple(c for j, c in enumerate(combo) if worst_sub >> j & 1)
-
-    def _reveal_value(filled: int, union: int) -> int:
-        """Player's best continuation value after a reveal; -1 if the reveal
-        admits no force (a dead reveal)."""
-        window = filled | union
-        if closure_mode:
-            closed = _window_closure(masks, filled, window)
-            if closed == filled:
-                return -1
-            return value(closed)
-        return min((value(filled | 1 << t) for _, t in _window_forces(masks, filled, window)), default=-1)
-
-    def release():
-        nonlocal best
-        best = None
-
-    return value, best, worst_reveal, release
 
 
 def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
-    """Exact game value and the value table of every state searched.
+    """Exact game value and the memos of the search behind it.
 
     g may be disconnected: the announcement rule counts the unfilled
     components of the whole graph, so it is one game, not one per component.
-    Optimal moves for both sides are re-derived from the table on demand by
+    Optimal moves for both sides are re-derived from the memos on demand by
     `extract_player_trace` and `adversarial_oracle`.
     """
     n = g.n
@@ -297,27 +391,23 @@ def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
         raise ResourceLimitError(f"n={n} exceeds vertex cap {cfg.vertex_cap}; raise the cap to allow this")
 
     sol = GameSolution(value=0, values={(1 << n) - 1: 0}, q=cfg.q, rule3_mode=cfg.rule3_mode, graph=g)
-    value, _, _, release = _move_evaluator(sol, MEMO_LIMIT)
-    sol.value = value(0)
-    release()
+    sol.value = _MoveEvaluator(sol, MEMO_LIMIT).value(0, n + 1)
     return sol
 
 
 def adversarial_oracle(sol: GameSolution):
     """The solver's worst-case oracle as a reveal policy.
 
-    Each reveal is derived from the value table when first asked for and
-    kept in `sol.oracle_response`. The policy answers only at the
-    forcing-closed states of the table, which are the only states where the
-    player's optimal play announces (elsewhere a force is its best move).
-    The search scored every announcement at each of them, skipping tokens
-    only, so every live announcement there has an answer; an announcement
-    at any other state, or one that is not q+1 distinct live components,
-    raises OracleProtocolError.
+    Each reveal is derived from the memos when first asked for and kept in
+    `sol.oracle_response`. The policy answers at any forcing-closed state,
+    where the player's optimal play may announce (elsewhere a force is its
+    best move), for an announcement of exactly q+1 distinct unfilled
+    components with no dead reveal; any other announcement raises
+    OracleProtocolError.
     """
-    _, _, worst_reveal, _ = _move_evaluator(sol, len(sol.values))
-    masks = _adjacency_masks(sol.graph)
-    full = (1 << sol.graph.n) - 1
+    ev = _MoveEvaluator(sol, MEMO_LIMIT)
+    masks = ev.masks
+    full = ev.full
 
     def policy(filled, announcement):
         state = vertices_to_mask(filled)
@@ -326,13 +416,16 @@ def adversarial_oracle(sol: GameSolution):
         key = (state, combo)
         # combo holds each unfilled component at most once, so equal lengths
         # rule out repeated entries and non-components alike.
-        legal = state in sol.values and len(combo) == len(announced) == sol.q + 1
+        legal = _window_closure(masks, state, full) == state and len(combo) == len(announced) == sol.q + 1
         if legal and key not in sol.oracle_response:
-            worst = worst_reveal(state, combo, {})
+            worst = ev.worst_reveal(state, combo)
             if worst is not None:
                 sol.oracle_response[key] = worst[1]
         if not legal or key not in sol.oracle_response:
-            raise OracleProtocolError("announcement was never evaluated by the solver")
+            raise OracleProtocolError(
+                "announcement is not q+1 distinct unfilled components of a forcing-closed state"
+                " with no dead reveal"
+            )
         return tuple(mask_to_vertices(c) for c in sol.oracle_response[key])
 
     return policy
@@ -348,9 +441,9 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
     """
     if oracle is None:
         oracle = adversarial_oracle(sol)
-    value, best, _, _ = _move_evaluator(sol, len(sol.values))
-    masks = _adjacency_masks(sol.graph)
-    full = (1 << sol.graph.n) - 1
+    ev = _MoveEvaluator(sol, MEMO_LIMIT)
+    masks = ev.masks
+    full = ev.full
     closure_mode = sol.rule3_mode == MODE_CLOSURE
     state = 0
     trace = []
@@ -364,7 +457,7 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
             trace.append(ForceMove(u, t))
             state |= 1 << t
             continue
-        _, kind, key = best(state)
+        _, kind, key = ev.best(state)
         if kind == _TOKEN:
             v = key[0]
             tokens.append(v)
@@ -385,12 +478,16 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
             if not forces:
                 raise OracleProtocolError(f"step {step}: reveal admits no force")
             # Closure mode records every in-window force, first found first;
-            # single_force mode records the one force the player picks.
+            # single_force mode records the one force the player picks, the
+            # lowest (value, (u, target)).
             while forces:
-                if closure_mode:
-                    u, t = forces[0]
-                else:
-                    u, t = min(forces, key=lambda f: (value(state | (1 << f[1])), f))
+                u, t = forces[0]
+                if not closure_mode:
+                    budget = ev.exact
+                    for f in forces:
+                        val = ev.value(state | 1 << f[1], budget)
+                        if val < budget:
+                            budget, (u, t) = val, f
                 trace.append(ForceMove(u, t))
                 state |= 1 << t
                 forces = _window_forces(masks, state, window) if closure_mode else None

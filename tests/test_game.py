@@ -31,7 +31,7 @@ from zqforce import (
     vertices_to_mask,
 )
 from zqforce.forcing import _adjacency_masks, _window_closure
-from zqforce.game import _TOKEN, _move_evaluator
+from zqforce.game import _ANNOUNCE, _TOKEN, _MoveEvaluator, _twin_classes
 
 from helpers import (
     BOWTIE,
@@ -43,6 +43,7 @@ from helpers import (
     naive_window_closure,
     naive_zq_table,
     path,
+    random_block_graph,
     random_cactus,
     random_connected_graph,
     random_tree,
@@ -93,18 +94,45 @@ def test_memo_consistency():
         sol = solve_zq(g, GameConfig(q=1))
         value = _table_reader(sol)
         full = (1 << g.n) - 1
-        for state, val in sol.values.items():
+        for state, val in list(sol.values.items()):
+            assert value(state) == val
             rest = full & ~state
             while rest:
                 low = rest & -rest
                 rest ^= low
                 assert val <= 1 + value(state | low)
+        for state, bound in list(sol.bounds.items()):
+            assert value(state) >= bound >= 1
 
 
 def _table_reader(sol):
-    """The evaluator's value() over the finished table: it reads a state
-    through its forcing closure and raises on a miss instead of searching."""
-    return _move_evaluator(sol, len(sol.values))[0]
+    """The exact value of a state by a new evaluator over the solve's memos:
+    read under the canonical key of the state's forcing closure, and searched
+    with a budget above every value where the memos fall short."""
+    ev = _MoveEvaluator(sol, zqforce.game.MEMO_LIMIT)
+    return lambda filled: ev.value(filled, ev.exact)
+
+
+def _closed_states(g):
+    """Every forcing-closed filled set of g, as a mask."""
+    masks = _adjacency_masks(g)
+    full = (1 << g.n) - 1
+    return [s for s in range(1 << g.n) if _window_closure(masks, s, full) == s]
+
+
+def _naive_twin_pairs(g):
+    """Pairs u < v with equal open or equal closed neighbourhoods."""
+    nbrs = [set(g.adjacency[v]) for v in range(g.n)]
+    return [
+        (u, v)
+        for u, v in combinations(range(g.n), 2)
+        if nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}
+    ]
+
+
+def _is_canonical(g, state):
+    """Whether each twin class of g is filled lowest-indexed member first."""
+    return not any(state >> v & 1 and not state >> u & 1 for u, v in _naive_twin_pairs(g))
 
 
 def _reveal_values(g, sol, filled, announcement):
@@ -122,15 +150,16 @@ def _reveal_values(g, sol, filled, announcement):
 
 
 def test_oracle_response_attains_reveal_maximum():
-    # The table holds forcing-closed states only, so every case needs a closed
-    # state with a live (q+1)-announcement: star((1, 1, 2)) at q=1 and the
-    # bowtie at q=0 have none.
-    for g, q in ((cycle(5), 0), (cycle(6), 1), (star((1, 1, 2)), 0), (star((2, 2, 2)), 1)):
+    # The oracle answers at every forcing-closed state, in the memos or not,
+    # so every case needs a closed state with a live (q+1)-announcement:
+    # star((1, 1, 2)) at q=1 and the bowtie at q=0 have none.
+    cases = ((cycle(5), 0), (cycle(6), 1), (star((1, 1, 2)), 0), (star((2, 2, 2)), 1), (star((1, 1, 1)), 0))
+    for g, q in cases:
         sol = solve_zq(g, GameConfig(q=q))
         assert sol.oracle_response == {}
         oracle = adversarial_oracle(sol)
         checked = 0
-        for state in sol.values:
+        for state in _closed_states(g):
             filled = mask_to_vertices(state)
             for announcement in combinations(naive_components(g, filled), q + 1):
                 per_reveal = _reveal_values(g, sol, filled, announcement)
@@ -151,6 +180,10 @@ def test_adversarial_oracle_refuses_unevaluated_announcements():
     assert oracle({0, 2}, (frozenset({1}),)) == (frozenset({1}),)
     with pytest.raises(OracleProtocolError):  # the answered announcement, listed twice
         oracle({0, 2}, (frozenset({1}), frozenset({1})))
+    # A closed state that is no memo key: leaf 3 is filled before its twins.
+    sol = solve_zq(star((1, 1, 1)), GameConfig(q=0))
+    assert vertices_to_mask({0, 3}) not in sol.values.keys() | sol.bounds.keys()
+    assert adversarial_oracle(sol)({0, 3}, (frozenset({1}),)) == (frozenset({1}),)
     for g, q, filled, announcement in (
         (cycle(5), 0, {0, 2}, (frozenset({1}), frozenset({3, 4}))),  # q+2 components
         (cycle(5), 0, {0, 2}, (frozenset({1}), frozenset({1}))),  # one component twice
@@ -161,12 +194,8 @@ def test_adversarial_oracle_refuses_unevaluated_announcements():
         (BOWTIE, 0, {0, 1, 2}, (frozenset({3, 4}),)),  # dead: 2 sees both 3 and 4
         (clique(4), 0, {0}, (frozenset({1, 2, 3}),)),  # dead: 0 sees all of it
     ):
-        sol = solve_zq(g, GameConfig(q=q))
-        oracle = adversarial_oracle(sol)
-        if naive_window_closure(g, filled, range(g.n)) == filled:
-            # A table state, so the rule itself refuses the announcement.
-            assert vertices_to_mask(filled) in sol.values
-        with pytest.raises(OracleProtocolError):
+        oracle = adversarial_oracle(solve_zq(g, GameConfig(q=q)))
+        with pytest.raises(OracleProtocolError, match="announcement is not q\\+1 distinct unfilled components"):
             oracle(filled, announcement)
 
 
@@ -193,24 +222,40 @@ def test_solver_matches_unoptimized_reference():
 
 
 def test_best_move_achieves_memoized_value_everywhere():
-    for g, q in ((cycle(6), 0), (BOWTIE, 0), (star((1, 1, 2)), 1)):
-        sol = solve_zq(g, GameConfig(q=q))
-        value, best, _, _ = _move_evaluator(sol, len(sol.values))
+    # At every closed state, best() must pick the move a full value table
+    # would: the least (value, kind, key) over every live announcement and
+    # every token, scored with exact values. Its value is the state's, a
+    # token attains it, and so does the oracle's reveal of an announcement.
+    cases = ((cycle(6), 0), (BOWTIE, 0), (star((1, 1, 2)), 1), (star((1, 1, 1, 2)), 1), (clique(4), 1))
+    for (g, q), mode in zip(cases * 2, (MODE_CLOSURE,) * len(cases) + (MODE_SINGLE_FORCE,) * len(cases)):
+        sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
+        ev = _MoveEvaluator(sol, zqforce.game.MEMO_LIMIT)
+        value = _table_reader(sol)
         oracle = adversarial_oracle(sol)
         full = (1 << g.n) - 1
-        for state, val in sol.values.items():
+        for state in _closed_states(g):
             if state == full:
                 continue
-            move_val, kind, key = best(state)
-            assert move_val == val
+            filled = mask_to_vertices(state)
+            val = value(state)
+            moves = [(1 + value(state | 1 << v), _TOKEN, (v,)) for v in range(g.n) if not state >> v & 1]
+            for announcement in combinations(naive_components(g, filled), q + 1):
+                per_reveal = _reveal_values(g, sol, filled, announcement)
+                if per_reveal is not None:
+                    key = tuple(vertices_to_mask(c) for c in announcement)
+                    moves.append((max(per_reveal.values()), _ANNOUNCE, key))
+            move = ev.best(state)
+            case = (g.edges, q, mode, sorted(filled))
+            assert move == min(moves), case
+            move_val, kind, key = move
+            assert move_val == val, case
             if kind == _TOKEN:
-                assert val == 1 + value(state | (1 << key[0]))
+                assert val == 1 + value(state | (1 << key[0])), case
             else:
-                filled = mask_to_vertices(state)
                 announcement = tuple(mask_to_vertices(c) for c in key)
                 per_reveal = _reveal_values(g, sol, filled, announcement)
-                assert val == max(per_reveal.values())
-                assert per_reveal[frozenset(oracle(filled, announcement))] == val
+                assert val == max(per_reveal.values()), case
+                assert per_reveal[frozenset(oracle(filled, announcement))] == val, case
 
 
 def test_values_invariant_under_closure_and_monotone():
@@ -226,7 +271,7 @@ def test_values_invariant_under_closure_and_monotone():
                 n = rng.randint(2, 8)
                 g = random_connected_graph(n, rng.random() * 0.5, rng)
                 sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
-                value = _move_evaluator(sol, 1 << n)[0]
+                value = _table_reader(sol)
                 table = naive_zq_table(g, q, mode)
                 for filled, val in table.items():
                     case = (g.edges, q, mode, sorted(filled))
@@ -255,8 +300,8 @@ def test_both_rule3_modes_produce_the_same_table():
             closure = solve_zq(g, GameConfig(q, MODE_CLOSURE))
             single = solve_zq(g, GameConfig(q, MODE_SINGLE_FORCE))
             assert closure.value == single.value, (g.edges, q)
-            closure_value = _move_evaluator(closure, 1 << g.n)[0]
-            single_value = _move_evaluator(single, 1 << g.n)[0]
+            closure_value = _table_reader(closure)
+            single_value = _table_reader(single)
             for filled in range(1 << g.n):
                 assert closure_value(filled) == single_value(filled), (g.edges, q, filled)
 
@@ -276,8 +321,10 @@ def test_search_skips_tokens_where_an_announcement_costs_at_most_one():
 def test_naive_table_is_closure_invariant_and_monotone():
     # The reference memoizes every filled set under itself, not under its
     # closure, so it checks without assuming them the two facts the solver's
-    # closure-keyed memo rests on. Every key the solver stores must then be forcing-closed
-    # and carry the reference's value.
+    # closure-keyed memo rests on. Every key the solver stores, after the
+    # solve and after trace replay has searched on, must then be
+    # forcing-closed and canonical, and carry the reference's value in
+    # values or a lower bound on it in bounds.
     rng = random.Random(53)
     for _ in range(150):
         g = random_connected_graph(rng.randint(2, 7), rng.random() * 0.5, rng)
@@ -291,11 +338,95 @@ def test_naive_table_is_closure_invariant_and_monotone():
                     for v in range(g.n):
                         assert table[filled | {v}] <= val, case
                 sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
-                for state, val in sol.values.items():
-                    filled = mask_to_vertices(state)
-                    case = (g.edges, q, mode, sorted(filled))
-                    assert naive_window_closure(g, filled, range(g.n)) == filled, case
-                    assert table[filled] == val, case
+                for replayed in (False, True):
+                    if replayed:
+                        extract_player_trace(sol)
+                    assert not sol.values.keys() & sol.bounds.keys()
+                    for state, val in [*sol.values.items(), *sol.bounds.items()]:
+                        filled = mask_to_vertices(state)
+                        case = (g.edges, q, mode, sorted(filled), replayed)
+                        assert naive_window_closure(g, filled, range(g.n)) == filled, case
+                        assert _is_canonical(g, state), case
+                        if state in sol.values:
+                            assert table[filled] == val, case
+                        else:
+                            assert table[filled] >= val, case
+
+
+def _with_twin(g, v, adjacent):
+    """g plus a new vertex with v's neighbours, and v itself if adjacent: a
+    true twin of v if adjacent, else a false twin."""
+    extra = [(w, g.n) for w in g.adjacency[v]] + ([(v, g.n)] if adjacent else [])
+    return Graph.from_edges(g.n + 1, list(g.edges) + extra)
+
+
+def _twin_corpus():
+    """Seeded graphs with twins: cliques, leaves on one vertex, small block
+    graphs, and random graphs with a twin added."""
+    rng = random.Random(73)
+    graphs = [clique(4), clique(5), star((1, 1, 1)), star((1, 1, 1, 2)), star((1, 1, 2, 2))]
+    graphs += [random_block_graph(rng.randint(4, 7), rng) for _ in range(6)]
+    for _ in range(8):
+        g = random_connected_graph(rng.randint(3, 6), rng.random() * 0.5, rng)
+        graphs.append(_with_twin(g, rng.randrange(g.n), rng.random() < 0.5))
+    return graphs
+
+
+def test_twin_swaps_leave_the_naive_table_unchanged():
+    # The canonical memo key rests on this: swapping two vertices with equal
+    # open or equal closed neighbourhoods maps the graph onto itself, so it
+    # preserves the reference's value of every filled set. _twin_classes
+    # must find exactly those pairs.
+    import networkx as nx
+
+    atlas = [Graph.from_edges(len(h), list(h.edges())) for h in nx.graph_atlas_g()[1:] if len(h) <= 6]
+    swaps = 0
+    for g in atlas + _twin_corpus():
+        pairs = _naive_twin_pairs(g)
+        classes = _twin_classes(_adjacency_masks(g))
+        assert sorted(p for members in classes for p in combinations(members, 2)) == pairs, g.edges
+        if not pairs:
+            continue
+        for q in (0, 1, 2):
+            for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+                table = naive_zq_table(g, q, mode)
+                for u, v in pairs:
+                    swap = {u: v, v: u}
+                    for filled, val in table.items():
+                        assert table[frozenset(swap.get(x, x) for x in filled)] == val, (g.edges, q, mode, u, v)
+                    swaps += 1
+    assert swaps > 1000
+
+
+def test_bounded_value_is_the_value_capped_at_the_budget():
+    # value(F, k) == min(V(F), k) for every filled set F and every budget k
+    # in 0..n+1, asked in a shuffled order of one evaluator, so that answers
+    # come from exact values, from lower bounds and from new searches alike.
+    rng = random.Random(79)
+    graphs = _twin_corpus()[::2]
+    graphs += [random_connected_graph(rng.randint(4, 7), rng.random() * 0.5, rng) for _ in range(8)]
+    for g in graphs:
+        for q in (0, 1, 2):
+            for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+                table = naive_zq_table(g, q, mode)
+                sol = GameSolution(value=0, values={(1 << g.n) - 1: 0}, q=q, rule3_mode=mode, graph=g)
+                ev = _MoveEvaluator(sol, zqforce.game.MEMO_LIMIT)
+                questions = [(filled, k) for filled in table for k in range(g.n + 2)]
+                rng.shuffle(questions)
+                for filled, k in questions:
+                    expected = min(table[filled], k)
+                    assert ev.value(vertices_to_mask(filled), k) == expected, (g.edges, q, mode, sorted(filled), k)
+
+
+def test_budget_search_solves_long_cycles_from_a_few_states():
+    # Every cycle has Z_q = 2 for q <= 2; a full value table of C20 holds
+    # thousands of closed states, the bounded search a few dozen.
+    for q in (0, 1, 2):
+        for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+            sol = solve_zq(cycle(20), GameConfig(q=q, rule3_mode=mode, vertex_cap=20))
+            assert sol.value == 2
+            assert sol.states_explored <= 40, (q, mode, sol.states_explored)
+            assert check_certificate(sol.graph, q, extract_player_trace(sol))
 
 
 def test_extract_trace_p3_q1_exact_moves():
@@ -422,29 +553,47 @@ def test_vertex_cap_and_memo_limit_errors(monkeypatch):
     assert "MEMO_LIMIT" in str(err.value)
 
 
+def test_memo_limit_bounds_both_memos_together(monkeypatch):
+    # The limit counts the keys of values and bounds together: a solve
+    # whose memos hold exactly MEMO_LIMIT keys completes with the same
+    # memos, and one key fewer raises.
+    g = random_cactus(12, random.Random(61))
+    for q in (0, 1, 2):
+        reference = solve_zq(g, GameConfig(q=q))
+        limit = reference.states_explored
+        assert limit == len(reference.values) + len(reference.bounds) > 1
+        with monkeypatch.context() as m:
+            m.setattr(zqforce.game, "MEMO_LIMIT", limit)
+            sol = solve_zq(g, GameConfig(q=q))
+            assert (sol.value, sol.values, sol.bounds) == (reference.value, reference.values, reference.bounds)
+            m.setattr(zqforce.game, "MEMO_LIMIT", limit - 1)
+            with pytest.raises(ResourceLimitError, match=f"memo limit {limit - 1} reached"):
+                solve_zq(g, GameConfig(q=q))
+
+
 def _keep_evaluators(m):
-    """Make solve_zq keep each value() it builds, with that value()'s raw
-    argument memo read from the closure's cells, and never release them;
-    returns the list of (value, raw memo) pairs."""
+    """Make the game module keep every move evaluator it builds; returns the
+    list they are appended to."""
     kept = []
 
-    def keep(sol, memo_limit):
-        value, best, worst_reveal, _ = _move_evaluator(sol, memo_limit)
-        cells = dict(zip(value.__code__.co_freevars, value.__closure__))
-        kept.append((value, cells["raw"].cell_contents))
-        return value, best, worst_reveal, lambda: None
+    class Kept(_MoveEvaluator):
+        __slots__ = ()
 
-    m.setattr(zqforce.game, "_move_evaluator", keep)
+        def __init__(self, sol, memo_limit):
+            super().__init__(sol, memo_limit)
+            kept.append(self)
+
+    m.setattr(zqforce.game, "_MoveEvaluator", Kept)
     return kept
 
 
 def test_raw_memo_gives_a_warm_evaluator_the_fresh_values(monkeypatch):
-    # value() answers an argument it has seen from the raw memo without
-    # closing it. After the whole solve the search's own evaluator must
-    # still agree, on every filled set, with a new evaluator over an empty
-    # table, and the table must hold closed states only.
+    # value() finds the canonical key of an argument it has seen in the raw
+    # memo, without closing it again. After the whole solve the search's own
+    # evaluator must still agree, on every filled set, with a new evaluator
+    # over empty memos, and the memos must hold closed canonical states only.
     rng = random.Random(59)
-    graphs = [cycle(6), random_connected_graph(7, 0.1, rng), random_connected_graph(7, 0.1, rng)]
+    graphs = [cycle(6), star((1, 1, 2)), random_connected_graph(7, 0.1, rng), random_connected_graph(7, 0.1, rng)]
     for g in graphs:
         full = (1 << g.n) - 1
         masks = _adjacency_masks(g)
@@ -454,53 +603,65 @@ def test_raw_memo_gives_a_warm_evaluator_the_fresh_values(monkeypatch):
                 with monkeypatch.context() as m:
                     kept = _keep_evaluators(m)
                     sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
-                ((warm, raw),) = kept
-                assert any(state not in sol.values for state in raw), case
+                (warm,) = kept
+                keys = sol.values.keys() | sol.bounds.keys()
+                assert any(state not in keys for state in warm.raw), case
                 for filled in range(1 << g.n):
                     fresh_sol = GameSolution(value=0, values={full: 0}, q=q, rule3_mode=mode, graph=g)
-                    fresh = _move_evaluator(fresh_sol, 1 << g.n)[0]
-                    assert warm(filled) == fresh(filled), case + (filled,)
-                assert all(_window_closure(masks, state, full) == state for state in sol.values), case
+                    fresh = _MoveEvaluator(fresh_sol, 1 << g.n)
+                    assert warm.value(filled, g.n + 1) == fresh.value(filled, g.n + 1), case + (filled,)
+                assert all(_window_closure(masks, state, full) == state for state in keys), case
+                assert all(_is_canonical(g, state) for state in keys), case
 
 
 def test_raw_memo_is_cleared_at_the_memo_limit(monkeypatch):
-    # C16 at q = 1 stores 474 closed states but calls value() on about
-    # 1,900 distinct arguments. With room for exactly the value table, the
-    # raw memo must be cleared to stay within the limit, which changes
-    # neither the value nor the states searched.
-    reference = solve_zq(cycle(16), GameConfig(q=1))
+    # The search calls value() on more distinct arguments than it stores
+    # keys. With room for exactly the memos, the raw memo must be cleared
+    # to stay within the limit, which changes neither the value nor the
+    # memos.
+    g = random_cactus(14, random.Random(71))
+    reference = solve_zq(g, GameConfig(q=1))
     limit = reference.states_explored
     monkeypatch.setattr(zqforce.game, "MEMO_LIMIT", limit)
     kept = _keep_evaluators(monkeypatch)
     sizes = []
 
     def closure_spy(masks, filled, window):
-        sizes.append(len(kept[0][1]))
+        sizes.append(len(kept[0].raw))
         return _window_closure(masks, filled, window)
 
     monkeypatch.setattr(zqforce.game, "_window_closure", closure_spy)
-    sol = solve_zq(cycle(16), GameConfig(q=1))
-    assert sol.value == reference.value == 2
-    assert sol.values == reference.values
-    sizes.append(len(kept[0][1]))
+    sol = solve_zq(g, GameConfig(q=1))
+    assert sol.value == reference.value
+    assert (sol.values, sol.bounds) == (reference.values, reference.bounds)
+    sizes.append(len(kept[0].raw))
     assert max(sizes) <= limit
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "the raw memo was never cleared"
 
 
 def test_a_dropped_solve_leaves_no_cyclic_garbage():
-    # The evaluator's closures call each other. solve_zq releases its
-    # evaluator before it returns, so a dropped result is freed by
-    # reference counting and the cyclic GC finds nothing to collect.
+    # The move evaluator is an object whose methods call each other through
+    # it, with no reference back to them, so a dropped solve, a dropped
+    # trace and a dropped oracle are freed by reference counting and the
+    # cyclic GC finds nothing to collect.
+    sol = solve_zq(cycle(12), GameConfig(q=1))
+    cases = (
+        lambda: solve_zq(cycle(16), GameConfig(q=2)),
+        lambda: extract_player_trace(sol),
+        lambda: adversarial_oracle(sol),
+        lambda: adversarial_oracle(sol)({0, 2, 4}, (frozenset({1}), frozenset(range(5, 12)))),
+        lambda: extract_player_trace(solve_zq(star((1, 1, 1, 2)), GameConfig(q=1, rule3_mode=MODE_SINGLE_FORCE))),
+    )
     gc.collect()
     gc.disable()
     try:
-        sol = solve_zq(cycle(16), GameConfig(q=2))
-        assert sol.value == 2
-        del sol
-        found = gc.collect()
+        found = []
+        for make in cases:
+            make()
+            found.append(gc.collect())
     finally:
         gc.enable()
-    assert found == 0
+    assert found == [0] * len(cases)
 
 
 def test_solver_plays_two_stars_as_one_game():
@@ -531,5 +692,5 @@ def test_solution_report_shape():
     assert report["value"] == 2
     assert report["q"] == 0
     assert report["rule3_mode"] == MODE_CLOSURE
-    assert report["states_explored"] == sol.states_explored == len(sol.values) > 0
+    assert report["states_explored"] == sol.states_explored == len(sol.values) + len(sol.bounds) > 0
     assert report["trace"] == format_certificate(cert).splitlines()
