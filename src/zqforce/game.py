@@ -405,7 +405,11 @@ def adversarial_oracle(sol: GameSolution):
     components with no dead reveal; any other announcement raises
     OracleProtocolError.
     """
-    ev = _MoveEvaluator(sol, MEMO_LIMIT)
+    return _oracle_policy(sol, _MoveEvaluator(sol, MEMO_LIMIT))
+
+
+def _oracle_policy(sol: GameSolution, ev: _MoveEvaluator):
+    """adversarial_oracle's policy, deriving reveals with `ev`."""
     masks = ev.masks
     full = ev.full
 
@@ -415,18 +419,21 @@ def adversarial_oracle(sol: GameSolution):
         combo = tuple(c for c in _mask_components(masks, full & ~state) if c in announced)
         key = (state, combo)
         # combo holds each unfilled component at most once, so equal lengths
-        # rule out repeated entries and non-components alike.
-        legal = _window_closure(masks, state, full) == state and len(combo) == len(announced) == sol.q + 1
-        if legal and key not in sol.oracle_response:
-            worst = ev.worst_reveal(state, combo)
-            if worst is not None:
-                sol.oracle_response[key] = worst[1]
-        if not legal or key not in sol.oracle_response:
+        # rule out repeated entries and non-components alike. A stored key
+        # passed the closure check when it was stored.
+        reveal = None
+        if len(combo) == len(announced) == sol.q + 1:
+            reveal = sol.oracle_response.get(key)
+            if reveal is None and _window_closure(masks, state, full) == state:
+                worst = ev.worst_reveal(state, combo)
+                if worst is not None:
+                    reveal = sol.oracle_response[key] = worst[1]
+        if reveal is None:
             raise OracleProtocolError(
                 "announcement is not q+1 distinct unfilled components of a forcing-closed state"
                 " with no dead reveal"
             )
-        return tuple(mask_to_vertices(c) for c in sol.oracle_response[key])
+        return tuple(mask_to_vertices(c) for c in reveal)
 
     return policy
 
@@ -439,9 +446,9 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
     spends exactly sol.value tokens against that default and never more than
     sol.value against any legal oracle.
     """
-    if oracle is None:
-        oracle = adversarial_oracle(sol)
     ev = _MoveEvaluator(sol, MEMO_LIMIT)
+    if oracle is None:
+        oracle = _oracle_policy(sol, ev)
     masks = ev.masks
     full = ev.full
     closure_mode = sol.rule3_mode == MODE_CLOSURE

@@ -587,6 +587,33 @@ def _keep_evaluators(m):
     return kept
 
 
+def test_trace_and_its_default_oracle_share_one_evaluator(monkeypatch):
+    # The default oracle derives its reveals with the trace's own evaluator,
+    # so the adjacency masks, twin classes and raw memo are built once.
+    sol = solve_zq(star((2, 2, 2)), GameConfig(q=1))
+    kept = _keep_evaluators(monkeypatch)
+    cert = extract_player_trace(sol)
+    assert any(isinstance(move, AnnounceMove) for move in cert.trace) and sol.oracle_response
+    assert len(kept) == 1
+
+
+def test_oracle_answers_a_repeated_announcement_from_its_store(monkeypatch):
+    # A stored reveal passed the closure check when it was derived, so the
+    # same announcement asked again is answered without closing the state.
+    oracle = adversarial_oracle(solve_zq(cycle(5), GameConfig(q=0)))
+    asked = ({0, 2}, (frozenset({3, 4}),))
+    first = oracle(*asked)
+    calls = []
+
+    def closure_spy(masks, filled, window):
+        calls.append(filled)
+        return _window_closure(masks, filled, window)
+
+    monkeypatch.setattr(zqforce.game, "_window_closure", closure_spy)
+    assert oracle(*asked) == first
+    assert calls == []
+
+
 def test_raw_memo_gives_a_warm_evaluator_the_fresh_values(monkeypatch):
     # value() finds the canonical key of an argument it has seen in the raw
     # memo, without closing it again. After the whole solve the search's own
