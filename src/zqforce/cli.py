@@ -25,8 +25,8 @@ from .errors import (
     VerificationMismatch,
     ZqError,
 )
-from .forcing import BRUTE_FORCE_CAP, brute_force_Z
 from .game import (
+    DEFAULT_VERTEX_CAP,
     MODE_CLOSURE,
     MODE_SINGLE_FORCE,
     GameConfig,
@@ -60,7 +60,7 @@ _CLOSED_FORMS = {
     "windmill_II": lambda p, q: closed_forms.windmill_II_Zq(p.eta, p.k, p.l, q),
 }
 
-METHODS = ("auto", "exact", "block", "cactus", "formula", "brute")
+METHODS = ("auto", "exact", "block", "cactus", "formula")
 
 
 def detect_class(g: Graph) -> str:
@@ -112,8 +112,15 @@ def _load_graph(args):
     if args.file and args.family:
         raise GraphValidationError("give either --file or --family, not both")
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read()), args.file, None, None
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file in one call, so exc.object is all
+            # of it; lines are numbered as parse_edge_list numbers them.
+            lineno = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
+            raise EdgeListParseError(lineno, f"not UTF-8: byte 0x{exc.object[exc.start]:02x}") from None
+        return parse_edge_list(text), args.file, None, None
     if args.family:
         kind = _FAMILY_ALIASES.get(args.family)
         if kind is None:
@@ -144,11 +151,6 @@ def _solve(g: Graph, method: str, cfg: GameConfig):
     if method == "exact":
         sol = solve_zq(g, cfg)
         return sol.value, lambda: extract_player_trace(sol), sol
-    if method == "brute":
-        if cfg.q < g.n:
-            _warn(f"brute force computes plain Z, which equals Z_q only for q >= n={g.n}")
-        value, witness = brute_force_Z(g)
-        return value, lambda: certificate_from_tokens(g, sorted(witness)), None
     if method == "fold":
         return block_Z0(g, cfg.vertex_cap), None, None
     raise ScopeError(f"method {method!r} cannot run here")
@@ -161,7 +163,6 @@ def _coverage(g: Graph, cap: int):
     - block, when every block of g is a clique with at least three vertices;
     - cactus, at q = 0 when g is a cactus;
     - exact, when n <= cap;
-    - brute, when q >= n (there Z_q = Z) and n <= BRUTE_FORCE_CAP;
     - fold, at q = 0 when every block of g is a bridge, a cycle, a clique
       or has at most cap vertices: structured.block_Z0, which adds up the
       blocks' Z_0 and so covers disconnected inputs too.
@@ -180,8 +181,6 @@ def _coverage(g: Graph, cap: int):
             yield "cactus"
         if g.n <= cap:
             yield "exact"
-        if q >= g.n and g.n <= BRUTE_FORCE_CAP:
-            yield "brute"
         if q == 0 and foldable():
             yield "fold"
 
@@ -192,9 +191,8 @@ def _refusal(g: Graph, q_list, cap: int) -> ScopeError:
     """Why the coverage rule of g lists no method at any q of q_list."""
     return ScopeError(
         f"no method applies at q={','.join(map(str, q_list))}: n={g.n} exceeds the exact cap {cap}, the "
-        f"graph is not a block graph with blocks >= 3, brute force needs q >= n and n <= {BRUTE_FORCE_CAP}, "
-        f"and the block fold needs q=0 and no block of more than {cap} vertices that is neither a clique "
-        "nor a cycle"
+        f"graph is not a block graph with blocks >= 3, and the block fold needs q=0 and no block of more "
+        f"than {cap} vertices that is neither a clique nor a cycle"
     )
 
 
@@ -387,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--rule3", choices=("closure", "single"), default="closure")
-    p.add_argument("--cap", type=int, default=16, help="exact-solver vertex cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="exact-solver vertex cap")
     p.add_argument("--trace", help="write the certificate to this path")
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", help="write the report here instead of stdout")
@@ -398,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="vertex count for path/cycle/clique/random families")
     p.add_argument("--q-list", dest="q_list", required=True, help="comma-separated q values")
     p.add_argument("--rule3", choices=("closure", "single"), default="closure")
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_verify)
@@ -416,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="vertex count for path/cycle/clique/random families")
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--rule3", choices=("closure", "single"), default="closure")
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     p.add_argument("--output", help="write the transcript here instead of stdout")
     p.set_defaults(func=cmd_strategy)
 

@@ -1,6 +1,6 @@
 """Standard zero forcing: the forcing closure, as a set with one force
-sequence that realizes it and as a bitmask, and a brute-force oracle for
-the zero forcing number Z.
+sequence that realizes it and as a bitmask, and `brute_force_Z`, the
+reference zero forcing number Z that the tests and perfbench check against.
 
 A filled vertex with a unique unfilled neighbor forces that neighbor; the
 closure iterates this to a fixed point. The closure is confluent, so the

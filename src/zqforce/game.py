@@ -88,7 +88,7 @@ from .graphs import Graph
 MODE_CLOSURE = "closure"
 MODE_SINGLE_FORCE = "single_force"
 
-DEFAULT_VERTEX_CAP = 16
+DEFAULT_VERTEX_CAP = 20
 # Bounds each move evaluator's memos: the solve's values and bounds together,
 # which raise ResourceLimitError when full, and the raw-argument memo, which
 # is cleared. About 60 B per values/bounds entry and 85 B per raw entry

@@ -8,6 +8,7 @@ from zqforce import (
     GameConfig,
     Graph,
     block_graph_Z,
+    brute_force_Z,
     check_certificate,
     format_edge_list,
     parse_certificate,
@@ -16,6 +17,7 @@ from zqforce import (
 from zqforce.cli import main
 
 from helpers import (
+    BOWTIE,
     cycle,
     disjoint_union,
     naive_zq_value,
@@ -120,9 +122,8 @@ def test_uncovered_component_refuses_the_whole_input(tmp_path, capsys):
     f = _write(tmp_path, "diamond_dot.el", "n 5\n0 1\n0 2\n1 2\n1 3\n2 3\n")
     assert main(["compute", "--file", f, "--q", "0", "--cap", "3"]) == 3
     refusal = (
-        "n=5 exceeds the exact cap 3, the graph is not a block graph with blocks >= 3, brute "
-        "force needs q >= n and n <= 20, and the block fold needs q=0 and no block of more than "
-        "3 vertices that is neither a clique nor a cycle"
+        "n=5 exceeds the exact cap 3, the graph is not a block graph with blocks >= 3, and the block "
+        "fold needs q=0 and no block of more than 3 vertices that is neither a clique nor a cycle"
     )
     assert capsys.readouterr().err == f"error: no method applies at q=0: {refusal}\n"
     assert main(["verify", "--file", f, "--q-list", "0,1", "--cap", "3"]) == 3
@@ -131,22 +132,35 @@ def test_uncovered_component_refuses_the_whole_input(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[2:] == ["method: fold", "q: 0", "value: 3"]
 
 
-def test_compute_auto_uses_brute_force_at_q_at_least_n(tmp_path, capsys):
-    # C18 is over the exact cap, but at q >= n Z_q is plain Z, which brute
-    # force covers as verify already does.
+def test_compute_auto_uses_exact_at_q_at_least_n(tmp_path, capsys):
+    # At q >= n no announcement is legal and Z_q is plain Z; the exact
+    # search covers it up to the default cap of 20, with a certificate.
     argv = ["compute", "--family", "cycle", "--n", "18", "--q", "18"]
     assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[2:] == ["method: brute", "q: 18", "value: 2"]
+    assert capsys.readouterr().out.splitlines()[2:] == ["method: exact", "q: 18", "value: 2"]
     trace = str(tmp_path / "c18.cert")
     assert main(argv + ["--trace", trace]) == 0
     assert check_certificate(cycle(18), 18, parse_certificate(open(trace).read()))
     assert main(["compute", "--family", "cycle", "--n", "21", "--q", "21"]) == 3
-    assert "brute force needs q >= n and n <= 20" in capsys.readouterr().err
+    assert "n=21 exceeds the exact cap 20" in capsys.readouterr().err
 
 
 def test_compute_parse_error_exit_code(tmp_path):
     f = _write(tmp_path, "bad.el", "0 1\nnope\n")
     assert main(["compute", "--file", f]) == 2
+
+
+@pytest.mark.parametrize("command", [["compute"], ["verify", "--q-list", "0"], ["strategy"]])
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
+    f = tmp_path / "bytes.el"
+    f.write_bytes(b"\xff\xfe0 1\n")
+    assert main([command[0], "--file", str(f), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: not UTF-8: byte 0xff\n"
+    f.write_bytes(b"0 1\r\n1 2\r2 \xe9\n")
+    assert main([command[0], "--file", str(f), *command[1:]]) == 2
+    assert capsys.readouterr().err == "error: line 3: not UTF-8: byte 0xe9\n"
 
 
 def test_verify_bowtie_all_methods_agree(tmp_path, capsys):
@@ -158,7 +172,8 @@ def test_verify_bowtie_all_methods_agree(tmp_path, capsys):
     q0 = payload["rows"][0]["values"]
     assert q0["exact"] == q0["block"] == q0["cactus"] == 3
     q5 = payload["rows"][2]["values"]
-    assert q5["brute"] == 3
+    assert q5 == {"block": 3, "exact": 3}
+    assert brute_force_Z(BOWTIE)[0] == 3
 
 
 def test_verify_windmill2_formula_vs_exact(capsys):
@@ -187,14 +202,14 @@ def test_verify_drops_a_formula_that_refuses_its_input(capsys):
     assert capsys.readouterr().out.splitlines()[2:] == ["method: exact", "q: 1", "value: 2"]
 
 
-def test_verify_windmill1_formula_block_and_brute_in_one_row(capsys):
+def test_verify_windmill1_formula_block_and_exact_in_one_row(capsys):
     argv = ["verify", "--family", "windmill1", "--eta", "2", "--k", "3", "--l", "1", "--q-list", "0,1,7"]
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == [
         "source: family:windmill_I",
         "q=0: block=5, exact=5, fold=5, formula=5 [ok]",
         "q=1: block=5, exact=5, formula=5 [ok]",
-        "q=7: block=5, brute=5, exact=5, formula=5 [ok]",
+        "q=7: block=5, exact=5, formula=5 [ok]",
     ]
 
 
@@ -204,7 +219,8 @@ def test_verify_c6(tmp_path, capsys):
     assert code == 0
     values = {row["q"]: row["values"] for row in payload["rows"]}
     assert values[0]["exact"] == values[0]["cactus"] == 2
-    assert values[6]["exact"] == values[6]["brute"] == 2
+    assert values[6] == {"exact": 2}
+    assert brute_force_Z(cycle(6))[0] == 2
 
 
 def test_verify_catches_injected_formula_fault(capsys, monkeypatch):
@@ -317,18 +333,20 @@ def test_malformed_numbers_exit_2(capsys, argv):
 
 
 def test_verify_refuses_q_values_no_method_covers(capsys):
-    # C20 is above the exact cap, not a block graph, a cactus only at q=0,
-    # too small a q for brute force, and has no closed form.
-    assert main(["verify", "--family", "cycle", "--n", "20", "--q-list", "1,0,2,1"]) == 3
+    # C21 is above the exact cap, not a block graph, a cactus only at q=0,
+    # and has no closed form.
+    assert main(["verify", "--family", "cycle", "--n", "21", "--q-list", "1,0,2,1,21"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == (
-        "error: no method applies at q=1,2: n=20 exceeds the exact cap 16, the graph is not a block "
-        "graph with blocks >= 3, brute force needs q >= n and n <= 20, and the block fold needs q=0 "
-        "and no block of more than 16 vertices that is neither a clique nor a cycle"
+        "error: no method applies at q=1,2,21: n=21 exceeds the exact cap 20, the graph is not a block "
+        "graph with blocks >= 3, and the block fold needs q=0 and no block of more than 20 vertices "
+        "that is neither a clique nor a cycle"
     )
-    assert main(["verify", "--family", "cycle", "--n", "20", "--q-list", "0,20"]) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == ["q=0: cactus=2, fold=2 [ok]", "q=20: brute=2 [ok]"]
+    assert main(["verify", "--family", "cycle", "--n", "21", "--q-list", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["q=0: cactus=2, fold=2 [ok]"]
+    assert main(["verify", "--family", "cycle", "--n", "20", "--q-list", "20"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["q=20: exact=2 [ok]"]
 
 
 def test_compute_disconnected_trace_writes_a_checked_certificate(tmp_path, capsys):
@@ -345,20 +363,18 @@ def test_compute_disconnected_trace_writes_a_checked_certificate(tmp_path, capsy
     assert len(cert.tokens) == 4 and check_certificate(two_triangles, 0, cert)
 
 
-def test_compute_brute_with_trace(tmp_path, capsys):
+def test_compute_method_brute_is_a_usage_error(tmp_path, capsys):
+    # Brute force is the tests' reference, not a route: at q >= n the exact
+    # search answers with a certificate, and --method brute is refused.
     f = _write(tmp_path, "c6.el", "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
     trace = str(tmp_path / "c6.cert")
-    code, payload = _run_json(
-        capsys, ["compute", "--file", f, "--q", "6", "--method", "brute", "--trace", trace, "--json"]
-    )
-    assert code == 0
-    assert payload["method"] == "brute"
-    assert payload["value"] == 2
+    code, payload = _run_json(capsys, ["compute", "--file", f, "--q", "6", "--trace", trace, "--json"])
+    assert (code, payload["method"], payload["value"]) == (0, "exact", 2)
     assert check_certificate(cycle(6), 6, parse_certificate(open(trace).read()))
-    assert main(["compute", "--file", f, "--q", "0", "--method", "brute"]) == 0
-    assert capsys.readouterr().err == (
-        "warning: brute force computes plain Z, which equals Z_q only for q >= n=6\n"
-    )
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compute", "--file", f, "--q", "6", "--method", "brute"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'brute'" in capsys.readouterr().err
 
 
 def test_strategy_star_transcript_announces_twice(capsys):
@@ -428,11 +444,8 @@ def test_compute_exact_replays_a_certificate_only_when_asked(tmp_path, capsys, m
 def test_verify_builds_no_certificate(tmp_path, capsys, monkeypatch):
     calls = _count_calls(monkeypatch, "certificate_from_tokens")
     assert main(["verify", "--family", "cycle", "--n", "6", "--q-list", "6"]) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == ["q=6: brute=2, exact=2 [ok]"]
+    assert capsys.readouterr().out.splitlines()[1:] == ["q=6: exact=2 [ok]"]
     assert calls == []
-    assert main(["compute", "--family", "cycle", "--n", "6", "--q", "6", "--method", "brute"]) == 0
-    assert calls == []
-    capsys.readouterr()
     bowtie = _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
     assert main(["verify", "--file", bowtie, "--q-list", "0,1"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
@@ -511,7 +524,7 @@ def test_two_stars_are_one_game(tmp_path, capsys):
         "q=0: cactus=2, exact=2, fold=2 [ok]",
         "q=1: exact=3 [ok]",
         "q=2: exact=4 [ok]",
-        "q=8: brute=4, exact=4 [ok]",
+        "q=8: exact=4 [ok]",
     ]
     assert main(["strategy", "--file", f, "--q", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "tokens spent: 3 (game value 3)"

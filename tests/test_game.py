@@ -81,12 +81,24 @@ def test_monotone_chain_and_brute_agreement():
         assert values[-1] == brute_force_Z(g)[0]
 
 
-def test_game_with_q_equal_n_matches_brute_force_up_to_8():
+def test_game_with_q_equal_n_matches_brute_force_up_to_18():
+    # At q >= n the exact search is the only route, so brute force checks it
+    # on each seeded family up to n = 18. Dense G(n, 0.5) stops at n = 17 to
+    # keep the test short: there both solves take about twice as long per
+    # added vertex.
     rng = random.Random(33)
     samples = [cycle(8), clique(8), star((3, 2, 2))]
     samples += [random_connected_graph(8, rng.random() * 0.4, rng) for _ in range(8)]
+    families = (
+        (random_tree, range(9, 19)),
+        (random_cactus, range(9, 19)),
+        (random_block_graph, range(9, 19)),
+        (lambda n, rng: random_connected_graph(n, 0.15, rng), range(9, 19)),
+        (lambda n, rng: random_connected_graph(n, 0.5, rng), range(9, 18)),
+    )
+    samples += [make(n, random.Random(1000 * n + 7)) for make, sizes in families for n in sizes]
     for g in samples:
-        assert solve_zq(g, GameConfig(q=g.n)).value == brute_force_Z(g)[0]
+        assert solve_zq(g, GameConfig(q=g.n)).value == brute_force_Z(g)[0], g.edges
 
 
 def test_memo_consistency():
@@ -545,7 +557,7 @@ def test_illegal_oracle_reveal_is_reported():
 
 def test_vertex_cap_and_memo_limit_errors(monkeypatch):
     with pytest.raises(ResourceLimitError):
-        solve_zq(path(17), GameConfig(q=0))
+        solve_zq(path(21), GameConfig(q=0))
     monkeypatch.setattr(zqforce.game, "MEMO_LIMIT", 4)
     with pytest.raises(ResourceLimitError, match="memo limit 4 reached") as err:
         solve_zq(cycle(6), GameConfig(q=0))
