@@ -10,7 +10,7 @@ player still has to spend against a worst-case oracle:
         (c) max over reveals L of the announcement's successors   [announce]
 
 States are bitmasks, and the search answers bounded questions:
-value(F, k) = min(V(F), k), which tells whether V(F) < k and, if so, gives
+capped(F, k) = min(V(F), k), which tells whether V(F) < k and, if so, gives
 V(F). A search of F with budget k keeps the best value found so far, which
 starts at k:
 
@@ -41,32 +41,34 @@ automorphism maps a closed set onto a closed set. The search scores a token
 only on the lowest unfilled vertex of each twin class: a token on another
 member of the class leads to the same canonical state.
 
-Each move evaluator also keeps a private raw memo from each argument of
-value() to its key, read before the closure is computed: a successor is
-often reached again, from another state or with another budget, and a dict
-lookup costs less than closing it again. That memo is never returned and is
+Each solution also keeps a private raw memo from each argument of capped()
+to its key, read before the closure is computed: a successor is often
+reached again, from another state or with another budget, and a dict lookup
+costs less than closing it again. That memo lives as long as the solution,
+so trace replay and the oracle read it too; it is never returned and is
 cleared whenever it reaches the memo limit.
 
 Optimal play for both sides is re-derived from the memos on demand by the
-same evaluator, which searches with a budget on a miss. At a closed state
-the player's move is the first, in (value, kind, key) order, whose value is
-V(F): announcements before tokens, then by key. Each candidate is checked
-with budget V(F) + 1, so the choice is the one a full value table would
-give. Moves are picked at closed states only; trace replay plays the forces
-of a non-closed state itself, lowest (u, target) first.
+solution that holds them, which searches with a budget on a miss. At a
+closed state the player's move is the first, in (value, kind, key) order,
+whose value is V(F): announcements before tokens, then by key. Each
+candidate is checked with budget V(F) + 1, so the choice is the one a full
+value table would give. Moves are picked at closed states only; trace
+replay plays the forces of a non-closed state itself, lowest (u, target)
+first.
 
 An announcement is discarded when some nonempty reveal admits no force in
 the revealed subgraph: the oracle would pick that reveal and the state would
 not change, so the move is a value-neutral self-loop. Announcing more than
 q+1 components only enlarges the oracle's choice set and can never help the
 player, so the search enumerates announcements of exactly q+1 components.
-The move evaluator, with `_window_forces` and forcing's `_window_closure`,
-is the package's one statement of these rules.
+GameSolution's scorer, with `_window_forces` and forcing's
+`_window_closure`, is the package's one statement of these rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .certificates import (
@@ -89,11 +91,11 @@ MODE_CLOSURE = "closure"
 MODE_SINGLE_FORCE = "single_force"
 
 DEFAULT_VERTEX_CAP = 20
-# Bounds each move evaluator's memos: the solve's values and bounds together,
-# which raise ResourceLimitError when full, and the raw-argument memo, which
-# is cleared. About 60 B per values/bounds entry and 85 B per raw entry
-# (tracemalloc, random_cactus n=20 seed 1 at q=2, 5,321 and 19,893 entries):
-# ~1.0 GB and ~1.4 GB at the limit.
+# Bounds each solution's memos, read when the solution is built: its values
+# and bounds together, which raise ResourceLimitError when full, and the
+# raw-argument memo, which is cleared. About 60 B per values/bounds entry
+# and 85 B per raw entry (tracemalloc, random_cactus n=20 seed 1 at q=2,
+# 5,321 and 19,893 entries): ~1.0 GB and ~1.4 GB at the limit.
 MEMO_LIMIT = 1 << 24
 
 
@@ -110,35 +112,6 @@ class GameConfig:
             raise GraphValidationError(f"unknown rule3_mode {self.rule3_mode!r}")
         if not (1 <= self.vertex_cap <= 64):
             raise GraphValidationError("vertex_cap must be in 1..64")
-
-
-@dataclass
-class GameSolution:
-    """Game value and the memos of a solve.
-
-    States and components are vertex bitmasks. Each memo key is the
-    canonical form of a forcing-closed state (see the module docstring),
-    and a state has the value of its key. values maps a key to its game
-    value; bounds maps a key whose value was only ever shown to be at least
-    k to that k. The two hold different keys, and states_explored counts
-    both. Moves and reveals are not stored: extract_player_trace and
-    adversarial_oracle derive them on demand from the memos, searching on
-    and adding to them where a memo falls short. oracle_response keeps the
-    reveals the adversarial oracle has been asked for, keyed by (state,
-    announced component masks); it is empty when solve_zq returns.
-    """
-
-    value: int
-    values: dict
-    q: int
-    rule3_mode: str
-    graph: Graph
-    oracle_response: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
-
-    @property
-    def states_explored(self) -> int:
-        return len(self.values) + len(self.bounds)
 
 
 def mask_to_vertices(mask: int) -> frozenset:
@@ -210,60 +183,82 @@ def _subset_unions(combo: tuple) -> list:
 _ANNOUNCE, _TOKEN = 0, 1
 
 
-class _MoveEvaluator:
-    """The one scorer of moves, shared by the search and by replay.
+class GameSolution:
+    """One solve of the game on `graph`: its value, its memos, and the one
+    scorer of moves, which the search, trace replay and the oracle share.
 
-    It reads and extends the memos `sol.values` and `sol.bounds` and holds
-    no reference to its own methods, so it is freed by reference counting.
-      value(state, budget): min(V(state), budget), answered from the memos
-        under the canonical key of `state` or searched and memoized there.
-        It first looks `state` up in the evaluator's own raw memo, which
-        maps each argument value() has seen to its key; that memo is
-        cleared when it reaches memo_limit entries;
-      best(state) -> (value, kind, key): the optimal move at a forcing-closed
-        state. Ties break by kind (announce, token), then by key: the
-        component masks for an announcement, (v,) for a token;
-      worst_reveal(state, combo) -> (value, reveal) for the first
-        strict-maximum reveal of the announcement in subset order, or None
-        if some reveal is dead.
-    A search that would add a key to memos already holding memo_limit keys
-    between them raises ResourceLimitError.
+    States and components are vertex bitmasks. Each memo key is the
+    canonical form of a forcing-closed state (see the module docstring),
+    and a state has the value of its key. values maps a key to its game
+    value; bounds maps a key whose value was only ever shown to be at least
+    k to that k. The two hold different keys, and states_explored counts
+    both. value is None until solve_zq sets it. Moves and reveals are not
+    stored: extract_player_trace and adversarial_oracle derive them on
+    demand from the memos, searching on and adding to them where a memo
+    falls short. oracle_response keeps the reveals the adversarial oracle
+    has been asked for, keyed by (state, announced component masks); it is
+    empty when solve_zq returns.
+
+    The private scorer holds no reference to its own methods, so a dropped
+    solution is freed by reference counting:
+      _capped(state, budget): min(V(state), budget), answered from the
+        memos under the canonical key of `state` or searched and memoized
+        there. It first looks `state` up in the raw memo, which maps each
+        argument _capped() has seen to its key; that memo is cleared when
+        it reaches MEMO_LIMIT entries;
+      _best(state) -> (value, kind, key): the optimal move at a
+        forcing-closed state. Ties break by kind (announce, token), then by
+        key: the component masks for an announcement, (v,) for a token;
+      _worst_reveal(state, combo): the first strict-maximum reveal of the
+        announcement in subset order, or None if some reveal is dead.
+    A search that would add a key to memos already holding MEMO_LIMIT keys
+    between them raises ResourceLimitError. MEMO_LIMIT is read when the
+    solution is built.
     """
 
     __slots__ = (
-        "values", "bounds", "raw", "memo_limit", "masks", "full", "exact", "q", "closure_mode", "lone", "classes"
+        "value", "values", "bounds", "q", "rule3_mode", "graph", "oracle_response",
+        "_raw", "_memo_limit", "_masks", "_full", "_exact", "_closure_mode", "_lone", "_classes",
     )
 
-    def __init__(self, sol: GameSolution, memo_limit: int):
-        self.values = sol.values
-        self.bounds = sol.bounds
-        self.raw = {}
-        self.memo_limit = memo_limit
-        self.masks = _adjacency_masks(sol.graph)
-        self.full = (1 << sol.graph.n) - 1
-        self.exact = sol.graph.n + 1  # above every value: no budget bites
-        self.q = sol.q
-        self.closure_mode = sol.rule3_mode == MODE_CLOSURE
+    def __init__(self, g: Graph, cfg: GameConfig):
+        self.value = None
+        self.graph = g
+        self.q = cfg.q
+        self.rule3_mode = cfg.rule3_mode
+        self._full = (1 << g.n) - 1
+        self.values = {self._full: 0}
+        self.bounds = {}
+        self.oracle_response = {}
+        self._raw = {}
+        self._memo_limit = MEMO_LIMIT
+        self._masks = _adjacency_masks(g)
+        self._exact = g.n + 1  # above every value: no budget bites
+        self._closure_mode = cfg.rule3_mode == MODE_CLOSURE
         # Per twin class, its mask and the masks of its lowest 0, 1, ... members.
-        self.classes = []
-        self.lone = self.full
-        for members in _twin_classes(self.masks):
+        self._classes = []
+        self._lone = self._full
+        for members in _twin_classes(self._masks):
             prefix = [0]
             for v in members:
                 prefix.append(prefix[-1] | 1 << v)
-            self.classes.append((prefix[-1], prefix))
-            self.lone &= ~prefix[-1]
+            self._classes.append((prefix[-1], prefix))
+            self._lone &= ~prefix[-1]
 
-    def value(self, filled: int, budget: int) -> int:
-        key = self.raw.get(filled)
+    @property
+    def states_explored(self) -> int:
+        return len(self.values) + len(self.bounds)
+
+    def _capped(self, filled: int, budget: int) -> int:
+        key = self._raw.get(filled)
         if key is None:
-            closed = _window_closure(self.masks, filled, self.full)
-            key = closed & self.lone
-            for members, prefix in self.classes:
+            closed = _window_closure(self._masks, filled, self._full)
+            key = closed & self._lone
+            for members, prefix in self._classes:
                 key |= prefix[(closed & members).bit_count()]
-            if len(self.raw) >= self.memo_limit:
-                self.raw.clear()
-            self.raw[filled] = key
+            if len(self._raw) >= self._memo_limit:
+                self._raw.clear()
+            self._raw[filled] = key
         val = self.values.get(key)
         if val is not None:
             return val if val < budget else budget
@@ -271,9 +266,9 @@ class _MoveEvaluator:
         if floor >= budget:
             return budget
         val = self._search(key, budget, floor)
-        if not floor and len(self.values) + len(self.bounds) >= self.memo_limit:
+        if not floor and len(self.values) + len(self.bounds) >= self._memo_limit:
             raise ResourceLimitError(
-                f"memo limit {self.memo_limit} reached; solve a smaller graph or raise zqforce.game.MEMO_LIMIT"
+                f"memo limit {self._memo_limit} reached; solve a smaller graph or raise zqforce.game.MEMO_LIMIT"
             )
         if val < budget:
             self.values[key] = val
@@ -286,12 +281,12 @@ class _MoveEvaluator:
     def _search(self, filled: int, budget: int, floor: int) -> int:
         """min(V(filled), budget) at a canonical closed state other than the
         full one, where V(filled) >= floor is known."""
-        unfilled = self.full & ~filled
+        unfilled = self._full & ~filled
         best = budget
 
         # Rule 3: announcements of exactly q+1 unfilled components.
         if unfilled.bit_count() > self.q:
-            comps = _mask_components(self.masks, unfilled)
+            comps = _mask_components(self._masks, unfilled)
             if len(comps) > self.q:
                 cache = {}
                 for combo in combinations(comps, self.q + 1):
@@ -301,13 +296,13 @@ class _MoveEvaluator:
 
         # Rule 1: tokens, worth at least 1, on the lowest unfilled twin only.
         tokens = unfilled
-        for members, _ in self.classes:
+        for members, _ in self._classes:
             twins = unfilled & members
             tokens ^= twins & (twins - 1)
         while tokens and best > max(floor, 1):
             low = tokens & -tokens
             tokens ^= low
-            val = 1 + self.value(filled | low, best - 1)
+            val = 1 + self._capped(filled | low, best - 1)
             if val < best:
                 best = val
         return best
@@ -333,25 +328,25 @@ class _MoveEvaluator:
         """min(player's best continuation value after the reveal, budget);
         -1 if the reveal admits no force (a dead reveal)."""
         window = filled | union
-        if self.closure_mode:
-            closed = _window_closure(self.masks, filled, window)
+        if self._closure_mode:
+            closed = _window_closure(self._masks, filled, window)
             if closed == filled:
                 return -1
-            return self.value(closed, budget)
-        forces = _window_forces(self.masks, filled, window)
+            return self._capped(closed, budget)
+        forces = _window_forces(self._masks, filled, window)
         if not forces:
             return -1
         for _, t in forces:
-            budget = self.value(filled | 1 << t, budget)
+            budget = self._capped(filled | 1 << t, budget)
         return budget
 
-    def best(self, filled: int) -> tuple:
+    def _best(self, filled: int) -> tuple:
         """The first move at a closed state, in (value, kind, key) order,
         whose value is the state's; a closed state has no force move."""
-        target = self.value(filled, self.exact)
-        unfilled = self.full & ~filled
+        target = self._capped(filled, self._exact)
+        unfilled = self._full & ~filled
         if unfilled.bit_count() > self.q:
-            comps = _mask_components(self.masks, unfilled)
+            comps = _mask_components(self._masks, unfilled)
             if len(comps) > self.q:
                 cache = {}
                 for combo in sorted(combinations(comps, self.q + 1)):
@@ -361,11 +356,11 @@ class _MoveEvaluator:
         while m:
             low = m & -m
             m ^= low
-            if self.value(filled | low, target) == target - 1:
+            if self._capped(filled | low, target) == target - 1:
                 return target, _TOKEN, (low.bit_length() - 1,)
         raise AssertionError("no move attains the state's value")
 
-    def worst_reveal(self, filled: int, combo: tuple):
+    def _worst_reveal(self, filled: int, combo: tuple):
         worst = -1
         worst_sub = 0
         for sub, union in enumerate(_subset_unions(combo), 1):
@@ -374,8 +369,8 @@ class _MoveEvaluator:
             if res < 0:
                 return None
             if res > worst:
-                worst, worst_sub = self._reveal(filled, union, self.exact), sub
-        return worst, tuple(c for j, c in enumerate(combo) if worst_sub >> j & 1)
+                worst, worst_sub = self._reveal(filled, union, self._exact), sub
+        return tuple(c for j, c in enumerate(combo) if worst_sub >> j & 1)
 
 
 def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
@@ -390,8 +385,8 @@ def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
     if n > cfg.vertex_cap:
         raise ResourceLimitError(f"n={n} exceeds vertex cap {cfg.vertex_cap}; raise the cap to allow this")
 
-    sol = GameSolution(value=0, values={(1 << n) - 1: 0}, q=cfg.q, rule3_mode=cfg.rule3_mode, graph=g)
-    sol.value = _MoveEvaluator(sol, MEMO_LIMIT).value(0, n + 1)
+    sol = GameSolution(g, cfg)
+    sol.value = sol._capped(0, n + 1)
     return sol
 
 
@@ -405,18 +400,11 @@ def adversarial_oracle(sol: GameSolution):
     components with no dead reveal; any other announcement raises
     OracleProtocolError.
     """
-    return _oracle_policy(sol, _MoveEvaluator(sol, MEMO_LIMIT))
-
-
-def _oracle_policy(sol: GameSolution, ev: _MoveEvaluator):
-    """adversarial_oracle's policy, deriving reveals with `ev`."""
-    masks = ev.masks
-    full = ev.full
 
     def policy(filled, announcement):
         state = vertices_to_mask(filled)
         announced = [vertices_to_mask(c) for c in announcement]
-        combo = tuple(c for c in _mask_components(masks, full & ~state) if c in announced)
+        combo = tuple(c for c in _mask_components(sol._masks, sol._full & ~state) if c in announced)
         key = (state, combo)
         # combo holds each unfilled component at most once, so equal lengths
         # rule out repeated entries and non-components alike. A stored key
@@ -424,10 +412,10 @@ def _oracle_policy(sol: GameSolution, ev: _MoveEvaluator):
         reveal = None
         if len(combo) == len(announced) == sol.q + 1:
             reveal = sol.oracle_response.get(key)
-            if reveal is None and _window_closure(masks, state, full) == state:
-                worst = ev.worst_reveal(state, combo)
-                if worst is not None:
-                    reveal = sol.oracle_response[key] = worst[1]
+            if reveal is None and _window_closure(sol._masks, state, sol._full) == state:
+                reveal = sol._worst_reveal(state, combo)
+                if reveal is not None:
+                    sol.oracle_response[key] = reveal
         if reveal is None:
             raise OracleProtocolError(
                 "announcement is not q+1 distinct unfilled components of a forcing-closed state"
@@ -446,12 +434,10 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
     spends exactly sol.value tokens against that default and never more than
     sol.value against any legal oracle.
     """
-    ev = _MoveEvaluator(sol, MEMO_LIMIT)
     if oracle is None:
-        oracle = _oracle_policy(sol, ev)
-    masks = ev.masks
-    full = ev.full
-    closure_mode = sol.rule3_mode == MODE_CLOSURE
+        oracle = adversarial_oracle(sol)
+    masks = sol._masks
+    full = sol._full
     state = 0
     trace = []
     tokens = []
@@ -464,7 +450,7 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
             trace.append(ForceMove(u, t))
             state |= 1 << t
             continue
-        _, kind, key = ev.best(state)
+        _, kind, key = sol._best(state)
         if kind == _TOKEN:
             v = key[0]
             tokens.append(v)
@@ -489,15 +475,15 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
             # lowest (value, (u, target)).
             while forces:
                 u, t = forces[0]
-                if not closure_mode:
-                    budget = ev.exact
+                if not sol._closure_mode:
+                    budget = sol._exact
                     for f in forces:
-                        val = ev.value(state | 1 << f[1], budget)
+                        val = sol._capped(state | 1 << f[1], budget)
                         if val < budget:
                             budget, (u, t) = val, f
                 trace.append(ForceMove(u, t))
                 state |= 1 << t
-                forces = _window_forces(masks, state, window) if closure_mode else None
+                forces = _window_forces(masks, state, window) if sol._closure_mode else None
     return Certificate(tokens=frozenset(tokens), trace=tuple(trace))
 
 

@@ -31,7 +31,7 @@ from zqforce import (
     vertices_to_mask,
 )
 from zqforce.forcing import _adjacency_masks, _window_closure
-from zqforce.game import _ANNOUNCE, _TOKEN, _MoveEvaluator, _twin_classes
+from zqforce.game import _ANNOUNCE, _TOKEN, _twin_classes
 
 from helpers import (
     BOWTIE,
@@ -118,11 +118,10 @@ def test_memo_consistency():
 
 
 def _table_reader(sol):
-    """The exact value of a state by a new evaluator over the solve's memos:
-    read under the canonical key of the state's forcing closure, and searched
-    with a budget above every value where the memos fall short."""
-    ev = _MoveEvaluator(sol, zqforce.game.MEMO_LIMIT)
-    return lambda filled: ev.value(filled, ev.exact)
+    """The exact value of a state by the solution's own scorer: read under
+    the canonical key of the state's forcing closure, and searched with a
+    budget above every value where the memos fall short."""
+    return lambda filled: sol._capped(filled, sol._exact)
 
 
 def _closed_states(g):
@@ -234,14 +233,13 @@ def test_solver_matches_unoptimized_reference():
 
 
 def test_best_move_achieves_memoized_value_everywhere():
-    # At every closed state, best() must pick the move a full value table
+    # At every closed state, _best() must pick the move a full value table
     # would: the least (value, kind, key) over every live announcement and
     # every token, scored with exact values. Its value is the state's, a
     # token attains it, and so does the oracle's reveal of an announcement.
     cases = ((cycle(6), 0), (BOWTIE, 0), (star((1, 1, 2)), 1), (star((1, 1, 1, 2)), 1), (clique(4), 1))
     for (g, q), mode in zip(cases * 2, (MODE_CLOSURE,) * len(cases) + (MODE_SINGLE_FORCE,) * len(cases)):
         sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
-        ev = _MoveEvaluator(sol, zqforce.game.MEMO_LIMIT)
         value = _table_reader(sol)
         oracle = adversarial_oracle(sol)
         full = (1 << g.n) - 1
@@ -256,7 +254,7 @@ def test_best_move_achieves_memoized_value_everywhere():
                 if per_reveal is not None:
                     key = tuple(vertices_to_mask(c) for c in announcement)
                     moves.append((max(per_reveal.values()), _ANNOUNCE, key))
-            move = ev.best(state)
+            move = sol._best(state)
             case = (g.edges, q, mode, sorted(filled))
             assert move == min(moves), case
             move_val, kind, key = move
@@ -299,7 +297,7 @@ def test_both_rule3_modes_produce_the_same_table():
     # serve both modes; per reveal the claim is false, so it has to go
     # through the oracle's maximum. The two searches skip different token
     # moves and so store different states; each value is read through that
-    # mode's searching evaluator.
+    # mode's own solution.
     rng = random.Random(43)
     makers = (
         lambda n: random_connected_graph(n, rng.random() * 0.5, rng),
@@ -411,9 +409,10 @@ def test_twin_swaps_leave_the_naive_table_unchanged():
 
 
 def test_bounded_value_is_the_value_capped_at_the_budget():
-    # value(F, k) == min(V(F), k) for every filled set F and every budget k
-    # in 0..n+1, asked in a shuffled order of one evaluator, so that answers
-    # come from exact values, from lower bounds and from new searches alike.
+    # _capped(F, k) == min(V(F), k) for every filled set F and every budget
+    # k in 0..n+1, asked in a shuffled order of one unsolved solution, so
+    # that answers come from exact values, from lower bounds and from new
+    # searches alike.
     rng = random.Random(79)
     graphs = _twin_corpus()[::2]
     graphs += [random_connected_graph(rng.randint(4, 7), rng.random() * 0.5, rng) for _ in range(8)]
@@ -421,13 +420,12 @@ def test_bounded_value_is_the_value_capped_at_the_budget():
         for q in (0, 1, 2):
             for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
                 table = naive_zq_table(g, q, mode)
-                sol = GameSolution(value=0, values={(1 << g.n) - 1: 0}, q=q, rule3_mode=mode, graph=g)
-                ev = _MoveEvaluator(sol, zqforce.game.MEMO_LIMIT)
+                sol = GameSolution(g, GameConfig(q=q, rule3_mode=mode))
                 questions = [(filled, k) for filled in table for k in range(g.n + 2)]
                 rng.shuffle(questions)
                 for filled, k in questions:
                     expected = min(table[filled], k)
-                    assert ev.value(vertices_to_mask(filled), k) == expected, (g.edges, q, mode, sorted(filled), k)
+                    assert sol._capped(vertices_to_mask(filled), k) == expected, (g.edges, q, mode, sorted(filled), k)
 
 
 def test_budget_search_solves_long_cycles_from_a_few_states():
@@ -493,6 +491,29 @@ def test_traces_check_out_on_random_graphs_both_modes():
             cert = extract_player_trace(sol)
             assert len(cert.tokens) == sol.value
             assert check_certificate(g, sol.q, cert)
+
+
+def test_replay_is_the_same_however_warm_the_memos_are():
+    # Replay searches on where the memos fall short and keeps the raw memo
+    # of the solve, so a second replay of one solution starts warmer than
+    # the first, and both warmer than replay after a fresh solve. The
+    # certificate must not depend on it.
+    rng = random.Random(89)
+    makers = (
+        random_block_graph,
+        random_cactus,
+        lambda n, rng: random_connected_graph(n, 0.15, rng),
+        lambda n, rng: star([rng.randint(1, 2) for _ in range(rng.randint(3, 5))]),
+    )
+    for i in range(16):
+        g = makers[i % 4](rng.randint(6, 11), rng)
+        for q in (0, 1, 2):
+            for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+                cfg = GameConfig(q=q, rule3_mode=mode)
+                sol = solve_zq(g, cfg)
+                texts = [format_certificate(extract_player_trace(sol)) for _ in range(2)]
+                texts.append(format_certificate(extract_player_trace(solve_zq(g, cfg))))
+                assert texts[0] == texts[1] == texts[2], (g.edges, q, mode)
 
 
 def _random_oracle(rng):
@@ -583,30 +604,20 @@ def test_memo_limit_bounds_both_memos_together(monkeypatch):
                 solve_zq(g, GameConfig(q=q))
 
 
-def _keep_evaluators(m):
-    """Make the game module keep every move evaluator it builds; returns the
-    list they are appended to."""
-    kept = []
-
-    class Kept(_MoveEvaluator):
-        __slots__ = ()
-
-        def __init__(self, sol, memo_limit):
-            super().__init__(sol, memo_limit)
-            kept.append(self)
-
-    m.setattr(zqforce.game, "_MoveEvaluator", Kept)
-    return kept
-
-
-def test_trace_and_its_default_oracle_share_one_evaluator(monkeypatch):
-    # The default oracle derives its reveals with the trace's own evaluator,
-    # so the adjacency masks, twin classes and raw memo are built once.
+def test_replay_and_its_default_oracle_build_no_masks(monkeypatch):
+    # The adjacency masks, twin classes and raw memo are built once, with the
+    # solution: trace replay and its default oracle read the solution's own.
     sol = solve_zq(star((2, 2, 2)), GameConfig(q=1))
-    kept = _keep_evaluators(monkeypatch)
+    calls = []
+
+    def masks_spy(g):
+        calls.append(g)
+        return _adjacency_masks(g)
+
+    monkeypatch.setattr(zqforce.game, "_adjacency_masks", masks_spy)
     cert = extract_player_trace(sol)
     assert any(isinstance(move, AnnounceMove) for move in cert.trace) and sol.oracle_response
-    assert len(kept) == 1
+    assert calls == []
 
 
 def test_oracle_answers_a_repeated_announcement_from_its_store(monkeypatch):
@@ -626,11 +637,11 @@ def test_oracle_answers_a_repeated_announcement_from_its_store(monkeypatch):
     assert calls == []
 
 
-def test_raw_memo_gives_a_warm_evaluator_the_fresh_values(monkeypatch):
-    # value() finds the canonical key of an argument it has seen in the raw
-    # memo, without closing it again. After the whole solve the search's own
-    # evaluator must still agree, on every filled set, with a new evaluator
-    # over empty memos, and the memos must hold closed canonical states only.
+def test_raw_memo_gives_a_warm_evaluator_the_fresh_values():
+    # _capped() finds the canonical key of an argument it has seen in the raw
+    # memo, without closing it again. After the whole solve the solution
+    # must still agree, on every filled set, with a new unsolved solution,
+    # and the memos must hold closed canonical states only.
     rng = random.Random(59)
     graphs = [cycle(6), star((1, 1, 2)), random_connected_graph(7, 0.1, rng), random_connected_graph(7, 0.1, rng)]
     for g in graphs:
@@ -639,50 +650,46 @@ def test_raw_memo_gives_a_warm_evaluator_the_fresh_values(monkeypatch):
         for q in (0, 1, 2):
             for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
                 case = (g.edges, q, mode)
-                with monkeypatch.context() as m:
-                    kept = _keep_evaluators(m)
-                    sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
-                (warm,) = kept
-                keys = sol.values.keys() | sol.bounds.keys()
-                assert any(state not in keys for state in warm.raw), case
+                cfg = GameConfig(q=q, rule3_mode=mode)
+                warm = solve_zq(g, cfg)
+                keys = warm.values.keys() | warm.bounds.keys()
+                assert any(state not in keys for state in warm._raw), case
                 for filled in range(1 << g.n):
-                    fresh_sol = GameSolution(value=0, values={full: 0}, q=q, rule3_mode=mode, graph=g)
-                    fresh = _MoveEvaluator(fresh_sol, 1 << g.n)
-                    assert warm.value(filled, g.n + 1) == fresh.value(filled, g.n + 1), case + (filled,)
+                    fresh = GameSolution(g, cfg)
+                    assert warm._capped(filled, g.n + 1) == fresh._capped(filled, g.n + 1), case + (filled,)
                 assert all(_window_closure(masks, state, full) == state for state in keys), case
                 assert all(_is_canonical(g, state) for state in keys), case
 
 
 def test_raw_memo_is_cleared_at_the_memo_limit(monkeypatch):
-    # The search calls value() on more distinct arguments than it stores
+    # The search calls _capped() on more distinct arguments than it stores
     # keys. With room for exactly the memos, the raw memo must be cleared
     # to stay within the limit, which changes neither the value nor the
-    # memos.
+    # memos. The solution is searched as solve_zq searches it.
     g = random_cactus(14, random.Random(71))
     reference = solve_zq(g, GameConfig(q=1))
     limit = reference.states_explored
     monkeypatch.setattr(zqforce.game, "MEMO_LIMIT", limit)
-    kept = _keep_evaluators(monkeypatch)
+    sol = GameSolution(g, GameConfig(q=1))
     sizes = []
 
     def closure_spy(masks, filled, window):
-        sizes.append(len(kept[0].raw))
+        sizes.append(len(sol._raw))
         return _window_closure(masks, filled, window)
 
     monkeypatch.setattr(zqforce.game, "_window_closure", closure_spy)
-    sol = solve_zq(g, GameConfig(q=1))
-    assert sol.value == reference.value
+    assert sol._capped(0, g.n + 1) == reference.value
     assert (sol.values, sol.bounds) == (reference.values, reference.bounds)
-    sizes.append(len(kept[0].raw))
+    sizes.append(len(sol._raw))
     assert max(sizes) <= limit
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "the raw memo was never cleared"
 
 
 def test_a_dropped_solve_leaves_no_cyclic_garbage():
-    # The move evaluator is an object whose methods call each other through
-    # it, with no reference back to them, so a dropped solve, a dropped
-    # trace and a dropped oracle are freed by reference counting and the
-    # cyclic GC finds nothing to collect.
+    # A solution's methods call each other through it, with no reference
+    # back to them, so a dropped solve, a dropped trace and a dropped oracle
+    # are freed by reference counting and the cyclic GC finds nothing to
+    # collect.
     sol = solve_zq(cycle(12), GameConfig(q=1))
     cases = (
         lambda: solve_zq(cycle(16), GameConfig(q=2)),
