@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
-from functools import cache
+from functools import cache, partial
 
 from . import closed_forms
 from .certificates import certificate_from_tokens, check_certificate, format_certificate
@@ -52,15 +52,15 @@ _FAMILY_ALIASES = {
     "windmill2": "windmill_II",
 }
 
-# Z_q(family params, q) by family kind; a ScopeError means no closed form
-# covers these parameters, and the caller falls through to the other methods.
+# Z_q(family params, q) by family kind; a ScopeError means the closed form
+# does not cover these parameters, and the coverage rule drops it.
 _CLOSED_FORMS = {
     "generalized_star": lambda p, q: closed_forms.star_Zq(p.path_lengths, q),
     "windmill_I": lambda p, q: closed_forms.windmill_I_Zq(p.eta, p.k, p.l, q),
     "windmill_II": lambda p, q: closed_forms.windmill_II_Zq(p.eta, p.k, p.l, q),
 }
 
-METHODS = ("auto", "exact", "block", "cactus", "formula")
+METHODS = ("auto", "exact")
 
 
 def detect_class(g: Graph) -> str:
@@ -108,7 +108,8 @@ def _family_params(args) -> FamilyParams:
 
 
 def _load_graph(args):
-    """Returns (graph, source string, family kind or None, params dict)."""
+    """Returns (graph, source string, closed form or None, params dict); the
+    closed form is the family's, bound to its parameters, as a function of q."""
     if args.file and args.family:
         raise GraphValidationError("give either --file or --family, not both")
     if args.file:
@@ -127,39 +128,40 @@ def _load_graph(args):
             raise GraphValidationError(f"unknown family {args.family!r}")
         params = _family_params(args)
         g = generate_family(kind, params, seed=args.seed)
+        form = _CLOSED_FORMS.get(kind)
         shown = {k: v for k, v in asdict(params).items() if v is not None}
         if args.seed is not None:
             shown["seed"] = args.seed
-        return g, f"family:{kind}", kind, shown
+        return g, f"family:{kind}", form and partial(form, params), shown
     raise GraphValidationError("an input graph is required: --file or --family")
 
 
-def _solve(g: Graph, method: str, cfg: GameConfig):
-    """Value of g by a concrete non-formula method.
+def _solve(g: Graph, method: str, cfg: GameConfig, form):
+    """Value of g by a method the coverage rule lists at cfg.q, or by exact.
 
     Returns (value, certificate maker or None, solution or None). The maker
-    builds the certificate when called, so a caller that prints no
+    builds the certificate when called, so a caller that emits no
     certificate never pays for one.
     """
+    if method == "formula":
+        return form(cfg.q), None, None
     if method == "block":
         value, tokens = block_graph_Z(g)
         return value, lambda: certificate_from_tokens(g, tokens), None
     if method == "cactus":
-        if cfg.q != 0:
-            raise ScopeError("the cactus solver computes Z_0 only; use it with q=0")
         return cactus_Z0(g), None, None
     if method == "exact":
         sol = solve_zq(g, cfg)
         return sol.value, lambda: extract_player_trace(sol), sol
-    if method == "fold":
-        return block_Z0(g, cfg.vertex_cap), None, None
-    raise ScopeError(f"method {method!r} cannot run here")
+    return block_Z0(g, cfg.vertex_cap), None, None  # fold
 
 
-def _coverage(g: Graph, cap: int):
+def _coverage(g: Graph, cap: int, form):
     """The coverage rule of g: a function of q that yields, lazily and in
-    this order, every concrete method whose value is Z_q(g):
+    this order, every method whose value is Z_q(g):
 
+    - formula, when form, the family's closed form as a function of q (None
+      for a file input), covers q;
     - block, when every block of g is a clique with at least three vertices;
     - cactus, at q = 0 when g is a cactus;
     - exact, when n <= cap;
@@ -175,6 +177,13 @@ def _coverage(g: Graph, cap: int):
     foldable = cache(lambda: _unfoldable_block(find_blocks(g), cap) is None)
 
     def methods(q: int):
+        if form is not None:
+            try:
+                form(q)
+            except ScopeError:
+                pass  # the closed form does not cover these parameters
+            else:
+                yield "formula"
         if block():
             yield "block"
         if q == 0 and cactus():
@@ -196,38 +205,25 @@ def _refusal(g: Graph, q_list, cap: int) -> ScopeError:
     )
 
 
-def _auto_method(g: Graph, q: int, cap: int) -> str:
-    for method in _coverage(g, cap)(q):
-        return method
-    raise _refusal(g, [q], cap)
-
-
 def cmd_compute(args) -> int:
     started = time.perf_counter()
-    g, source, family_kind, shown_params = _load_graph(args)
+    g, source, form, shown_params = _load_graph(args)
     cfg = _game_config(args, args.q)
     q = cfg.q
-    method = args.method
+    used = args.method
+    if used == "auto":
+        used = next(_coverage(g, cfg.vertex_cap, form)(q), None)
+        if used is None:
+            raise _refusal(g, [q], cfg.vertex_cap)
+    value, make_cert, sol = _solve(g, used, cfg, form)
+
+    # Build a certificate only where it is written (--trace) or printed (the
+    # exact solver's trace in --json), and check it before either.
     cert = None
-    sol = None
-    used = None
-
-    form = _CLOSED_FORMS.get(family_kind)
-    if method == "formula" and form is None:
-        raise ScopeError("--method formula needs a --family with a closed form (star/windmill)")
-    if method in ("auto", "formula") and form is not None:
-        try:
-            value, used = form(_family_params(args), q), "formula"
-        except ScopeError:
-            if method == "formula":
-                raise
-
-    if used is None:
-        used = _auto_method(g, q, cfg.vertex_cap) if method == "auto" else method
-        value, make_cert, sol = _solve(g, used, cfg)
-        if make_cert is not None and (args.trace or args.json):
-            cert = make_cert()
-
+    if make_cert is not None and (args.trace or (args.json and sol is not None)):
+        cert = make_cert()
+        if not check_certificate(g, q, cert):
+            raise ZqError("internal error: emitted certificate failed verification")
     cert_path = None
     if args.trace:
         if cert is None:
@@ -236,8 +232,6 @@ def cmd_compute(args) -> int:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(format_certificate(cert))
             cert_path = args.trace
-            if not check_certificate(g, q, cert):
-                raise ZqError("internal error: emitted certificate failed verification")
 
     report = {
         "source": source,
@@ -268,7 +262,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, source, family_kind, _ = _load_graph(args)
+    g, source, form, _ = _load_graph(args)
     q_list = _parse_int_list(args.q_list, "--q-list")
     if not q_list:
         raise GraphValidationError("--q-list must name at least one q")
@@ -277,21 +271,15 @@ def cmd_verify(args) -> int:
     if g.n > args.cap:
         _warn(f"n={g.n} exceeds the exact cap {args.cap}; skipping the exact solver")
 
-    form = _CLOSED_FORMS.get(family_kind)
-    methods = _coverage(g, args.cap)
-    solved = {}  # by method, and by (method, q) for exact, the one that depends on q
+    methods = _coverage(g, args.cap, form)
+    solved = {}  # by (method, q), and by method for block, whose value is the same at every q
     rows = []
     for q in q_list:
         row = {}
-        if form is not None:
-            try:
-                row["formula"] = form(_family_params(args), q)
-            except ScopeError:
-                pass  # no closed form for this shape; the other methods still check it
         for method in methods(q):
-            key = (method, q) if method == "exact" else method
+            key = method if method == "block" else (method, q)
             if key not in solved:
-                solved[key] = _solve(g, method, configs[q])[0]
+                solved[key] = _solve(g, method, configs[q], form)[0]
             row[method] = solved[key]
         rows.append({"q": q, "values": row, "agree": len(set(row.values())) <= 1})
     uncovered = sorted({row["q"] for row in rows if not row["values"]})
@@ -373,6 +361,12 @@ def _add_graph_source(parser: argparse.ArgumentParser):
     parser.add_argument("--arms", help="generalized star arm lengths, comma separated")
     parser.add_argument("--blocks", type=int, help="random_block_graph: number of blocks")
     parser.add_argument("--seed", type=int, help="seed for random families")
+    parser.add_argument("--n", type=int, help="vertex count for path/cycle/clique/random families")
+
+
+def _add_solver_options(parser: argparse.ArgumentParser):
+    parser.add_argument("--rule3", choices=("closure", "single"), default="closure")
+    parser.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="exact-solver vertex cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,11 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute Z_q of one graph")
     _add_graph_source(p)
-    p.add_argument("--n", type=int, help="vertex count for path/cycle/clique/random families")
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument("--rule3", choices=("closure", "single"), default="closure")
-    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="exact-solver vertex cap")
+    _add_solver_options(p)
     p.add_argument("--trace", help="write the certificate to this path")
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", help="write the report here instead of stdout")
@@ -393,10 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check every applicable method")
     _add_graph_source(p)
-    p.add_argument("--n", type=int, help="vertex count for path/cycle/clique/random families")
     p.add_argument("--q-list", dest="q_list", required=True, help="comma-separated q values")
-    p.add_argument("--rule3", choices=("closure", "single"), default="closure")
-    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
+    _add_solver_options(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_verify)
@@ -411,10 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strategy", help="print move-by-move optimal play")
     _add_graph_source(p)
-    p.add_argument("--n", type=int, help="vertex count for path/cycle/clique/random families")
     p.add_argument("--q", type=int, default=0)
-    p.add_argument("--rule3", choices=("closure", "single"), default="closure")
-    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
+    _add_solver_options(p)
     p.add_argument("--output", help="write the transcript here instead of stdout")
     p.set_defaults(func=cmd_strategy)
 

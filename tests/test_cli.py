@@ -363,18 +363,21 @@ def test_compute_disconnected_trace_writes_a_checked_certificate(tmp_path, capsy
     assert len(cert.tokens) == 4 and check_certificate(two_triangles, 0, cert)
 
 
-def test_compute_method_brute_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["brute", "block", "cactus", "formula"])
+def test_compute_method_brute_is_a_usage_error(tmp_path, capsys, method):
     # Brute force is the tests' reference, not a route: at q >= n the exact
-    # search answers with a certificate, and --method brute is refused.
+    # search answers with a certificate. The block, cactus and closed-form
+    # routes are auto's to take, where the coverage rule lists them first.
+    # --method takes none of these values.
     f = _write(tmp_path, "c6.el", "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
     trace = str(tmp_path / "c6.cert")
     code, payload = _run_json(capsys, ["compute", "--file", f, "--q", "6", "--trace", trace, "--json"])
     assert (code, payload["method"], payload["value"]) == (0, "exact", 2)
     assert check_certificate(cycle(6), 6, parse_certificate(open(trace).read()))
     with pytest.raises(SystemExit) as exit_info:
-        main(["compute", "--file", f, "--q", "6", "--method", "brute"])
+        main(["compute", "--file", f, "--q", "6", "--method", method])
     assert exit_info.value.code == 2
-    assert "invalid choice: 'brute'" in capsys.readouterr().err
+    assert f"invalid choice: '{method}'" in capsys.readouterr().err
 
 
 def test_strategy_star_transcript_announces_twice(capsys):
@@ -455,7 +458,35 @@ def test_verify_builds_no_certificate(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[2:] == ["method: block", "q: 0", "value: 3"]
     assert calls == []
     assert main(["compute", "--file", bowtie, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "block"
+    assert calls == []  # the JSON report prints no block certificate, so none is built
+    assert main(["compute", "--file", bowtie, "--trace", str(tmp_path / "bowtie.cert")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("exact", ["--trace"]),
+    ("exact", ["--json"]),
+    ("exact", ["--trace", "--json"]),
+    ("auto", ["--trace"]),
+    ("auto", ["--trace", "--json"]),
+], ids=["exact-trace", "exact-json", "exact-trace-json", "block-trace", "block-trace-json"])
+def test_compute_emits_no_certificate_that_fails_its_check(tmp_path, capsys, monkeypatch, method, flags):
+    # A certificate is checked before it is written or printed: one that
+    # fails leaves no file and no report, and the run exits 1.
+    import zqforce.cli as cli
+
+    monkeypatch.setattr(cli, "check_certificate", lambda g, q, cert: False)
+    bowtie = _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
+    trace = tmp_path / "bowtie.cert"
+    argv = ["compute", "--file", bowtie, "--method", method]
+    for flag in flags:
+        argv += [flag, str(trace)] if flag == "--trace" else [flag]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: emitted certificate failed verification\n"
+    assert not trace.exists()
 
 
 def _diamond_beside_blocks(tmp_path):
@@ -496,6 +527,32 @@ def test_compute_decomposes_the_graph_once(tmp_path, capsys, monkeypatch, argv, 
     assert main(["compute", *argv]) == 0
     assert capsys.readouterr().out.splitlines()[1] == f"class: {detected}"
     assert len(seen) == runs
+
+
+def test_compute_takes_the_first_method_verify_runs(tmp_path, capsys):
+    # compute and verify read one coverage rule: compute reports the first
+    # method verify runs at the same q, and both refuse a q it does not cover.
+    cases = [
+        (["--family", "windmill1", "--eta", "2", "--k", "3", "--l", "1"], {0: "formula", 1: "formula"}),
+        # W''(2, 1, 2) is C4: its closed form refuses, and the rule falls through.
+        (["--family", "windmill2", "--eta", "2", "--k", "1", "--l", "2"], {0: "cactus", 1: "exact"}),
+        (["--family", "star", "--arms", "1,2,3"], {0: "formula", 2: "formula"}),
+        (["--file", _write(tmp_path, "bowtie.el", BOWTIE_TEXT)], {0: "block", 1: "block"}),
+        (["--file", _diamond_beside_blocks(tmp_path)[0]], {0: "fold", 1: None}),
+        (["--family", "cycle", "--n", "21"], {0: "cactus", 21: None}),
+    ]
+    for source, routes in cases:
+        for q, route in routes.items():
+            compute_code = main(["compute", *source, "--q", str(q), "--json"])
+            compute_out = capsys.readouterr().out
+            verify_code = main(["verify", *source, "--q-list", str(q), "--json"])
+            verify_out = capsys.readouterr().out
+            if route is None:
+                assert (compute_code, compute_out, verify_code, verify_out) == (3, "", 3, ""), (source, q)
+                continue
+            assert (compute_code, verify_code) == (0, 0), (source, q)
+            first = next(iter(json.loads(verify_out)["rows"][0]["values"]))
+            assert json.loads(compute_out)["method"] == first == route, (source, q)
 
 
 def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):
