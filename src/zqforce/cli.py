@@ -136,12 +136,13 @@ def _load_graph(args):
     raise GraphValidationError("an input graph is required: --file or --family")
 
 
-def _solve(g: Graph, method: str, cfg: GameConfig, form):
+def _solve(g: Graph, method: str, cfg: GameConfig, form, below=None):
     """Value of g by a method the coverage rule lists at cfg.q, or by exact.
 
     Returns (value, certificate maker or None, solution or None). The maker
     builds the certificate when called, so a caller that emits no
-    certificate never pays for one.
+    certificate never pays for one. below, an exact solution of g at a
+    smaller q, seeds the exact solver.
     """
     if method == "formula":
         return form(cfg.q), None, None
@@ -151,7 +152,7 @@ def _solve(g: Graph, method: str, cfg: GameConfig, form):
     if method == "cactus":
         return cactus_Z0(g), None, None
     if method == "exact":
-        sol = solve_zq(g, cfg)
+        sol = solve_zq(g, cfg, below)
         return sol.value, lambda: extract_player_trace(sol), sol
     return block_Z0(g, cfg.vertex_cap), None, None  # fold
 
@@ -271,18 +272,23 @@ def cmd_verify(args) -> int:
     if g.n > args.cap:
         _warn(f"n={g.n} exceeds the exact cap {args.cap}; skipping the exact solver")
 
+    # The distinct q in increasing order, so that each exact solve starts
+    # from the one below it; rows keep the order of the list.
     methods = _coverage(g, args.cap, form)
-    solved = {}  # by (method, q), and by method for block, whose value is the same at every q
-    rows = []
-    for q in q_list:
-        row = {}
+    values = {}  # by q: {method: value}
+    block = cache(lambda: block_graph_Z(g)[0])  # the same at every q
+    below = None  # the last exact solution
+    for q in sorted(configs):
+        row = values[q] = {}
         for method in methods(q):
-            key = method if method == "block" else (method, q)
-            if key not in solved:
-                solved[key] = _solve(g, method, configs[q], form)[0]
-            row[method] = solved[key]
-        rows.append({"q": q, "values": row, "agree": len(set(row.values())) <= 1})
-    uncovered = sorted({row["q"] for row in rows if not row["values"]})
+            if method == "block":
+                row[method] = block()
+                continue
+            row[method], _, sol = _solve(g, method, configs[q], form, below)
+            if sol is not None:
+                below = sol
+    rows = [{"q": q, "values": values[q], "agree": len(set(values[q].values())) <= 1} for q in q_list]
+    uncovered = sorted(q for q, row in values.items() if not row)
     if uncovered:
         raise _refusal(g, uncovered, args.cap)
 
@@ -297,6 +303,11 @@ def cmd_verify(args) -> int:
         _emit("\n".join(lines), args.output)
     if not all(row["agree"] for row in rows):
         raise VerificationMismatch(f"methods disagree on {source}")
+    # Z_q never falls as q grows; a value that does is wrong at one of the two q.
+    chain = [(q, next(iter(row.values()))) for q, row in sorted(values.items())]
+    for (lo_q, lo), (hi_q, hi) in zip(chain, chain[1:]):
+        if hi < lo:
+            raise VerificationMismatch(f"Z_q falls from {lo} at q={lo_q} to {hi} at q={hi_q} on {source}")
     return 0
 
 
@@ -369,7 +380,10 @@ def _add_solver_options(parser: argparse.ArgumentParser):
     parser.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="exact-solver vertex cap")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args returns a
+    fresh Namespace each call, and each subcommand's defaults are constants."""
     parser = argparse.ArgumentParser(prog="zqforce", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

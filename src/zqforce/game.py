@@ -44,9 +44,20 @@ member of the class leads to the same canonical state.
 Each solution also keeps a private raw memo from each argument of capped()
 to its key, read before the closure is computed: a successor is often
 reached again, from another state or with another budget, and a dict lookup
-costs less than closing it again. That memo lives as long as the solution,
-so trace replay and the oracle read it too; it is never returned and is
-cleared whenever it reaches the memo limit.
+costs less than closing it again. That memo lives as long as the solutions
+that share it (see below), so trace replay and the oracle read it too; it is
+never returned and is cleared whenever it reaches the memo limit.
+
+A solve can start warm from a solution `below` of the same graph and rule-3
+mode at a smaller or equal q, because V_q(F) <= V_{q+1}(F) at every state:
+an announcement legal at q + 1 contains one of q + 1 components that has no
+dead reveal either, and whose reveals are among its own, so the oracle does
+no better against it. Every nonzero exact value of `below` and each of its
+bounds is therefore a lower bound at the larger q, and seeds the bounds
+memo. Keys and the raw memo depend on the graph alone, so the warm solve
+shares below's raw memo, adjacency masks and twin classes. A search from a
+seeded floor stops as soon as a move attains it, so it can store fewer keys
+of its own; the values it returns are those of a cold solve.
 
 Optimal play for both sides is re-derived from the memos on demand by the
 solution that holds them, which searches with a budget on a miss. At a
@@ -192,12 +203,15 @@ class GameSolution:
     and a state has the value of its key. values maps a key to its game
     value; bounds maps a key whose value was only ever shown to be at least
     k to that k. The two hold different keys, and states_explored counts
-    both. value is None until solve_zq sets it. Moves and reveals are not
-    stored: extract_player_trace and adversarial_oracle derive them on
-    demand from the memos, searching on and adding to them where a memo
-    falls short. oracle_response keeps the reveals the adversarial oracle
-    has been asked for, keyed by (state, announced component masks); it is
-    empty when solve_zq returns.
+    both. A solution built from `below` (see the module docstring) starts
+    with below's nonzero values and its bounds as its bounds, and shares
+    below's raw memo: states_explored and MEMO_LIMIT count those seeded
+    keys too, whether or not the search reads them. value is None until
+    solve_zq sets it. Moves and reveals are not stored: extract_player_trace
+    and adversarial_oracle derive them on demand from the memos, searching
+    on and adding to them where a memo falls short. oracle_response keeps
+    the reveals the adversarial oracle has been asked for, keyed by (state,
+    announced component masks); it is empty when solve_zq returns.
 
     The private scorer holds no reference to its own methods, so a dropped
     solution is freed by reference counting:
@@ -221,29 +235,40 @@ class GameSolution:
         "_raw", "_memo_limit", "_masks", "_full", "_exact", "_closure_mode", "_lone", "_classes",
     )
 
-    def __init__(self, g: Graph, cfg: GameConfig):
+    def __init__(self, g: Graph, cfg: GameConfig, below: GameSolution | None = None):
         self.value = None
         self.graph = g
         self.q = cfg.q
         self.rule3_mode = cfg.rule3_mode
         self._full = (1 << g.n) - 1
         self.values = {self._full: 0}
-        self.bounds = {}
         self.oracle_response = {}
-        self._raw = {}
         self._memo_limit = MEMO_LIMIT
-        self._masks = _adjacency_masks(g)
         self._exact = g.n + 1  # above every value: no budget bites
         self._closure_mode = cfg.rule3_mode == MODE_CLOSURE
-        # Per twin class, its mask and the masks of its lowest 0, 1, ... members.
-        self._classes = []
-        self._lone = self._full
-        for members in _twin_classes(self._masks):
-            prefix = [0]
-            for v in members:
-                prefix.append(prefix[-1] | 1 << v)
-            self._classes.append((prefix[-1], prefix))
-            self._lone &= ~prefix[-1]
+        if below is None:
+            self.bounds = {}
+            self._raw = {}
+            self._masks = _adjacency_masks(g)
+            # Per twin class, its mask and the masks of its lowest 0, 1, ... members.
+            self._classes = []
+            self._lone = self._full
+            for members in _twin_classes(self._masks):
+                prefix = [0]
+                for v in members:
+                    prefix.append(prefix[-1] | 1 << v)
+                self._classes.append((prefix[-1], prefix))
+                self._lone &= ~prefix[-1]
+        else:
+            if below.graph != g or below.rule3_mode != cfg.rule3_mode or below.q > cfg.q:
+                raise GraphValidationError(
+                    f"a solve at q={cfg.q}, rule3_mode={cfg.rule3_mode!r} can start only from a solution of the"
+                    f" same graph and mode at a q no larger; got q={below.q}, rule3_mode={below.rule3_mode!r}"
+                )
+            self.bounds = {key: val for key, val in below.values.items() if val}
+            self.bounds.update(below.bounds)
+            self._raw = below._raw
+            self._masks, self._classes, self._lone = below._masks, below._classes, below._lone
 
     @property
     def states_explored(self) -> int:
@@ -373,19 +398,22 @@ class GameSolution:
         return tuple(c for j, c in enumerate(combo) if worst_sub >> j & 1)
 
 
-def solve_zq(g: Graph, cfg: GameConfig) -> GameSolution:
+def solve_zq(g: Graph, cfg: GameConfig, below: GameSolution | None = None) -> GameSolution:
     """Exact game value and the memos of the search behind it.
 
     g may be disconnected: the announcement rule counts the unfilled
     components of the whole graph, so it is one game, not one per component.
     Optimal moves for both sides are re-derived from the memos on demand by
-    `extract_player_trace` and `adversarial_oracle`.
+    `extract_player_trace` and `adversarial_oracle`. `below`, a solution of
+    g in the same rule-3 mode at a q no larger than cfg.q, seeds the search
+    (see the module docstring); any other `below` raises
+    GraphValidationError.
     """
     n = g.n
     if n > cfg.vertex_cap:
         raise ResourceLimitError(f"n={n} exceeds vertex cap {cfg.vertex_cap}; raise the cap to allow this")
 
-    sol = GameSolution(g, cfg)
+    sol = GameSolution(g, cfg, below)
     sol.value = sol._capped(0, n + 1)
     return sol
 

@@ -563,7 +563,63 @@ def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):
         "source: family:cycle",
         *["q=0: cactus=2, exact=2, fold=2 [ok]"] * 3,
     ]
+    # The distinct q in increasing order, each solve seeded from the one
+    # before; the rows keep the order of the list.
+    calls.clear()
+    assert main(["verify", "--family", "cycle", "--n", "6", "--q-list", "6,0,2,0,1", "--rule3", "single"]) == 0
+    assert [cfg.q for _, cfg, _ in calls] == [0, 1, 2, 6]
+    assert calls[0][2] is None
+    assert all(below is not None and below.q == prev.q for (_, _, below), (_, prev, _) in zip(calls[1:], calls))
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "q=6: exact=2 [ok]",
+        "q=0: cactus=2, exact=2, fold=2 [ok]",
+        "q=2: exact=2 [ok]",
+        "q=0: cactus=2, exact=2, fold=2 [ok]",
+        "q=1: exact=2 [ok]",
+    ]
 
+
+def test_verify_reports_a_value_that_falls_as_q_grows(capsys, monkeypatch):
+    # Z_q never falls as q grows. A wrong exact value at one q, here one too
+    # low at q = 2 where it is the only method, is caught by the chain even
+    # though no other method disagrees with it: the rows are printed, and
+    # the run exits 4 naming both q.
+    import zqforce.cli as cli
+
+    real = cli.solve_zq
+
+    def low_at_two(g, cfg, below=None):
+        sol = real(g, cfg, below)
+        if cfg.q == 2:
+            sol.value -= 1
+        return sol
+
+    monkeypatch.setattr(cli, "solve_zq", low_at_two)
+    assert main(["verify", "--family", "cycle", "--n", "6", "--q-list", "2,0,1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [
+        "q=2: exact=1 [ok]",
+        "q=0: cactus=2, exact=2, fold=2 [ok]",
+        "q=1: exact=2 [ok]",
+    ]
+    assert captured.err == "error: Z_q falls from 2 at q=1 to 1 at q=2 on family:cycle\n"
+
+
+def test_main_builds_its_parser_once_and_keeps_no_state_between_calls(capsys):
+    import zqforce.cli as cli
+
+    cli.build_parser.cache_clear()
+    cycle6 = ["--family", "cycle", "--n", "6"]
+    assert main(["compute", *cycle6, "--q", "2", "--method", "exact", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "exact"
+    assert main(["compute", *cycle6]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["method: cactus", "q: 0", "value: 2"]
+    assert main(["verify", *cycle6, "--q-list", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["q"] == 0
+    assert main(["verify", *cycle6, "--q-list", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["q=1: exact=2 [ok]"]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 TWO_STARS_TEXT = "0 1\n0 2\n0 3\n4 5\n4 6\n4 7\n"
 

@@ -363,6 +363,87 @@ def test_naive_table_is_closure_invariant_and_monotone():
                             assert table[filled] >= val, case
 
 
+def test_naive_value_never_falls_as_q_grows_at_any_state():
+    # V_q(F) <= V_{q+1}(F) at every filled set F, in both rule-3 modes: an
+    # announcement legal at q + 1 contains one legal at q whose reveals are
+    # among its own. A warm solve seeds its bounds memo with this.
+    rng = random.Random(97)
+    makers = (
+        lambda n: random_connected_graph(n, rng.random() * 0.5, rng),
+        lambda n: random_tree(n, rng),
+        lambda n: random_cactus(n, rng),
+    )
+    for i in range(45):
+        g = makers[i % 3](rng.randint(4, 8))
+        for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+            tables = [naive_zq_table(g, q, mode) for q in range(4)]
+            for q, (lower, upper) in enumerate(zip(tables, tables[1:])):
+                for filled, val in lower.items():
+                    assert val <= upper[filled], (g.edges, mode, q, sorted(filled))
+
+
+def test_a_warm_chain_gives_the_cold_values_and_certificates():
+    # Seeded floors change which keys the search stores, never a value, so
+    # each warm solve must give the cold solve's value and, replayed, the
+    # same certificate, which checks and spends exactly the value.
+    rng = random.Random(101)
+    makers = (
+        random_cactus,
+        random_tree,
+        random_block_graph,
+        lambda n, rng: random_connected_graph(n, 0.15, rng),
+        lambda n, rng: random_connected_graph(n, 0.5, rng),
+    )
+    for i in range(30):
+        g = makers[i % 5](rng.randint(5, 11), rng)
+        for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+            chain = [solve_zq(g, GameConfig(q=0, rule3_mode=mode))]
+            for q in (1, 2, g.n):
+                chain.append(solve_zq(g, GameConfig(q=q, rule3_mode=mode), chain[-1]))
+            for below, sol in zip(chain, chain[1:]):
+                case = (g.edges, mode, sol.q)
+                cold = solve_zq(g, GameConfig(q=sol.q, rule3_mode=mode))
+                assert sol.value == cold.value >= below.value, case
+                assert sol._raw is below._raw, case
+                cert = extract_player_trace(sol)
+                assert len(cert.tokens) == sol.value and check_certificate(g, sol.q, cert), case
+                assert format_certificate(cert) == format_certificate(extract_player_trace(cold)), case
+
+
+def test_a_solve_refuses_a_seed_it_cannot_use():
+    # A seed from another graph, another rule-3 mode or a larger q would
+    # give wrong floors, so it is refused before any search.
+    g = cycle(6)
+    below = solve_zq(g, GameConfig(q=1))
+    assert solve_zq(g, GameConfig(q=1), below).value == below.value == 2
+    refused = (
+        (cycle(7), GameConfig(q=2)),
+        (path(6), GameConfig(q=2)),
+        (g, GameConfig(q=2, rule3_mode=MODE_SINGLE_FORCE)),
+        (g, GameConfig(q=0)),
+    )
+    for other, cfg in refused:
+        with pytest.raises(GraphValidationError, match="same graph and mode"):
+            solve_zq(other, cfg, below)
+
+
+def test_memo_limit_counts_the_seeded_keys(monkeypatch):
+    # A warm solve starts with below's keys in its memos and counts them
+    # against MEMO_LIMIT: with room for exactly its memos it completes with
+    # the same memos, and with room for the seeded keys alone it raises.
+    g = random_cactus(12, random.Random(61))
+    below = solve_zq(g, GameConfig(q=1))
+    reference = solve_zq(g, GameConfig(q=2), below)
+    seeded = sum(1 for val in below.values.values() if val) + len(below.bounds)
+    assert reference.states_explored > seeded + 1
+    monkeypatch.setattr(zqforce.game, "MEMO_LIMIT", reference.states_explored)
+    sol = solve_zq(g, GameConfig(q=2), below)
+    assert (sol.value, sol.values, sol.bounds) == (reference.value, reference.values, reference.bounds)
+    monkeypatch.setattr(zqforce.game, "MEMO_LIMIT", seeded + 1)
+    with pytest.raises(ResourceLimitError, match=f"memo limit {seeded + 1} reached"):
+        solve_zq(g, GameConfig(q=2), below)
+
+
 def _with_twin(g, v, adjacent):
     """g plus a new vertex with v's neighbours, and v itself if adjacent: a
     true twin of v if adjacent, else a false twin."""
