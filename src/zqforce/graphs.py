@@ -49,7 +49,7 @@ class Graph:
                 raise GraphValidationError(f"self-loop at vertex {u}")
             adj[u].append(v)
             adj[v].append(u)
-        return cls(n=n, adjacency=tuple(tuple(sorted(set(nbrs))) for nbrs in adj))
+        return cls(n=n, adjacency=_frozen_adjacency(adj))
 
     @property
     def edges(self) -> tuple:
@@ -61,16 +61,108 @@ class Graph:
         return sum(map(len, self.adjacency)) // 2
 
 
+def _frozen_adjacency(adj: list) -> tuple:
+    """Neighbor lists, in any order and with repeats, as Graph.adjacency:
+    one sorted tuple of distinct neighbors per vertex."""
+    return tuple(map(tuple, map(sorted, map(set, adj))))
+
+
+def _is_digits(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
-    Each non-comment line is "u v" with nonnegative integer endpoints; `#`
-    starts a comment. An optional first line "n <count>" fixes the vertex
-    count (allowing isolated vertices); otherwise n = 1 + max endpoint.
-    Duplicate edges and both orientations collapse to a single edge. More
-    than MAX_EDGES edge lines, or a vertex count above MAX_VERTICES, raise
-    ResourceLimitError; the edge lines as soon as one too many is read.
+    Each non-comment line is "u v" with endpoints written in ASCII decimal
+    digits; `#` starts a comment. An optional first line "n <count>" fixes
+    the vertex count (allowing isolated vertices); otherwise n = 1 + max
+    endpoint. Duplicate edges and both orientations collapse to a single
+    edge. More than MAX_EDGES edge lines, or a vertex count above
+    MAX_VERTICES, raise ResourceLimitError; the edge lines as soon as one
+    too many is read.
+
+    A text in the plain shape format_edge_list writes is parsed in bulk
+    (_parse_plain). Every other text, and a plain one that breaks a rule,
+    goes through the line loop (_parse_lines), which alone words the errors
+    and numbers their lines. Both build the same graph from any text both
+    accept.
     """
+    g = _parse_plain(text)
+    return g if g is not None else _parse_lines(text)
+
+
+# Characters of the payload _parse_plain converts at a time, rounded up to a
+# line end: big enough that the per-chunk calls cost nothing, small enough
+# that the chunk's tokens never weigh much next to the graph.
+_CHUNK = 1 << 16
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _parse_plain(text: str) -> Graph | None:
+    """The graph of a plain edge list, or None for any other text.
+
+    A plain edge list is an optional first line "n <count>" and at least
+    one line "u v": ASCII digits, one space, ASCII digits. Lines end in
+    "\\n", the last one may not. One translate() that drops the digits
+    checks that shape over the whole text. The ids are then converted a
+    chunk of whole lines at a time and appended straight into the
+    neighbor lists, so no token list of the whole text and no list of
+    pairs is ever held; without a header the lists grow to 1 + the largest
+    id seen. More than MAX_EDGES lines, a count or an id out of range and
+    a self-loop also give None, so that the line loop reports them.
+    """
+    n = None
+    start = 0
+    if text.startswith("n "):
+        start = text.find("\n") + 1
+        count = text[2:start - 1]
+        if not start or not _is_digits(count):
+            return None
+        try:
+            n = int(count)
+        except ValueError:  # more digits than int() converts
+            return None
+        if not 1 <= n <= MAX_VERTICES:
+            return None
+    if not "0" <= text[start:start + 1] <= "9":
+        return None
+    if " \n" in text or "\n " in text or text.endswith(" "):  # an empty id
+        return None
+    shape = text.translate(_DROP_DIGITS)[3 if start else 0:]  # "n \n" is the header's
+    if not text.endswith("\n"):
+        shape += "\n"
+    lines = len(shape) // 2
+    if not 1 <= lines <= MAX_EDGES or shape != " \n" * lines:
+        return None
+
+    adj = [[] for _ in range(n)] if n is not None else []
+    size = len(text)
+    while start < size:
+        end = text.find("\n", start + _CHUNK)
+        if end < 0:
+            end = size
+        try:
+            ids = list(map(int, text[start:end].split()))
+        except ValueError:
+            return None
+        start = end + 1
+        top = max(ids)
+        if top >= len(adj):
+            if n is not None or top >= MAX_VERTICES:
+                return None
+            adj.extend([] for _ in range(top + 1 - len(adj)))
+        pairs = iter(ids)
+        for u, v in zip(pairs, pairs):
+            if u == v:
+                return None
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph(n=len(adj), adjacency=_frozen_adjacency(adj))
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_edge_list for any text, one line at a time."""
     edge_limit = MAX_EDGES
     header_n = None
     edges = []
@@ -90,6 +182,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(lineno, f"bad vertex count {parts[1]!r}") from None
             if header_n < 1:
                 raise EdgeListParseError(lineno, "vertex count must be positive")
+            if not _is_digits(parts[1]):  # int() also reads "+5", "1_0" and non-ASCII digits
+                raise EdgeListParseError(lineno, f"bad vertex count {parts[1]!r}")
             continue
         saw_payload = True
         if len(parts) != 2:
@@ -100,6 +194,8 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(lineno, f"non-integer endpoint in {line!r}") from None
         if u < 0 or v < 0:
             raise EdgeListParseError(lineno, "negative vertex id")
+        if not (_is_digits(parts[0]) and _is_digits(parts[1])):
+            raise EdgeListParseError(lineno, f"vertex ids must be ASCII digits, got {line!r}")
         if u == v and self_loop is None:
             self_loop = (lineno, u)
         if len(edges) == edge_limit:
@@ -187,13 +283,14 @@ class Block:
 def find_blocks(g: Graph) -> tuple:
     """Biconnected components of g, as a tuple of Block in DFS pop order.
 
-    Standard disc/low edge-stack traversal, restarted at each undiscovered
-    vertex in increasing order: a block is emitted when the DFS returns to
-    the articulation vertex it hangs from, so each component's blocks come
-    leaf-to-root, each block's anchor is that vertex, and the component's
-    last block contains its root. An isolated vertex is in no block. Runs
-    in O(n + m) the first time it is asked about a graph object; the result
-    is kept on that object, and later calls return the same tuple.
+    Depth-first disc/low traversal with a vertex stack, restarted at each
+    undiscovered vertex in increasing order: a block is emitted when the
+    DFS returns to the articulation vertex it hangs from, so each
+    component's blocks come leaf-to-root, each block's anchor is that
+    vertex, and the component's last block contains its root. An isolated
+    vertex is in no block. Runs in O(n + m) the first time it is asked
+    about a graph object; the result is kept on that object, and later
+    calls return the same tuple.
     """
     blocks = g.__dict__.get("_blocks")
     if blocks is None:
@@ -205,62 +302,76 @@ def find_blocks(g: Graph) -> tuple:
 def _block_dfs(g: Graph) -> tuple:
     """The traversal behind find_blocks.
 
-    Each edge is pushed on the edge stack exactly once: as a tree edge, or
-    as a back edge from its deeper end. Each pushed edge is popped into
-    exactly one block, whose vertices it joins. An edge with both endpoints
-    in a block B was popped into B, since two blocks share at most one
-    vertex. So the edges popped into B, which Block.edges counts, are the
-    edges of g induced on B.vertices, and the counts sum to m.
+    A depth-first search that keeps an iterator over the unread neighbors
+    of each open vertex, and a stack of the vertices it has discovered but
+    not yet placed in a block. low[v] is the earliest discovery time that
+    v's subtree reaches by one edge; the edge to v's parent p counts too,
+    which never takes low[v] below disc[p]. When a child v of p finishes
+    with low[v] >= disc[p], the vertices from v to the top of that stack
+    are popped and form a block with p, which stays on the stack as its
+    anchor.
+
+    A vertex's up-degree is its number of neighbors discovered before it.
+    In a depth-first search every edge joins a vertex to one of its
+    ancestors, so each edge is counted exactly once, at its deeper end w.
+    The edge lies in the block of the tree edge from w's parent to w: that
+    is the edge itself, or a back edge, which closes a cycle through it.
+    w is popped into exactly that block, and a root is never popped. So
+    Block.edges, the sum of the up-degrees of the popped members, is the
+    number of edges of g induced on Block.vertices, and the counts sum to m.
     """
     n = g.n
     adj = g.adjacency
     disc = [0] * n
     low = [0] * n
-    estack = []
     blocks = []
 
     timer = 0
     for root in range(n):
-        if disc[root]:
+        if disc[root] or not adj[root]:
             continue
         timer += 1
         disc[root] = low[root] = timer
-        stack = [[root, -1, 0]]  # vertex, DFS parent, next adjacency index
+        found = [root]  # discovered vertices not yet in a block
+        up = [0]  # the up-degree of each vertex of found
+        stack = [(root, iter(adj[root]), 0)]  # vertex, unread neighbors, index in found
         while stack:
-            frame = stack[-1]
-            v, parent, i = frame
-            if i < len(adj[v]):
-                frame[2] = i + 1
-                u = adj[v][i]
-                if not disc[u]:
-                    estack.append((v, u))
-                    timer += 1
-                    disc[u] = low[u] = timer
-                    stack.append([u, v, 0])
-                elif u != parent and disc[u] < disc[v]:
-                    estack.append((v, u))
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
+            v, unread, i = stack[-1]
+            dv = disc[v]
+            lv = low[v]
+            k = up[i]
+            for u in unread:
+                du = disc[u]
+                if du:
+                    if du < dv:
+                        k += 1
+                        if du < lv:
+                            lv = du
+                    continue
+                low[v] = lv
+                up[i] = k
+                timer += 1
+                disc[u] = low[u] = timer
+                stack.append((u, iter(adj[u]), len(found)))
+                found.append(u)
+                up.append(0)
+                break
             else:
+                up[i] = k
                 stack.pop()
                 if not stack:
                     break
                 p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    members = set()
-                    pushed = len(estack)
-                    while True:
-                        a, b = estack.pop()
-                        members.add(a)
-                        members.add(b)
-                        if (a, b) == (p, v):
-                            break
-                    edges = pushed - len(estack)
+                if lv < low[p]:
+                    low[p] = lv
+                if lv >= disc[p]:
+                    members = found[i:]
+                    edges = sum(up[i:])
+                    del found[i:], up[i:]
+                    members.append(p)
                     blocks.append(Block(vertices=frozenset(members), anchor=p, edges=edges))
-        if adj[root]:  # the component's last block, which holds the root
-            blocks[-1] = replace(blocks[-1], anchor=None)
+        # The component's last block holds the root.
+        blocks[-1] = replace(blocks[-1], anchor=None)
     return tuple(blocks)
 
 

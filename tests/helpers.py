@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
-from zqforce import FamilyParams, Graph, ScopeError, find_blocks, generate_family, unfilled_components
+from zqforce import Block, FamilyParams, Graph, ScopeError, find_blocks, generate_family, unfilled_components
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -150,6 +151,68 @@ def brute_blocks(g: Graph) -> set:
             if all(_induced_connected(g, vset - {v}) for v in vs):
                 candidates.append(frozenset(vs))
     return {c for c in candidates if not any(c < d for d in candidates)}
+
+
+def block_dfs_reference(g: Graph) -> tuple:
+    """find_blocks by the Hopcroft-Tarjan edge-stack traversal (neighbors in
+    adjacency order, roots in increasing order), the reference that pins the
+    order, vertices, anchors and edge counts graphs._block_dfs returns.
+
+    Each edge is pushed on the edge stack exactly once: as a tree edge, or
+    as a back edge from its deeper end. Each pushed edge is popped into
+    exactly one block, whose vertices it joins; the edges popped into a
+    block are its edge count.
+    """
+    n = g.n
+    adj = g.adjacency
+    disc = [0] * n
+    low = [0] * n
+    estack = []
+    blocks = []
+
+    timer = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        timer += 1
+        disc[root] = low[root] = timer
+        stack = [[root, -1, 0]]  # vertex, DFS parent, next adjacency index
+        while stack:
+            frame = stack[-1]
+            v, parent, i = frame
+            if i < len(adj[v]):
+                frame[2] = i + 1
+                u = adj[v][i]
+                if not disc[u]:
+                    estack.append((v, u))
+                    timer += 1
+                    disc[u] = low[u] = timer
+                    stack.append([u, v, 0])
+                elif u != parent and disc[u] < disc[v]:
+                    estack.append((v, u))
+                    if disc[u] < low[v]:
+                        low[v] = disc[u]
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    members = set()
+                    pushed = len(estack)
+                    while True:
+                        a, b = estack.pop()
+                        members.add(a)
+                        members.add(b)
+                        if (a, b) == (p, v):
+                            break
+                    edges = pushed - len(estack)
+                    blocks.append(Block(vertices=frozenset(members), anchor=p, edges=edges))
+        if adj[root]:  # the component's last block, which holds the root
+            blocks[-1] = replace(blocks[-1], anchor=None)
+    return tuple(blocks)
 
 
 _INF = float("inf")

@@ -2,7 +2,8 @@
 
 Every malformed input must surface as one of the documented error types (the
 CLI maps them to exit code 2 or 3) or as a failed CheckResult, never as any
-other exception.
+other exception. The edge-list parser's bulk path must agree with its line
+loop on every text.
 """
 
 import random
@@ -29,7 +30,9 @@ from zqforce import (
     verify_certificate,
 )
 
-from helpers import BOWTIE, cycle, random_connected_graph, star
+from zqforce.graphs import _parse_lines, _parse_plain
+
+from helpers import BOWTIE, cycle, disjoint_union, random_connected_graph, star
 
 _JUNK = ("x", "1.5", "0x1", "-1", "-0", "", "1e3", "n", "#", ";", ",", "1,", ";1", "99999999999")
 
@@ -99,6 +102,95 @@ def test_fuzz_parse_edge_list():
         _assert_canonical(got)
         parsed += 1
     assert parsed > 50 and refused > 50
+
+
+def _plain_edge_list(rng):
+    """A valid edge list in the plain shape: seeded graph with isolated
+    vertices, its pairs repeated, reversed and shuffled, with or without
+    the header and the final newline."""
+    parts = [random_connected_graph(rng.randint(1, 12), rng.random() * 0.5, rng)
+             for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        parts.append(Graph.from_edges(rng.randint(1, 3), []))
+    g = disjoint_union(*parts, rng=rng)
+    pairs = list(g.edges)
+    pairs += [(v, u) for u, v in rng.sample(pairs, len(pairs) // 3)]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    rng.shuffle(pairs)
+    lines = [f"{u} {v}" for u, v in pairs]
+    if rng.random() < 0.6 or not lines:
+        lines.insert(0, f"n {g.n}")
+    return lines, "\n" if rng.random() < 0.7 else ""
+
+
+def _spoil(lines, rng):
+    """One mutation the bulk path must hand to the line loop, or one that
+    keeps the text plain."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    op = rng.randrange(15)
+    if op == 0:
+        lines[i] = lines[i].replace(" ", "\t", 1)
+    elif op == 1:
+        lines = [line + "\r" for line in lines]  # CRLF once joined
+    elif op == 2:
+        lines.insert(i, "# a comment")
+    elif op == 3:
+        lines[i] += "  # a comment"
+    elif op == 4:
+        lines.insert(i, rng.choice(("", " ", "\t")))
+    elif op == 5:
+        lines.insert(0, f"n {rng.choice((0, 1, 2, 3))}")
+    elif op == 6:
+        lines.append(f"0 {rng.randint(10, 60)}")  # out of range when a header says less
+    elif op == 7:
+        k = rng.randint(0, 9)
+        lines.insert(i, f"{k} {k}")
+    elif op == 8:
+        lines[i] = rng.choice((" ", "  ")) + lines[i] + rng.choice(("", " "))
+    elif op == 9:
+        lines[i] = lines[i].replace(" ", "  ", 1)
+    elif op == 10:
+        toks = lines[i].split(" ")
+        toks[-1] = rng.choice(("+", "-", "0", "\u0661", "\u00b2")) + toks[-1]
+        lines[i] = " ".join(toks)
+    elif op == 11:
+        lines[i] = lines[i].split(" ")[-1]  # one id alone
+    elif op == 12:
+        lines[i] = "9" * 5000 + " 1"  # more digits than int() converts
+    elif op == 13:
+        lines[i] += "_0"
+    return lines
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (EdgeListParseError, GraphValidationError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def test_bulk_parse_agrees_with_the_line_loop(monkeypatch):
+    rng = random.Random(104)
+    texts = []
+    for _ in range(300):
+        lines, end = _plain_edge_list(rng)
+        texts.append("\n".join(lines) + end)
+        texts.append("\n".join(_spoil(lines, rng)) + end)
+        texts.append("\n".join(_mutate_lines(lines, rng, _edge_list_junk)) + end)
+    texts += ["", "\n", "n 5", "n 5\n", "0 1", "0 1\n\n", "0 1\n2", "0 1\n2 ", "0 1 ",
+              "n 3\n0 1\nn 3\n"]
+    # Under each limit, the number of texts the bulk path takes.
+    for limits, least in (({}, 300), ({"MAX_EDGES": 3}, 20), ({"MAX_VERTICES": 12}, 150)):
+        for name, value in limits.items():
+            monkeypatch.setattr(f"zqforce.graphs.{name}", value)
+        bulk = 0
+        for text in texts:
+            got = _parse_outcome(parse_edge_list, text)
+            assert got == _parse_outcome(_parse_lines, text), repr(text)
+            bulk += _parse_plain(text) is not None
+        assert bulk >= least, limits
+        monkeypatch.undo()
 
 
 def _certificate_corpus(rng):

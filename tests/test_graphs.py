@@ -22,6 +22,7 @@ from zqforce.cli import main
 
 from helpers import (
     BOWTIE,
+    block_dfs_reference,
     brute_articulation_points,
     brute_blocks,
     clique,
@@ -30,7 +31,9 @@ from helpers import (
     induced_edge_count,
     path,
     random_block_graph,
+    random_cactus,
     random_connected_graph,
+    random_tree,
 )
 
 
@@ -116,6 +119,22 @@ def test_parse_errors_keep_their_precedence(monkeypatch):
         parse_edge_list("0 1\nx y\n1 2\n2 3")
     with pytest.raises(ResourceLimitError, match="edge count"):
         parse_edge_list("0 0\n0 500\n1 2\nx y")
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("1_0 2\n", 1),  # int() reads 10
+    ("0 1\n+3 1\n", 2),  # int() reads 3
+    ("\u0661 2\n", 1),  # an Arabic-Indic one, which int() reads as 1
+    ("n 1_0\n0 1\n", 1),  # a header count int() reads as 10
+])
+def test_ids_and_vertex_count_are_ascii_digits(text, lineno, tmp_path):
+    with pytest.raises(EdgeListParseError) as excinfo:
+        parse_edge_list(text)
+    assert excinfo.value.lineno == lineno
+    assert graphs._parse_plain(text) is None
+    path = tmp_path / "g.el"
+    path.write_text(text, encoding="utf-8")
+    assert main(["compute", "--file", str(path)]) == 2
 
 
 def test_edge_list_round_trip():
@@ -248,6 +267,29 @@ def test_find_blocks_decomposes_each_graph_object_once(monkeypatch):
     assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
     assert find_blocks(twin) == find_blocks(g) and find_blocks(twin) is not find_blocks(g)
     assert len(runs) == 2
+
+
+def test_block_dfs_returns_the_edge_stack_traversals_blocks_in_its_order():
+    # The order, anchors and edge counts fix block_graph_Z's token order and
+    # so the certificate bytes; the reference is the edge-stack traversal.
+    corpus = [Graph.from_edges(len(nxg), list(nxg.edges())) for nxg in nx.graph_atlas_g()[1:]]
+    rng = random.Random(19)
+    for _ in range(10):
+        n = rng.randint(2, 200)
+        p = rng.uniform(0.5, 3) / n
+        corpus += [
+            random_tree(n, rng),
+            random_cactus(n, rng),
+            random_block_graph(max(n, 3), rng),
+            Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]),
+        ]
+    for _ in range(20):
+        parts = [random_connected_graph(rng.randint(1, 30), rng.random() * 0.3, rng)
+                 for _ in range(rng.randint(1, 3))]
+        parts += [Graph.from_edges(rng.randint(1, 3), [])] * rng.randint(1, 2)
+        corpus.append(disjoint_union(*parts, rng=rng))
+    for g in corpus:
+        assert graphs._block_dfs(g) == block_dfs_reference(g), g.edges
 
 
 def test_find_blocks_agrees_with_networkx_on_random_graphs():
