@@ -1,8 +1,8 @@
 """Command-line front end: solver dispatch, cross-verification, strategy
 printing, and benchmark tables.
 
-Exit codes: 0 success, 2 parse/validation, 3 scope or cap refusal,
-4 cross-method disagreement.
+Exit codes: 0 success, 1 internal or write error, 2 parse/validation,
+3 scope or cap refusal, 4 cross-method disagreement.
 """
 
 from __future__ import annotations
@@ -63,19 +63,15 @@ _CLOSED_FORMS = {
 METHODS = ("auto", "exact")
 
 
-def detect_class(g: Graph) -> str:
+def detect_class(g: Graph, block, cactus) -> str:
     if not is_connected(g):
         return "disconnected"
     tags = []
-    if is_block_graph(g):
+    if block():
         tags.append("block-graph")
-    if is_cactus(g):
+    if cactus():
         tags.append("cactus")
     return "+".join(tags) if tags else "general"
-
-
-def _warn(message: str):
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _parse_int_list(text: str, flag: str) -> list:
@@ -121,6 +117,8 @@ def _load_graph(args):
             # of it; lines are numbered as parse_edge_list numbers them.
             lineno = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
             raise EdgeListParseError(lineno, f"not UTF-8: byte 0x{exc.object[exc.start]:02x}") from None
+        except OSError as exc:
+            raise GraphValidationError(f"cannot read {args.file}: {exc.strerror}") from None
         return parse_edge_list(text), args.file, None, None
     if args.family:
         kind = _FAMILY_ALIASES.get(args.family)
@@ -158,8 +156,8 @@ def _solve(g: Graph, method: str, cfg: GameConfig, form, below=None):
 
 
 def _coverage(g: Graph, cap: int, form):
-    """The coverage rule of g: a function of q that yields, lazily and in
-    this order, every method whose value is Z_q(g):
+    """The coverage rule of g: methods, a function of q that yields, lazily
+    and in this order, every method whose value is Z_q(g):
 
     - formula, when form, the family's closed form as a function of q (None
       for a file input), covers q;
@@ -170,8 +168,8 @@ def _coverage(g: Graph, cap: int, form):
       or has at most cap vertices: structured.block_Z0, which adds up the
       blocks' Z_0 and so covers disconnected inputs too.
 
-    `compute` takes the first entry, `verify` runs them all. Each class
-    check runs at most once per rule, however many q it is asked about.
+    Returns (methods, block, cactus). `compute` takes the first method and
+    `verify` runs them all; detect_class reads the two checks, run once each.
     """
     block = cache(lambda: is_block_graph(g))
     cactus = cache(lambda: is_cactus(g))
@@ -194,7 +192,7 @@ def _coverage(g: Graph, cap: int, form):
         if q == 0 and foldable():
             yield "fold"
 
-    return methods
+    return methods, block, cactus
 
 
 def _refusal(g: Graph, q_list, cap: int) -> ScopeError:
@@ -211,9 +209,10 @@ def cmd_compute(args) -> int:
     g, source, form, shown_params = _load_graph(args)
     cfg = _game_config(args, args.q)
     q = cfg.q
+    methods, block, cactus = _coverage(g, cfg.vertex_cap, form)
     used = args.method
     if used == "auto":
-        used = next(_coverage(g, cfg.vertex_cap, form)(q), None)
+        used = next(methods(q), None)
         if used is None:
             raise _refusal(g, [q], cfg.vertex_cap)
     value, make_cert, sol = _solve(g, used, cfg, form)
@@ -228,7 +227,7 @@ def cmd_compute(args) -> int:
     cert_path = None
     if args.trace:
         if cert is None:
-            _warn(f"method {used!r} does not produce a certificate; --trace ignored")
+            print(f"warning: method {used!r} does not produce a certificate; --trace ignored", file=sys.stderr)
         else:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(format_certificate(cert))
@@ -236,7 +235,7 @@ def cmd_compute(args) -> int:
 
     report = {
         "source": source,
-        "detected_class": detect_class(g),
+        "detected_class": detect_class(g, block, cactus),
         "method": used,
         "q": q,
         "value": value,
@@ -270,11 +269,11 @@ def cmd_verify(args) -> int:
     configs = {q: _game_config(args, q) for q in q_list}
 
     if g.n > args.cap:
-        _warn(f"n={g.n} exceeds the exact cap {args.cap}; skipping the exact solver")
+        print(f"warning: n={g.n} exceeds the exact cap {args.cap}; skipping the exact solver", file=sys.stderr)
 
     # The distinct q in increasing order, so that each exact solve starts
     # from the one below it; rows keep the order of the list.
-    methods = _coverage(g, args.cap, form)
+    methods = _coverage(g, args.cap, form)[0]
     values = {}  # by q: {method: value}
     block = cache(lambda: block_graph_Z(g)[0])  # the same at every q
     below = None  # the last exact solution

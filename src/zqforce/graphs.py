@@ -235,7 +235,8 @@ def connected_components(g: Graph) -> list:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    # Each component with an edge has one block without an anchor; an isolated vertex is its own.
+    return sum(block.anchor is None for block in find_blocks(g)) + g.adjacency.count(()) <= 1
 
 
 def unfilled_components(g: Graph, filled) -> list:

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -161,6 +162,22 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
     f.write_bytes(b"0 1\r\n1 2\r2 \xe9\n")
     assert main([command[0], "--file", str(f), *command[1:]]) == 2
     assert capsys.readouterr().err == "error: line 3: not UTF-8: byte 0xe9\n"
+
+
+@pytest.mark.parametrize("command", [["compute"], ["verify", "--q-list", "0"], ["strategy"]])
+def test_unreadable_input_is_bad_input_and_an_unwritable_output_is_not(tmp_path, capsys, command):
+    # An input file that cannot be read is bad input (exit 2), named in the
+    # message; a report or certificate that cannot be written stays exit 1.
+    for path, reason in [(tmp_path / "missing.el", "No such file or directory"),
+                         (tmp_path, "Is a directory")]:
+        assert main([command[0], "--file", str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {path}: {reason}\n"
+    bowtie = _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
+    assert main([command[0], "--file", bowtie, *command[1:], "--output", str(tmp_path / "no" / "out")]) == 1
+    assert main(["compute", "--file", bowtie, "--trace", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("error: [Errno") == 2
 
 
 def test_verify_bowtie_all_methods_agree(tmp_path, capsys):
@@ -504,12 +521,15 @@ def _diamond_beside_blocks(tmp_path):
      "block-graph", 1),
     (["--family", "random_cactus", "--n", "60", "--seed", "1"], "cactus", 1),
     (["--file"], "disconnected", 1),
-], ids=["block-trace", "cactus", "fold"])
+    (["--family", "cycle", "--n", "8", "--method", "exact", "--trace"], "cactus", 1),
+], ids=["block-trace", "cactus", "fold", "exact"])
 def test_compute_decomposes_the_graph_once(tmp_path, capsys, monkeypatch, argv, detected, runs):
     # find_blocks is asked for the blocks by the coverage rule, the solver
     # and the class line, and runs its DFS for the first of them only. The
     # fold (the diamond beside a block graph) searches the diamond from its
-    # own adjacency and decomposes nothing else.
+    # own adjacency and decomposes nothing else. The class line reads the
+    # coverage rule's checks, so each runs at most once, and its
+    # connectivity comes from the blocks, with no search of its own.
     from zqforce import graphs
 
     real = graphs._block_dfs
@@ -520,6 +540,17 @@ def test_compute_decomposes_the_graph_once(tmp_path, capsys, monkeypatch, argv, 
         return real(g)
 
     monkeypatch.setattr(graphs, "_block_dfs", counting)
+    asked = []
+    for name in ("is_block_graph", "is_cactus", "connected_components"):
+        check = getattr(graphs, name)
+
+        def counted(*args, _name=name, _check=check):
+            asked.append(_name)
+            return _check(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "zqforce"]:
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, counted)
     if argv[-1] == "--trace":
         argv = argv + [str(tmp_path / "cert.txt")]
     if argv == ["--file"]:
@@ -527,6 +558,8 @@ def test_compute_decomposes_the_graph_once(tmp_path, capsys, monkeypatch, argv, 
     assert main(["compute", *argv]) == 0
     assert capsys.readouterr().out.splitlines()[1] == f"class: {detected}"
     assert len(seen) == runs
+    assert asked.count("is_block_graph") <= 1 and asked.count("is_cactus") <= 1, asked
+    assert "connected_components" not in asked
 
 
 def test_compute_takes_the_first_method_verify_runs(tmp_path, capsys):

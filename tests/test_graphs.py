@@ -303,6 +303,7 @@ def test_find_blocks_agrees_with_networkx_on_random_graphs():
         nxg.add_nodes_from(range(g.n))
         theirs = {frozenset(c) for c in nx.biconnected_components(nxg)}
         assert ours == theirs
+        assert is_connected(g) == nx.is_connected(nxg)
 
 
 def test_block_order_prefix_invariant_on_random_block_graphs():
@@ -360,3 +361,5 @@ def test_cactus_vertex_pairs_share_at_most_one_cycle():
 def test_connectivity_helpers():
     assert is_connected(BOWTIE)
     assert not is_connected(Graph.from_edges(3, [(0, 1)]))
+    assert is_connected(Graph.from_edges(1, []))
+    assert not is_connected(Graph.from_edges(3, []))
