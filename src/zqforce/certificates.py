@@ -23,23 +23,23 @@ from .errors import EdgeListParseError
 from .graphs import Graph, unfilled_components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenMove:
     vertex: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForceMove:
     source: int
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnounceMove:
     components: tuple  # tuple of frozensets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevealMove:
     components: tuple
 
@@ -72,9 +72,9 @@ def certificate_from_tokens(g: Graph, tokens) -> Certificate:
 
     tokens = list(tokens)
     closed, forces = closure_with_forces(g, tokens)
-    if closed != frozenset(range(g.n)):
+    if len(closed) != g.n:  # closed holds vertices of g only
         raise ValueError("token set is not a zero forcing set")
-    trace = [TokenMove(v) for v in tokens]
+    trace = list(map(TokenMove, tokens))
     trace.extend(forces)
     return Certificate(tokens=frozenset(tokens), trace=tuple(trace))
 
@@ -225,7 +225,7 @@ def verify_certificate(g: Graph, q: int | None, cert: Certificate) -> CheckResul
 
     if pending is not None:
         return fail(len(cert.trace), "trace ends on an unanswered announcement")
-    if filled != set(range(g.n)):
+    if len(filled) != g.n:  # every move checked its vertex against 0..n-1
         return fail(len(cert.trace), "trace does not fill every vertex")
     if frozenset(spent) != cert.tokens or len(spent) != len(cert.tokens):
         return fail(len(cert.trace), "token set does not match the trace's token moves")

@@ -10,19 +10,23 @@ its closure is every vertex.
 `_window_closure` is the bitmask closure, restricted to a window of
 vertices; with the whole vertex set as the window it is the plain closure.
 It is the hot loop of the exact game search and of `brute_force_Z`.
-`closure_with_forces` also records the forces, which certificates need.
+`closure_with_forces` also records the forces, which certificates need; it
+counts unfilled neighbors from the unfilled side, so its set-up costs the
+adjacency of the unfilled vertices only.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations
+from collections import Counter, deque
+from itertools import chain, combinations, compress, repeat
 
 from .certificates import ForceMove
 from .errors import ScopeError
 from .graphs import Graph, _check_vertex_subset
 
 BRUTE_FORCE_CAP = 20
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # a fill mark to an unfilled mark
 
 
 def vertices_to_mask(vertices) -> int:
@@ -59,30 +63,39 @@ def closure_with_forces(g: Graph, filled) -> tuple:
 
     Work-queue over potential sources, O(n + m) total: a vertex forces at
     most once, and each fill decrements its neighbors' unfilled counts.
+    The counts are read from the unfilled side only: a vertex has as many
+    unfilled neighbors as there are unfilled vertices that list it, so one
+    Counter over the unfilled vertices' adjacency holds every nonzero
+    count, and a set that is mostly filled costs little more than its
+    unfilled part to count. The queue starts with the filled vertices of
+    count 1 in increasing order.
     """
     filled = frozenset(filled)
     _check_vertex_subset(g, filled)
+    adjacency = g.adjacency
     mark = bytearray(g.n)
     for v in filled:
         mark[v] = 1
-    unfilled_count = [sum(1 - mark[w] for w in g.adjacency[v]) for v in range(g.n)]
-    queue = deque(v for v in sorted(filled) if unfilled_count[v] == 1)
+    unfilled = compress(range(g.n), mark.translate(_FLIP))
+    counts = Counter(chain.from_iterable(map(adjacency.__getitem__, unfilled)))
+    # The loop reads a list: indexing a Counter, a dict subclass, is slower.
+    unfilled_count = list(map(counts.get, range(g.n), repeat(0)))
+    queue = deque(sorted(v for v, k in counts.items() if k == 1 and mark[v]))
     forces = []
     while queue:
         u = queue.popleft()
         if unfilled_count[u] != 1:
             continue  # stale entry
-        t = next(w for w in g.adjacency[u] if not mark[w])
+        t = next(w for w in adjacency[u] if not mark[w])
         forces.append(ForceMove(u, t))
         mark[t] = 1
         if unfilled_count[t] == 1:
             queue.append(t)
-        for w in g.adjacency[t]:
+        for w in adjacency[t]:
             unfilled_count[w] -= 1
             if mark[w] and unfilled_count[w] == 1:
                 queue.append(w)
-    result = frozenset(v for v in range(g.n) if mark[v])
-    return result, forces
+    return frozenset(compress(range(g.n), mark)), forces
 
 
 def brute_force_Z(g: Graph) -> tuple:

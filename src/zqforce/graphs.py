@@ -1,6 +1,9 @@
 """Graph representation, edge-list I/O, and structural decomposition.
 
-Vertices are dense 0-based integers. Graphs are immutable after construction
+Vertices are dense 0-based integers. A graph built here holds one int
+object per vertex id: every neighbor list names vertex v by the same
+object, so the passes over a large graph read a compact table instead of
+one int allocated per edge end. Graphs are immutable after construction
 and safe to share between threads. Every function here is pure, except that
 find_blocks stores its result on the graph it decomposed: a memo that no
 field, comparison, hash or repr of Graph sees, and that two threads can at
@@ -39,16 +42,22 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """The graph on vertices 0..n-1 with these (u, v) pairs as edges.
+        Endpoints must be ints (not bools); each is stored as the one int
+        object of its id."""
         if n < 1:
             raise GraphValidationError("graph needs at least one vertex")
         adj = [[] for _ in range(n)]
+        vertex = list(range(n))
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise GraphValidationError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphValidationError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise GraphValidationError(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
+            adj[u].append(vertex[v])
+            adj[v].append(vertex[u])
         return cls(n=n, adjacency=_frozen_adjacency(adj))
 
     @property
@@ -63,8 +72,20 @@ class Graph:
 
 def _frozen_adjacency(adj: list) -> tuple:
     """Neighbor lists, in any order and with repeats, as Graph.adjacency:
-    one sorted tuple of distinct neighbors per vertex."""
-    return tuple(map(tuple, map(sorted, map(set, adj))))
+    one sorted tuple of distinct neighbors per vertex. Each list is sorted
+    in place, and only a list with a repeat, which sorting puts next to
+    its twin, is rebuilt through a set."""
+    frozen = []
+    for nbrs in adj:
+        nbrs.sort()
+        prev = -1
+        for w in nbrs:
+            if w == prev:
+                nbrs = sorted(set(nbrs))
+                break
+            prev = w
+        frozen.append(tuple(nbrs))
+    return tuple(frozen)
 
 
 def _is_digits(token: str) -> bool:
@@ -106,11 +127,13 @@ def _parse_plain(text: str) -> Graph | None:
     one line "u v": ASCII digits, one space, ASCII digits. Lines end in
     "\\n", the last one may not. One translate() that drops the digits
     checks that shape over the whole text. The ids are then converted a
-    chunk of whole lines at a time and appended straight into the
+    chunk of whole lines at a time, swapped for the one int object of
+    each id in the table `vertex`, and appended straight into the
     neighbor lists, so no token list of the whole text and no list of
-    pairs is ever held; without a header the lists grow to 1 + the largest
-    id seen. More than MAX_EDGES lines, a count or an id out of range and
-    a self-loop also give None, so that the line loop reports them.
+    pairs is ever held; without a header the lists and the table grow to
+    1 + the largest id seen. More than MAX_EDGES lines, a count or an id
+    out of range and a self-loop also give None, so that the line loop
+    reports them.
     """
     n = None
     start = 0
@@ -137,6 +160,7 @@ def _parse_plain(text: str) -> Graph | None:
         return None
 
     adj = [[] for _ in range(n)] if n is not None else []
+    vertex = list(range(len(adj)))
     size = len(text)
     while start < size:
         end = text.find("\n", start + _CHUNK)
@@ -152,7 +176,8 @@ def _parse_plain(text: str) -> Graph | None:
             if n is not None or top >= MAX_VERTICES:
                 return None
             adj.extend([] for _ in range(top + 1 - len(adj)))
-        pairs = iter(ids)
+            vertex.extend(range(len(vertex), top + 1))
+        pairs = iter(map(vertex.__getitem__, ids))
         for u, v in zip(pairs, pairs):
             if u == v:
                 return None

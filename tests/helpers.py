@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import replace
 from itertools import combinations
 
-from zqforce import Block, FamilyParams, Graph, ScopeError, find_blocks, generate_family, unfilled_components
+from zqforce import (
+    Block,
+    FamilyParams,
+    ForceMove,
+    Graph,
+    ScopeError,
+    find_blocks,
+    generate_family,
+    unfilled_components,
+)
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -280,6 +290,35 @@ def cactus_Z0_dp(g: Graph) -> int:
         if upgrade < min_upgrade[p]:
             min_upgrade[p] = upgrade
     return int(dp0[0] + min_upgrade[0])
+
+
+def closure_with_forces_reference(g: Graph, filled) -> tuple:
+    """Reference for forcing.closure_with_forces, which counts from the
+    unfilled side: the same work queue, with every vertex's unfilled
+    neighbors counted by scanning its own adjacency, and the queue seeded
+    from the filled vertices of count 1 in increasing order. Pins the
+    closure and the force list, so certificates stay byte-identical."""
+    filled = frozenset(filled)
+    mark = bytearray(g.n)
+    for v in filled:
+        mark[v] = 1
+    unfilled_count = [sum(1 - mark[w] for w in g.adjacency[v]) for v in range(g.n)]
+    queue = deque(v for v in sorted(filled) if unfilled_count[v] == 1)
+    forces = []
+    while queue:
+        u = queue.popleft()
+        if unfilled_count[u] != 1:
+            continue  # stale entry
+        t = next(w for w in g.adjacency[u] if not mark[w])
+        forces.append(ForceMove(u, t))
+        mark[t] = 1
+        if unfilled_count[t] == 1:
+            queue.append(t)
+        for w in g.adjacency[t]:
+            unfilled_count[w] -= 1
+            if mark[w] and unfilled_count[w] == 1:
+                queue.append(w)
+    return frozenset(v for v in range(g.n) if mark[v]), forces
 
 
 def naive_components(g: Graph, filled) -> list:

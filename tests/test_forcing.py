@@ -22,6 +22,7 @@ from zqforce.forcing import _adjacency_masks, _window_closure
 from helpers import (
     BOWTIE,
     clique,
+    closure_with_forces_reference,
     cycle,
     disjoint_union,
     naive_brute_force_Z,
@@ -122,6 +123,33 @@ def test_bitmask_closure_matches_closure_with_forces_on_every_subset():
                 closed = closure_with_forces(g, s)[0]
                 assert mask_to_vertices(_window_closure(masks, vertices_to_mask(s), full)) == closed, (g.n, g.edges, s)
                 assert naive_window_closure(g, s, range(g.n)) == closed, (g.n, g.edges, s)
+
+
+def test_closure_and_forces_match_reference_on_the_atlas():
+    # Every atlas graph with n <= 7, connected or not, and every filled set:
+    # the same closure and the same force list, move for move.
+    import networkx as nx
+
+    for nxg in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(len(nxg), list(nxg.edges()))
+        for mask in range(1 << g.n):
+            s = [v for v in range(g.n) if mask >> v & 1]
+            assert closure_with_forces(g, s) == closure_with_forces_reference(g, s), (g.n, g.edges, s)
+
+
+def test_closure_and_forces_match_reference_on_seeded_graphs():
+    # Seeded graphs up to 60 vertices, disconnected ones and isolated
+    # vertices among them, each with the empty set, the full set and random
+    # sets from sparse to nearly full.
+    rng = random.Random(79)
+    graphs = [Graph.from_edges(1, []), Graph.from_edges(7, [(2, 5)])] + _seeded_graphs(rng, 90, 60)
+    assert sum(not is_connected(g) for g in graphs) >= 25
+    assert sum(any(not nbrs for nbrs in g.adjacency) for g in graphs) >= 5
+    for g in graphs:
+        sets = [[], list(range(g.n))]
+        sets += [[v for v in range(g.n) if rng.random() < p] for p in (0.1, 0.3, 0.6, 0.9)]
+        for s in sets:
+            assert closure_with_forces(g, s) == closure_with_forces_reference(g, s), (g.n, g.edges, s)
 
 
 def test_brute_force_witness_matches_naive_reference():

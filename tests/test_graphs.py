@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -156,6 +157,40 @@ def test_graph_is_its_edge_set_whatever_the_edge_order():
     got = Graph.from_edges(g.n, listed)
     assert got == g and hash(got) == hash(g)
     assert got.edges == g.edges and got.m == g.m == len(g.edges)
+
+
+def _int_objects(g):
+    """The number of distinct int objects in g's neighbor lists."""
+    return len({id(w) for nbrs in g.adjacency for w in nbrs})
+
+
+def test_graphs_hold_one_int_object_per_vertex_id():
+    # The interpreter caches the ints up to 256 only, so above that each
+    # int() or range() makes a new object per edge end unless a graph
+    # swaps it for its one object of that id. Plain files, with and
+    # without a header and with repeats, take the bulk path; the messy
+    # one, the line loop; the generator builds through from_edges.
+    g = random_block_graph(600, random.Random(11), blocks=120)
+    ids = len({w for nbrs in g.adjacency for w in nbrs})
+    assert ids > 256 and _int_objects(g) <= ids
+    headed = format_edge_list(g)
+    headless = headed.split("\n", 1)[1]
+    repeated = headless + "".join(f"{v} {u}\n" for u, v in g.edges[::7])
+    messy = "# edges\r\n" + "".join(f"{v}\t{u}  # e\r\n" for u, v in g.edges)
+    assert all(graphs._parse_plain(text) is not None for text in (headed, headless, repeated))
+    assert graphs._parse_plain(messy) is None
+    for text in (headed, headless, repeated, messy):
+        parsed = parse_edge_list(text)
+        assert parsed == g
+        assert _int_objects(parsed) <= ids
+
+
+@pytest.mark.parametrize("pair", [(0, True), (False, 1), (0, 1.0), ("0", 1), (0, None)])
+def test_from_edges_refuses_endpoints_that_are_not_ints(pair):
+    # A bool is an int to 0 <= u < n and to list indexing, so it would be
+    # stored as is and written out as "True"; the rest raised TypeError.
+    with pytest.raises(GraphValidationError, match=re.escape(f"edge {pair!r}")):
+        Graph.from_edges(3, [(1, 2), pair])
 
 
 def test_unfilled_components_cycle_single_gap():
