@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EdgeListParseError
-from .graphs import Graph, unfilled_components
+from .graphs import Graph, _is_digits, unfilled_components
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,10 +105,10 @@ def _parse_components(text: str, lineno: int) -> tuple:
         chunk = chunk.strip()
         if not chunk:
             raise EdgeListParseError(lineno, "empty component in announce/reveal")
-        try:
-            comps.append(frozenset(int(tok) for tok in chunk.split(",")))
-        except ValueError:
-            raise EdgeListParseError(lineno, f"bad component {chunk!r}") from None
+        toks = [tok.strip() for tok in chunk.split(",")]
+        if not all(map(_is_digits, toks)):
+            raise EdgeListParseError(lineno, f"bad component {chunk!r}")
+        comps.append(frozenset(map(int, toks)))
     return _canon_components(comps)
 
 
@@ -140,10 +140,9 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def _parse_int(text: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise EdgeListParseError(lineno, f"bad vertex {text!r}") from None
+    if not _is_digits(text):  # int() also reads "+3", "1_0" and non-ASCII digits
+        raise EdgeListParseError(lineno, f"bad vertex {text!r}")
+    return int(text)
 
 
 def verify_certificate(g: Graph, q: int | None, cert: Certificate) -> CheckResult:

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 internal or write error, 2 parse/validation,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -221,9 +222,7 @@ def cmd_compute(args) -> int:
     # exact solver's trace in --json), and check it before either.
     cert = None
     if make_cert is not None and (args.trace or (args.json and sol is not None)):
-        cert = make_cert()
-        if not check_certificate(g, q, cert):
-            raise ZqError("internal error: emitted certificate failed verification")
+        cert = _checked(g, q, make_cert())
     cert_path = None
     if args.trace:
         if cert is None:
@@ -337,7 +336,7 @@ def cmd_strategy(args) -> int:
     g, source, _, _ = _load_graph(args)
     cfg = _game_config(args, args.q)
     sol = solve_zq(g, cfg)
-    cert = extract_player_trace(sol)
+    cert = _checked(g, cfg.q, extract_player_trace(sol))
     lines = [f"source: {source} (n={g.n}, m={g.m}), q={args.q}, rule3={cfg.rule3_mode}"]
     for i, mv in enumerate(cert.trace, start=1):
         name = type(mv).__name__
@@ -352,6 +351,14 @@ def cmd_strategy(args) -> int:
     lines.append(f"tokens spent: {len(cert.tokens)} (game value {sol.value})")
     _emit("\n".join(lines), args.output)
     return 0
+
+
+def _checked(g: Graph, q: int, cert):
+    """cert, once check_certificate accepts it for g at q; a certificate that
+    fails is never emitted, and the run exits 1."""
+    if not check_certificate(g, q, cert):
+        raise ZqError("internal error: emitted certificate failed verification")
+    return cert
 
 
 def _emit(text: str, output: str | None):
@@ -425,6 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # No command builds a reference cycle that grows with its input, so the
+    # cyclic collector would only rescan the graph and certificate objects as
+    # they pile up (test_no_command_leaves_cyclic_garbage holds every command
+    # to this). Pause it while the command runs, and leave it as the caller
+    # had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (EdgeListParseError, GraphValidationError) as exc:
@@ -439,6 +453,9 @@ def main(argv=None) -> int:
     except (OracleProtocolError, ZqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -181,6 +181,17 @@ def test_parse_certificate_rejects_garbage():
         parse_certificate("force 1")
 
 
+@pytest.mark.parametrize("move", ["token {}", "force {} 0", "force 0 {}", "announce 1;{},4", "reveal {}"])
+@pytest.mark.parametrize("vertex", ["1_0", "+3", "١"], ids=["underscore", "plus", "arabic-indic"])
+def test_parse_certificate_reads_ids_in_ascii_digits_only(move, vertex):
+    # int() reads all three (as 10, 3 and 1); the edge-list parser refuses
+    # them, and so does the certificate parser, at their line.
+    text = f"token 0\n{move.format(vertex)}\n"
+    with pytest.raises(EdgeListParseError, match=r"^line 2: bad (vertex|component) "):
+        parse_certificate(text)
+    assert parse_certificate(text.replace(vertex, "2")).trace[1:]
+
+
 _C5_TOKENS = (TokenMove(0), TokenMove(2))  # unfilled components {1} and {3, 4}
 _ANNOUNCE_1 = AnnounceMove((frozenset({1}),))
 

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import random
 import sys
@@ -240,11 +242,15 @@ def test_verify_c6(tmp_path, capsys):
     assert brute_force_Z(cycle(6))[0] == 2
 
 
-def test_verify_catches_injected_formula_fault(capsys, monkeypatch):
+def _fault_windmill1(monkeypatch):
     import zqforce.closed_forms as cf
 
     real = cf.windmill_I_Zq
     monkeypatch.setattr(cf, "windmill_I_Zq", lambda eta, k, l, q: real(eta, k, l, q) + 1)
+
+
+def test_verify_catches_injected_formula_fault(capsys, monkeypatch):
+    _fault_windmill1(monkeypatch)
     code = main(["verify", "--family", "windmill1", "--eta", "2", "--k", "3", "--l", "1",
                  "--q-list", "1"])
     assert code == 4
@@ -746,3 +752,128 @@ def test_compute_matches_the_reference_game_on_disjoint_unions(tmp_path, capsys)
                 cert = parse_certificate(trace.read_text())
                 assert len(cert.tokens) == whole and check_certificate(g, q, cert)
     assert below_sum >= 1
+
+
+def _cyclic_garbage(run):
+    """What the cyclic collector finds after run(), called with it paused;
+    returns (run's result, objects found). The parser is built first: its
+    argparse help formatters are cyclic garbage, made once per process
+    before main pauses the collector."""
+    import zqforce.cli as cli
+
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run()
+        return result, gc.collect()
+    finally:
+        gc.enable()
+
+
+def _every_main_path(tmp_path, monkeypatch):
+    """(id, argv, exit code, ends in a json.dumps report): one run of each
+    compute method with --trace and with --json, of verify, strategy and
+    bench, and of each error exit. The exit 4 case fakes a wrong closed form
+    through monkeypatch."""
+    trace = str(tmp_path / "paths.cert")
+    fold_file = _diamond_beside_blocks(tmp_path)[0]
+    bowtie = _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
+    spelled = _write(tmp_path, "spelled.el", "1_0 2\n")
+    _fault_windmill1(monkeypatch)
+    sources = {
+        "block": ["--family", "random_block_graph", "--n", "300", "--blocks", "60", "--seed", "3"],
+        "fold": ["--file", fold_file],
+        "exact": ["--family", "cycle", "--n", "12", "--q", "1", "--method", "exact"],
+        "formula": ["--family", "windmill1", "--eta", "2", "--k", "3", "--l", "2", "--q", "4"],
+    }
+    paths = []
+    for method, source in sources.items():
+        paths.append((f"{method}-trace", ["compute", *source, "--trace", trace], 0, False))
+        paths.append((f"{method}-json", ["compute", *source, "--json"], 0, True))
+    return paths + [
+        ("exact-trace-json", ["compute", *sources["exact"], "--trace", trace, "--json"], 0, True),
+        ("verify", ["verify", "--family", "star", "--arms", "1,2,3", "--q-list", "0,1,6"], 0, False),
+        ("verify-json", ["verify", "--file", bowtie, "--q-list", "0,1", "--json"], 0, True),
+        ("strategy", ["strategy", "--family", "star", "--arms", "1,1,1", "--q", "2"], 0, False),
+        ("bench", ["bench", "--family", "random_block_graph", "--n", "100,1000", "--seed", "7"], 0, False),
+        ("exit-1", ["compute", "--file", bowtie, "--output", str(tmp_path / "no" / "out")], 1, False),
+        ("exit-2", ["compute", "--file", spelled], 2, False),
+        ("exit-3", ["verify", "--family", "cycle", "--n", "21", "--q-list", "1"], 3, False),
+        ("exit-4", ["verify", "--family", "windmill1", "--eta", "2", "--k", "3", "--l", "1", "--q-list", "1"],
+         4, False),
+    ]
+
+
+def test_no_command_leaves_cyclic_garbage(tmp_path, capsys, monkeypatch):
+    # main pauses the cyclic collector while a command runs, which is safe
+    # only while no command leaves reference cycles behind: with the
+    # collector off, a run leaves nothing for it to find. The one allowance
+    # is the stdlib's indented json.dumps, whose encoder closures refer to
+    # each other; it leaves the same few objects per call, whatever it
+    # encodes.
+    dumps = _cyclic_garbage(lambda: json.dumps({"value": [1, 2], "params": None}, indent=2))[1]
+    found = {}
+    for name, argv, code, dumped in _every_main_path(tmp_path, monkeypatch):
+        assert _cyclic_garbage(lambda: main(argv)) == (code, dumps if dumped else 0), name
+        found[name] = capsys.readouterr()
+    assert found["exit-2"].err.startswith("error: line 1: ")
+    assert "[MISMATCH]" in found["exit-4"].out
+
+
+@pytest.mark.parametrize("n", [300, 3000])
+def test_block_runs_leave_cyclic_garbage_that_does_not_grow_with_the_graph(tmp_path, capsys, n):
+    dumps = _cyclic_garbage(lambda: json.dumps({"value": 1}, indent=2))[1]
+    g = random_block_graph(n, random.Random(n))
+    f = _write(tmp_path, "blocks.el", format_edge_list(g))
+    trace = str(tmp_path / "blocks.cert")
+    assert _cyclic_garbage(lambda: main(["compute", "--file", f, "--trace", trace])) == (0, 0)
+    assert f"value: {block_graph_Z(g)[0]}" in capsys.readouterr().out
+    assert _cyclic_garbage(lambda: main(["compute", "--file", f, "--trace", trace, "--json"])) == (0, dumps)
+    assert json.loads(capsys.readouterr().out)["value"] == block_graph_Z(g)[0]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collecting):
+    # On every exit code, and when a command raises past main, the cyclic
+    # collector ends as the caller had it: a caller that paused it finds it
+    # still paused.
+    import zqforce.cli as cli
+
+    paths = [(name, argv, code) for name, argv, code, _ in _every_main_path(tmp_path, monkeypatch)]
+    assert {code for _, _, code in paths} == {0, 1, 2, 3, 4}
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for name, argv, code in paths:
+            assert main(argv) == code, name
+            assert gc.isenabled() is collecting, name
+        monkeypatch.setattr(cli, "_load_graph", boom)
+        for command in (["compute"], ["verify", "--q-list", "0"], ["strategy"]):
+            with pytest.raises(RuntimeError, match="boom"):
+                main([*command, "--family", "cycle", "--n", "5"])
+            assert gc.isenabled() is collecting, command
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_strategy_prints_no_play_that_fails_its_check(capsys, monkeypatch):
+    # Like compute's certificates, the play strategy prints is checked
+    # first: one that fails prints nothing, and the run exits 1.
+    import zqforce.cli as cli
+
+    real = cli.extract_player_trace
+
+    def short(sol):
+        cert = real(sol)
+        return dataclasses.replace(cert, trace=cert.trace[:-1])  # leaves the last vertex unfilled
+
+    monkeypatch.setattr(cli, "extract_player_trace", short)
+    assert main(["strategy", "--family", "cycle", "--n", "5", "--q", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: emitted certificate failed verification\n"
