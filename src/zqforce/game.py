@@ -20,6 +20,15 @@ starts at k:
     the oracle picks a reveal at least that bad for the player;
     the search stops once best reaches a known lower bound on V(F).
 
+At q = 0 the search keeps the value of a state's first live announcement,
+in component order, and scores no other move there. An announcement names
+one component and the oracle must reveal all of it, so it has no choice
+(see `structured.block_Z0`). The forces after the reveal only fill more,
+so the state they reach is worth at most V(F) (monotonicity, below), and
+announcing is one of the player's moves, so it is worth at least V(F). In
+single_force mode the same holds for every in-window force the player may
+pick. A state with no live announcement scores its tokens.
+
 Two memos keep the answers: exact values, for searches that found a value
 below their budget, and lower bounds "V(F) >= k" for those that found none.
 A question is answered from them whenever it can be; only a budget above
@@ -312,7 +321,15 @@ class GameSolution:
         # Rule 3: announcements of exactly q+1 unfilled components.
         if unfilled.bit_count() > self.q:
             comps = _mask_components(self._masks, unfilled)
-            if len(comps) > self.q:
+            if not self.q:
+                # The oracle must reveal the one announced component, so the
+                # first live announcement attains V(filled) (see the module
+                # docstring).
+                for comp in comps:
+                    res = self._reveal(filled, comp, budget)
+                    if res >= 0:
+                        return res
+            elif len(comps) > self.q:
                 cache = {}
                 for combo in combinations(comps, self.q + 1):
                     best = self._announce(filled, combo, best, cache)
@@ -334,19 +351,25 @@ class GameSolution:
 
     def _announce(self, filled: int, combo: tuple, best: int, cache: dict) -> int:
         """min(the announcement's value, best), or best if some reveal is
-        dead. `cache` maps a revealed union to its _reveal() result and is
+        dead. Reveals are scored in _subset_unions order, each union built
+        as it is needed, up to the first one that is dead or reaches best.
+        `cache` maps a revealed union to its _reveal() result and is
         shared by the announcements of one state, over which best never
         rises: a cached result at least best shows V >= best, and one below
         best is exact."""
         worst = 0
-        for union in _subset_unions(combo):
-            res = cache.get(union)
-            if res is None:
-                res = cache[union] = self._reveal(filled, union, best)
-            if res < 0 or res >= best:
-                return best
-            if res > worst:
-                worst = res
+        unions = [0]
+        for comp in combo:
+            for i in range(len(unions)):
+                union = unions[i] | comp
+                res = cache.get(union)
+                if res is None:
+                    res = cache[union] = self._reveal(filled, union, best)
+                if res < 0 or res >= best:
+                    return best
+                if res > worst:
+                    worst = res
+                unions.append(union)
         return worst
 
     def _reveal(self, filled: int, union: int, budget: int) -> int:

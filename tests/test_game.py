@@ -328,6 +328,22 @@ def test_search_skips_tokens_where_an_announcement_costs_at_most_one():
             assert sol.states_explored <= bound, (mode, q, sol.states_explored)
 
 
+def test_q0_search_settles_each_state_at_its_first_live_announcement():
+    # At q = 0 the search keeps the value of the first live announcement and
+    # scores no other move there, which halves the states it stores on these
+    # cacti. Upper bounds, so that a search that stores fewer still passes.
+    for mode, bound in ((MODE_CLOSURE, 4300), (MODE_SINGLE_FORCE, 4600)):
+        values = []
+        states = 0
+        for seed in (1, 2, 3):
+            g = generate_family("random_cactus", FamilyParams(n=20), seed=seed)
+            sol = solve_zq(g, GameConfig(q=0, rule3_mode=mode))
+            values.append(sol.value)
+            states += sol.states_explored
+        assert values == [6, 5, 4], (mode, values)
+        assert states <= bound, (mode, states)
+
+
 def test_naive_table_is_closure_invariant_and_monotone():
     # The reference memoizes every filled set under itself, not under its
     # closure, so it checks without assuming them the two facts the solver's
@@ -361,6 +377,36 @@ def test_naive_table_is_closure_invariant_and_monotone():
                             assert table[filled] == val, case
                         else:
                             assert table[filled] >= val, case
+
+
+def test_every_live_reveal_keeps_the_value_at_q0():
+    # At q = 0 an announcement names one component and the oracle must
+    # reveal all of it, so every successor of a live reveal has the value
+    # of the state it came from, in both rule-3 modes: the search settles a
+    # q = 0 state at its first live announcement. At q = 1 the oracle picks
+    # among reveals, and some successors fall below the state's value, so
+    # the check is not vacuous.
+    rng = random.Random(107)
+    makers = (
+        lambda n: random_connected_graph(n, rng.random() * 0.5, rng),
+        lambda n: random_tree(n, rng),
+        lambda n: random_cactus(n, rng),
+    )
+    checks = below = 0
+    for i in range(60):
+        g = makers[i % 3](rng.randint(3, 7))
+        for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+            for q in (0, 1):
+                table = naive_zq_table(g, q, mode)
+                for filled, val in table.items():
+                    for comp in naive_components(g, filled):
+                        for succ in naive_reveal_successors(g, filled, (comp,), mode):
+                            if q == 0:
+                                assert table[succ] == val, (g.edges, mode, sorted(filled), sorted(comp))
+                                checks += 1
+                            else:
+                                below += table[succ] < val
+    assert checks > 5000 and below > 500, (checks, below)
 
 
 def test_naive_value_never_falls_as_q_grows_at_any_state():
