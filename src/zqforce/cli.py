@@ -135,30 +135,16 @@ def _load_graph(args):
     raise GraphValidationError("an input graph is required: --file or --family")
 
 
-def _solve(g: Graph, method: str, cfg: GameConfig, form, below=None):
-    """Value of g by a method the coverage rule lists at cfg.q, or by exact.
-
-    Returns (value, certificate maker or None, solution or None). The maker
-    builds the certificate when called, so a caller that emits no
-    certificate never pays for one. below, an exact solution of g at a
-    smaller q, seeds the exact solver.
-    """
-    if method == "formula":
-        return form(cfg.q), None, None
-    if method == "block":
-        value, tokens = block_graph_Z(g)
-        return value, lambda: certificate_from_tokens(g, tokens), None
-    if method == "cactus":
-        return cactus_Z0(g), None, None
-    if method == "exact":
-        sol = solve_zq(g, cfg, below)
-        return sol.value, lambda: extract_player_trace(sol), sol
-    return block_Z0(g, cfg.vertex_cap), None, None  # fold
+def _exact(g: Graph, cfg: GameConfig, below=None):
+    """Z_q(g) by the exact game, seeded by below, an exact solution of g at a
+    smaller q: (value, certificate maker, solution)."""
+    sol = solve_zq(g, cfg, below)
+    return sol.value, lambda: extract_player_trace(sol), sol
 
 
 def _coverage(g: Graph, cap: int, form):
-    """The coverage rule of g: methods, a function of q that yields, lazily
-    and in this order, every method whose value is Z_q(g):
+    """The coverage rule of g: routes, a function of q that yields, lazily
+    and in this order, every method whose value is Z_q(g), with its solver:
 
     - formula, when form, the family's closed form as a function of q (None
       for a file input), covers q;
@@ -169,31 +155,42 @@ def _coverage(g: Graph, cap: int, form):
       or has at most cap vertices: structured.block_Z0, which adds up the
       blocks' Z_0 and so covers disconnected inputs too.
 
-    Returns (methods, block, cactus). `compute` takes the first method and
+    A solver, called as solve(cfg, below), returns (value, certificate maker
+    or None, solution or None). The maker builds the certificate when
+    called, so a caller that emits none never pays for one; below seeds the
+    exact solver. formula's value is the one its scope check computed, and
+    block's, the same at every q, is computed once per rule.
+
+    Returns (routes, block, cactus). `compute` takes the first route and
     `verify` runs them all; detect_class reads the two checks, run once each.
     """
     block = cache(lambda: is_block_graph(g))
     cactus = cache(lambda: is_cactus(g))
     foldable = cache(lambda: _unfoldable_block(find_blocks(g), cap) is None)
+    block_solution = cache(lambda: block_graph_Z(g))
 
-    def methods(q: int):
+    def solve_block(cfg, below):
+        value, tokens = block_solution()
+        return value, lambda: certificate_from_tokens(g, tokens), None
+
+    def routes(q: int):
         if form is not None:
             try:
-                form(q)
+                value = form(q)
             except ScopeError:
                 pass  # the closed form does not cover these parameters
             else:
-                yield "formula"
+                yield "formula", lambda cfg, below: (value, None, None)
         if block():
-            yield "block"
+            yield "block", solve_block
         if q == 0 and cactus():
-            yield "cactus"
+            yield "cactus", lambda cfg, below: (cactus_Z0(g), None, None)
         if g.n <= cap:
-            yield "exact"
+            yield "exact", partial(_exact, g)
         if q == 0 and foldable():
-            yield "fold"
+            yield "fold", lambda cfg, below: (block_Z0(g, cap), None, None)
 
-    return methods, block, cactus
+    return routes, block, cactus
 
 
 def _refusal(g: Graph, q_list, cap: int) -> ScopeError:
@@ -210,13 +207,15 @@ def cmd_compute(args) -> int:
     g, source, form, shown_params = _load_graph(args)
     cfg = _game_config(args, args.q)
     q = cfg.q
-    methods, block, cactus = _coverage(g, cfg.vertex_cap, form)
+    routes, block, cactus = _coverage(g, cfg.vertex_cap, form)
     used = args.method
-    if used == "auto":
-        used = next(methods(q), None)
-        if used is None:
+    if used == "exact":
+        value, make_cert, sol = _exact(g, cfg)
+    else:
+        used, solve = next(routes(q), (None, None))
+        if solve is None:
             raise _refusal(g, [q], cfg.vertex_cap)
-    value, make_cert, sol = _solve(g, used, cfg, form)
+        value, make_cert, sol = solve(cfg, None)
 
     # Build a certificate only where it is written (--trace) or printed (the
     # exact solver's trace in --json), and check it before either.
@@ -272,17 +271,13 @@ def cmd_verify(args) -> int:
 
     # The distinct q in increasing order, so that each exact solve starts
     # from the one below it; rows keep the order of the list.
-    methods = _coverage(g, args.cap, form)[0]
+    routes = _coverage(g, args.cap, form)[0]
     values = {}  # by q: {method: value}
-    block = cache(lambda: block_graph_Z(g)[0])  # the same at every q
     below = None  # the last exact solution
     for q in sorted(configs):
         row = values[q] = {}
-        for method in methods(q):
-            if method == "block":
-                row[method] = block()
-                continue
-            row[method], _, sol = _solve(g, method, configs[q], form, below)
+        for method, solve in routes(q):
+            row[method], _, sol = solve(configs[q], below)
             if sol is not None:
                 below = sol
     rows = [{"q": q, "values": values[q], "agree": len(set(values[q].values())) <= 1} for q in q_list]

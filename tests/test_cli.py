@@ -437,18 +437,20 @@ def test_compute_plain_text_report(tmp_path, capsys):
     assert lines[5:] == [f"certificate: {trace}"]
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap cli.<name> and return the list its calls are appended to."""
+def _count_calls(monkeypatch, name, module=None):
+    """Wrap module.<name>, cli.<name> by default, and return the list its
+    calls are appended to."""
     import zqforce.cli as cli
 
-    real = getattr(cli, name)
+    module = module or cli
+    real = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -616,6 +618,37 @@ def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):
         "q=0: cactus=2, exact=2, fold=2 [ok]",
         "q=1: exact=2 [ok]",
     ]
+
+
+def test_compute_evaluates_the_closed_form_once(capsys, monkeypatch):
+    # The scope check's value is the formula route's value.
+    from zqforce import closed_forms
+
+    calls = _count_calls(monkeypatch, "windmill_I_Zq", closed_forms)
+    assert main(["compute", "--family", "windmill1", "--eta", "2", "--k", "3", "--l", "1", "--q", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["method: formula", "q: 1", "value: 5"]
+    assert len(calls) == 1
+
+
+def test_verify_runs_each_route_once_per_q(capsys, monkeypatch):
+    # A single vertex is covered by every route but formula at q = 0. Each
+    # solver is read from cli's globals when its route runs, and block's
+    # value, the same at every q, is computed once per run.
+    calls = {name: _count_calls(monkeypatch, name) for name in ("block_graph_Z", "cactus_Z0", "block_Z0", "solve_zq")}
+    assert main(["verify", "--family", "path", "--n", "1", "--q-list", "0,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "q=0: block=1, cactus=1, exact=1, fold=1 [ok]", "q=1: block=1, exact=1 [ok]",
+    ]
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "block_graph_Z": 1, "cactus_Z0": 1, "block_Z0": 1, "solve_zq": 2,
+    }
+
+
+def test_compute_exact_refuses_a_graph_over_the_cap(capsys):
+    assert main(["compute", "--family", "cycle", "--n", "21", "--method", "exact"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=21 exceeds vertex cap 20" in captured.err
 
 
 def test_verify_reports_a_value_that_falls_as_q_grows(capsys, monkeypatch):
