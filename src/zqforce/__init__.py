@@ -38,7 +38,6 @@ from .game import (
     adversarial_oracle,
     extract_player_trace,
     mask_to_vertices,
-    solution_report,
     solve_zq,
     vertices_to_mask,
 )

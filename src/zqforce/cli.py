@@ -16,7 +16,14 @@ from dataclasses import asdict
 from functools import cache, partial
 
 from . import closed_forms
-from .certificates import certificate_from_tokens, check_certificate, format_certificate
+from .certificates import (
+    AnnounceMove,
+    ForceMove,
+    TokenMove,
+    certificate_from_tokens,
+    check_certificate,
+    format_certificate,
+)
 from .errors import (
     EdgeListParseError,
     GraphValidationError,
@@ -32,7 +39,6 @@ from .game import (
     MODE_SINGLE_FORCE,
     GameConfig,
     extract_player_trace,
-    solution_report,
     solve_zq,
 )
 from .generators import FAMILY_KINDS, FamilyParams, generate_family
@@ -243,7 +249,13 @@ def cmd_compute(args) -> int:
     }
     if args.json:
         if sol is not None:
-            report["solver"] = solution_report(sol, cert)
+            report["solver"] = {
+                "value": sol.value,
+                "states_explored": sol.states_explored,
+                "q": sol.q,
+                "rule3_mode": sol.rule3_mode,
+                "trace": format_certificate(cert).splitlines(),
+            }
         _emit(json.dumps(report, indent=2), args.output)
     else:
         lines = [
@@ -334,16 +346,15 @@ def cmd_strategy(args) -> int:
     cert = _checked(g, cfg.q, extract_player_trace(sol))
     lines = [f"source: {source} (n={g.n}, m={g.m}), q={args.q}, rule3={cfg.rule3_mode}"]
     for i, mv in enumerate(cert.trace, start=1):
-        name = type(mv).__name__
-        if name == "TokenMove":
+        if isinstance(mv, TokenMove):
             lines.append(f"move {i}: token on {mv.vertex}")
-        elif name == "ForceMove":
+        elif isinstance(mv, ForceMove):
             lines.append(f"move {i}: force {mv.source} -> {mv.target}")
         else:
-            verb = "announce" if name == "AnnounceMove" else "oracle reveals"
+            verb = "announce" if isinstance(mv, AnnounceMove) else "oracle reveals"
             body = " | ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in mv.components)
             lines.append(f"move {i}: {verb} {body}")
-    lines.append(f"tokens spent: {len(cert.tokens)} (game value {sol.value})")
+    lines.append(f"tokens spent: {cert.value} (game value {sol.value})")
     _emit("\n".join(lines), args.output)
     return 0
 

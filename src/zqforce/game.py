@@ -97,7 +97,6 @@ from .certificates import (
     ForceMove,
     RevealMove,
     TokenMove,
-    format_certificate,
 )
 from .errors import (
     GraphValidationError,
@@ -491,7 +490,6 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
     full = sol._full
     state = 0
     trace = []
-    tokens = []
     while state != full:
         # Rule 2: a force keeps the closure and so the value; play them all,
         # lowest (u, target) first, before asking for a move.
@@ -504,7 +502,6 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
         _, kind, key = sol._best(state)
         if kind == _TOKEN:
             v = key[0]
-            tokens.append(v)
             trace.append(TokenMove(v))
             state |= 1 << v
         else:
@@ -535,15 +532,4 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
                 trace.append(ForceMove(u, t))
                 state |= 1 << t
                 forces = _window_forces(masks, state, window) if sol._closure_mode else None
-    return Certificate(tokens=frozenset(tokens), trace=tuple(trace))
-
-
-def solution_report(sol: GameSolution, cert: Certificate) -> dict:
-    """JSON-ready report: {value, states_explored, q, rule3_mode, trace}."""
-    return {
-        "value": sol.value,
-        "states_explored": sol.states_explored,
-        "q": sol.q,
-        "rule3_mode": sol.rule3_mode,
-        "trace": format_certificate(cert).splitlines(),
-    }
+    return Certificate(tuple(trace))

@@ -191,28 +191,31 @@ def test_criterion_7_block_token_audits():
 
 def _corrupted_variants(cert: Certificate):
     trace = list(cert.trace)
-    # claimed token set disagrees with the trace
-    yield Certificate(tokens=cert.tokens | {max(cert.tokens) + 1}, trace=cert.trace)
+    # drop the first token move: the trace spends one token fewer
+    for i, mv in enumerate(trace):
+        if isinstance(mv, TokenMove):
+            yield Certificate(tuple(trace[:i] + trace[i + 1:]))
+            break
     # truncated trace no longer fills the graph
-    yield Certificate(tokens=cert.tokens, trace=tuple(trace[:-1]))
+    yield Certificate(tuple(trace[:-1]))
     # retarget the last force at an absurd vertex
     for i in range(len(trace) - 1, -1, -1):
         if isinstance(trace[i], ForceMove):
             bad = list(trace)
             bad[i] = ForceMove(trace[i].source, trace[i].source)
-            yield Certificate(tokens=cert.tokens, trace=tuple(bad))
+            yield Certificate(tuple(bad))
             break
     # duplicate the first token
     for mv in trace:
         if isinstance(mv, TokenMove):
-            yield Certificate(tokens=cert.tokens, trace=tuple(trace + [mv]))
+            yield Certificate(tuple(trace + [mv]))
             break
     # make a reveal that was never announced
     for i, mv in enumerate(trace):
         if isinstance(mv, RevealMove):
             bad = list(trace)
             bad[i] = RevealMove((frozenset({9999}),))
-            yield Certificate(tokens=cert.tokens, trace=tuple(bad))
+            yield Certificate(tuple(bad))
             break
 
 

@@ -5,6 +5,7 @@ from zqforce import (
     Certificate,
     EdgeListParseError,
     ForceMove,
+    GraphValidationError,
     RevealMove,
     TokenMove,
     certificate_from_tokens,
@@ -16,26 +17,20 @@ from zqforce import (
 
 from helpers import BOWTIE, clique, cycle, path
 
-P3_TRACE = Certificate(
-    tokens=frozenset({0}),
-    trace=(TokenMove(0), ForceMove(0, 1), ForceMove(1, 2)),
-)
+P3_TRACE = Certificate((TokenMove(0), ForceMove(0, 1), ForceMove(1, 2)))
 
 # Announcement-driven play on C5 at q=0: two tokens, reveal-driven forces.
-C5_TRACE = Certificate(
-    tokens=frozenset({0, 2}),
-    trace=(
-        TokenMove(0),
-        TokenMove(2),
-        AnnounceMove((frozenset({3, 4}),)),
-        RevealMove((frozenset({3, 4}),)),
-        ForceMove(2, 3),
-        ForceMove(3, 4),
-        AnnounceMove((frozenset({1}),)),
-        RevealMove((frozenset({1}),)),
-        ForceMove(0, 1),
-    ),
-)
+C5_TRACE = Certificate((
+    TokenMove(0),
+    TokenMove(2),
+    AnnounceMove((frozenset({3, 4}),)),
+    RevealMove((frozenset({3, 4}),)),
+    ForceMove(2, 3),
+    ForceMove(3, 4),
+    AnnounceMove((frozenset({1}),)),
+    RevealMove((frozenset({1}),)),
+    ForceMove(0, 1),
+))
 
 
 def test_p3_trace_valid_for_any_q():
@@ -44,7 +39,7 @@ def test_p3_trace_valid_for_any_q():
 
 
 def test_triangle_premature_force_rejected_with_step():
-    cert = Certificate(tokens=frozenset({0}), trace=(TokenMove(0), ForceMove(0, 1)))
+    cert = Certificate((TokenMove(0), ForceMove(0, 1)))
     result = verify_certificate(clique(3), 1, cert)
     assert not result.ok
     assert result.failed_step == 1
@@ -66,73 +61,56 @@ def test_announcements_illegal_in_plain_zero_forcing():
 
 
 def test_force_outside_window_rejected():
-    cert = Certificate(
-        tokens=frozenset({0, 2}),
-        trace=(
-            TokenMove(0),
-            TokenMove(2),
-            AnnounceMove((frozenset({1}),)),
-            RevealMove((frozenset({1}),)),
-            ForceMove(2, 3),  # 3 is not in the revealed subgraph
-        ),
-    )
+    cert = Certificate((
+        TokenMove(0),
+        TokenMove(2),
+        AnnounceMove((frozenset({1}),)),
+        RevealMove((frozenset({1}),)),
+        ForceMove(2, 3),  # 3 is not in the revealed subgraph
+    ))
     result = verify_certificate(cycle(5), 0, cert)
     assert not result.ok
     assert result.failed_step == 4
 
 
 def test_reveal_must_follow_announcement():
-    cert = Certificate(
-        tokens=frozenset({0, 2}),
-        trace=(TokenMove(0), TokenMove(2), RevealMove((frozenset({1}),))),
-    )
+    cert = Certificate((TokenMove(0), TokenMove(2), RevealMove((frozenset({1}),))))
     assert not check_certificate(cycle(5), 0, cert)
 
 
 def test_reveal_must_be_subset_of_announcement():
-    cert = Certificate(
-        tokens=frozenset({0, 2}),
-        trace=(
-            TokenMove(0),
-            TokenMove(2),
-            AnnounceMove((frozenset({1}),)),
-            RevealMove((frozenset({3, 4}),)),
-        ),
-    )
+    cert = Certificate((
+        TokenMove(0),
+        TokenMove(2),
+        AnnounceMove((frozenset({1}),)),
+        RevealMove((frozenset({3, 4}),)),
+    ))
     result = verify_certificate(cycle(5), 0, cert)
     assert not result.ok
     assert result.failed_step == 3
 
 
 def test_incomplete_fill_rejected():
-    cert = Certificate(tokens=frozenset({0}), trace=(TokenMove(0),))
+    cert = Certificate((TokenMove(0),))
     result = verify_certificate(path(3), 0, cert)
     assert not result.ok
     assert result.failed_step == len(cert.trace)
 
 
 def test_duplicate_token_rejected():
-    cert = Certificate(tokens=frozenset({0}), trace=(TokenMove(0), TokenMove(0)))
+    cert = Certificate((TokenMove(0), TokenMove(0)))
     assert not check_certificate(path(2), 0, cert)
 
 
-def test_token_set_must_match_trace():
-    cert = Certificate(tokens=frozenset({0, 1}), trace=P3_TRACE.trace)
-    assert not check_certificate(path(3), 0, cert)
-
-
 def test_bowtie_stuck_state_has_no_window_force():
-    cert = Certificate(
-        tokens=frozenset({0, 1, 2}),
-        trace=(
-            TokenMove(0),
-            TokenMove(1),
-            TokenMove(2),
-            AnnounceMove((frozenset({3, 4}),)),
-            RevealMove((frozenset({3, 4}),)),
-            ForceMove(2, 3),  # 2 still has two unfilled neighbors in the window
-        ),
-    )
+    cert = Certificate((
+        TokenMove(0),
+        TokenMove(1),
+        TokenMove(2),
+        AnnounceMove((frozenset({3, 4}),)),
+        RevealMove((frozenset({3, 4}),)),
+        ForceMove(2, 3),  # 2 still has two unfilled neighbors in the window
+    ))
     result = verify_certificate(BOWTIE, 0, cert)
     assert not result.ok
     assert result.failed_step == 5
@@ -142,7 +120,7 @@ def test_certificate_from_tokens_builds_valid_replay():
     cert = certificate_from_tokens(BOWTIE, [0, 1, 3])
     assert cert.value == 3
     assert check_certificate(BOWTIE, None, cert)
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphValidationError, match="not a zero forcing set"):
         certificate_from_tokens(cycle(5), [0])
 
 
@@ -163,10 +141,7 @@ def test_text_round_trip():
 
 
 def test_multi_component_announce_round_trip():
-    cert = Certificate(
-        tokens=frozenset(),
-        trace=(AnnounceMove((frozenset({1}), frozenset({3, 4}))),),
-    )
+    cert = Certificate((AnnounceMove((frozenset({1}), frozenset({3, 4}))),))
     text = format_certificate(cert)
     assert "announce 1;3,4" in text
     assert parse_certificate(text) == cert
@@ -212,8 +187,7 @@ _ANNOUNCE_1 = AnnounceMove((frozenset({1}),))
         "too-few-announced", "announced-non-component", "force-invalid-endpoints",
         "force-unfilled-source", "unanswered-announcement"])
 def test_checker_failure_reasons(q, trace, step, reason):
-    tokens = frozenset(mv.vertex for mv in trace if isinstance(mv, TokenMove))
-    result = verify_certificate(cycle(5), q, Certificate(tokens=tokens, trace=trace))
+    result = verify_certificate(cycle(5), q, Certificate(trace))
     assert (result.ok, result.failed_step, result.reason) == (False, step, reason)
 
 
@@ -228,4 +202,6 @@ def test_parse_certificate_skips_comments_and_blank_lines():
         "reveal 3,4\n"
         "force 2 3\nforce 3 4\nannounce 1\nreveal 1\nforce 0 1  # last force\n"
     )
-    assert parse_certificate(text) == C5_TRACE
+    cert = parse_certificate(text)
+    assert cert == C5_TRACE
+    assert cert.tokens == {0, 2} and cert.value == 2

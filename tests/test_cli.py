@@ -74,10 +74,15 @@ def test_compute_exact_with_trace(tmp_path, capsys):
     assert payload["value"] == 2
     assert payload["method"] == "exact"
     assert payload["certificate_path"] == trace
-    cert = parse_certificate(open(trace).read())
-    assert check_certificate(cycle(5), 0, cert)
-    assert payload["solver"]["value"] == 2
-    assert payload["solver"]["states_explored"] > 0
+    with open(trace, encoding="utf-8") as fh:
+        text = fh.read()
+    assert check_certificate(cycle(5), 0, parse_certificate(text))
+    solver = payload["solver"]
+    assert list(solver) == ["value", "states_explored", "q", "rule3_mode", "trace"]
+    assert solver["value"] == 2
+    assert solver["states_explored"] == solve_zq(cycle(5), GameConfig(q=0)).states_explored > 0
+    assert (solver["q"], solver["rule3_mode"]) == (0, "closure")
+    assert solver["trace"] == text.splitlines()
 
 
 def test_compute_cactus_dispatch(capsys):

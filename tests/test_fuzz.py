@@ -271,10 +271,7 @@ def test_fuzz_certificate_moves():
             trace[i], trace[j] = trace[j], trace[i]
         else:
             trace[i] = _retarget(trace[i], g, rng)
-        tokens = cert.tokens if rng.random() < 0.5 else frozenset(
-            mv.vertex for mv in trace if isinstance(mv, TokenMove)
-        )
-        mutant = Certificate(tokens=tokens, trace=tuple(trace))
+        mutant = Certificate(tuple(trace))
         _assert_check_result(g, q, mutant)
         rejected += not verify_certificate(g, q, mutant).ok
     assert rejected > 500

@@ -26,7 +26,6 @@ from zqforce import (
     Graph,
     format_certificate,
     mask_to_vertices,
-    solution_report,
     solve_zq,
     vertices_to_mask,
 )
@@ -856,14 +855,3 @@ def test_config_validation():
     with pytest.raises(GraphValidationError):
         GameConfig(q=0, vertex_cap=65)
 
-
-def test_solution_report_shape():
-    g = cycle(5)
-    sol = solve_zq(g, GameConfig(q=0))
-    cert = extract_player_trace(sol)
-    report = solution_report(sol, cert)
-    assert report["value"] == 2
-    assert report["q"] == 0
-    assert report["rule3_mode"] == MODE_CLOSURE
-    assert report["states_explored"] == sol.states_explored == len(sol.values) + len(sol.bounds) > 0
-    assert report["trace"] == format_certificate(cert).splitlines()
