@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 from itertools import combinations
 
@@ -855,3 +856,19 @@ def test_config_validation():
     with pytest.raises(GraphValidationError):
         GameConfig(q=0, vertex_cap=65)
 
+
+
+def test_solution_report_shape(tmp_path, capsys):
+    # The exact solver's report, as `compute --method exact --json` prints it.
+    from zqforce.cli import main
+
+    f = tmp_path / "c5.el"
+    f.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    assert main(["compute", "--file", str(f), "--q", "0", "--method", "exact", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["solver"]
+    sol = solve_zq(cycle(5), GameConfig(q=0))
+    assert report["value"] == 2
+    assert report["q"] == 0
+    assert report["rule3_mode"] == MODE_CLOSURE
+    assert report["states_explored"] == sol.states_explored == len(sol.values) + len(sol.bounds) > 0
+    assert report["trace"] == format_certificate(extract_player_trace(sol)).splitlines()
