@@ -71,12 +71,18 @@ def _canon_components(comps) -> tuple:
 
 def certificate_from_tokens(g: Graph, tokens) -> Certificate:
     """Certificate for a plain zero forcing set: all tokens up front, then
-    one closure force sequence. Raises GraphValidationError if the tokens do
-    not force all of g."""
+    one closure force sequence. Raises GraphValidationError if a token
+    repeats or the tokens do not force all of g."""
     from .forcing import closure_with_forces
 
     trace = list(map(TokenMove, tokens))
-    closed, forces = closure_with_forces(g, (mv.vertex for mv in trace))
+    # closure_with_forces takes this set as it is: frozenset() of a frozenset is the same object.
+    token_set = frozenset(mv.vertex for mv in trace)
+    if len(token_set) != len(trace):
+        seen = set()
+        repeat = next(mv.vertex for mv in trace if mv.vertex in seen or seen.add(mv.vertex))
+        raise GraphValidationError(f"repeated token on vertex {repeat}")
+    closed, forces = closure_with_forces(g, token_set)
     if len(closed) != g.n:  # closed holds vertices of g only
         raise GraphValidationError("token set is not a zero forcing set")
     trace.extend(forces)
@@ -146,14 +152,14 @@ def _parse_int(text: str, lineno: int) -> int:
     return int(text)
 
 
-def verify_certificate(g: Graph, q: int | None, cert: Certificate) -> CheckResult:
+def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
     """Replay the trace under the rules for the given q.
 
-    q is the component-count threshold of the announcement rule; q=None means
-    plain zero forcing (announcements are never legal). Forces after a reveal
-    are judged inside the revealed subgraph first and as ordinary whole-graph
-    forces otherwise; a whole-graph force (like a token or a new announce)
-    leaves the window behind.
+    q is the component-count threshold of the announcement rule; plain zero
+    forcing is any q >= n, where no announcement is legal. Forces after a
+    reveal are judged inside the revealed subgraph first and as ordinary
+    whole-graph forces otherwise; a whole-graph force (like a token or a new
+    announce) leaves the window behind.
     """
     filled = set()
     window = None  # revealed subgraph's vertex set while a reveal is active
@@ -174,8 +180,6 @@ def verify_certificate(g: Graph, q: int | None, cert: Certificate) -> CheckResul
             filled.add(v)
             window = None
         elif isinstance(mv, AnnounceMove):
-            if q is None:
-                return fail(step, "announcements are not legal in plain zero forcing")
             comps = unfilled_components(g, filled)
             if len(comps) <= q:
                 return fail(step, f"only {len(comps)} unfilled components, need more than q={q}")
@@ -228,5 +232,5 @@ def verify_certificate(g: Graph, q: int | None, cert: Certificate) -> CheckResul
     return CheckResult(ok=True)
 
 
-def check_certificate(g: Graph, q: int | None, cert: Certificate) -> bool:
+def check_certificate(g: Graph, q: int, cert: Certificate) -> bool:
     return verify_certificate(g, q, cert).ok

@@ -24,15 +24,7 @@ from .certificates import (
     check_certificate,
     format_certificate,
 )
-from .errors import (
-    EdgeListParseError,
-    GraphValidationError,
-    OracleProtocolError,
-    ResourceLimitError,
-    ScopeError,
-    VerificationMismatch,
-    ZqError,
-)
+from .errors import EdgeListParseError, GraphValidationError, ScopeError, VerificationMismatch, ZqError
 from .game import (
     DEFAULT_VERTEX_CAP,
     MODE_CLOSURE,
@@ -326,8 +318,7 @@ def cmd_bench(args) -> int:
     lines = ["\t".join(header)]
     for index, n in enumerate(sizes):
         instance_seed = args.seed * 1_000_003 + 7919 * index + n
-        params = FamilyParams(n=n, blocks=args.blocks)
-        g = generate_family(kind, params, seed=instance_seed)
+        g = generate_family(kind, FamilyParams(n=n), seed=instance_seed)
         started = time.perf_counter()
         value = block_graph_Z(g)[0] if block_family else cactus_Z0(g)
         elapsed = time.perf_counter() - started
@@ -420,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark table for generated instances")
     p.add_argument("--family", required=True)
     p.add_argument("--n", help="comma-separated instance sizes")
-    p.add_argument("--blocks", type=int, help="random_block_graph: number of blocks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write the TSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
@@ -447,18 +437,9 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (EdgeListParseError, GraphValidationError) as exc:
+    except (ZqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ScopeError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (OracleProtocolError, ZqError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
     finally:
         if collecting:
             gc.enable()

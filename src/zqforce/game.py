@@ -189,15 +189,6 @@ def _twin_classes(masks) -> list:
     return [members for members in groups.values() if len(members) > 1]
 
 
-def _subset_unions(combo: tuple) -> list:
-    """The union of each nonempty subset of `combo`, in subset order: bit j
-    of the position plus one picks combo[j]."""
-    unions = [0]
-    for comp in combo:
-        unions += [union | comp for union in unions]
-    return unions[1:]
-
-
 # Move kinds, numbered in tie-break order so that free moves come first.
 _ANNOUNCE, _TOKEN = 0, 1
 
@@ -350,8 +341,9 @@ class GameSolution:
 
     def _announce(self, filled: int, combo: tuple, best: int, cache: dict) -> int:
         """min(the announcement's value, best), or best if some reveal is
-        dead. Reveals are scored in _subset_unions order, each union built
-        as it is needed, up to the first one that is dead or reaches best.
+        dead. Reveals are scored in subset order, each union built as it is
+        needed, up to the first one that is dead or reaches best: unions[s]
+        is the union of the combo[j] whose bit j is set in s.
         `cache` maps a revealed union to its _reveal() result and is
         shared by the announcements of one state, over which best never
         rises: a cached result at least best shows V >= best, and one below
@@ -410,13 +402,17 @@ class GameSolution:
     def _worst_reveal(self, filled: int, combo: tuple):
         worst = -1
         worst_sub = 0
-        for sub, union in enumerate(_subset_unions(combo), 1):
-            # Budget worst + 1 tells whether the reveal beats the worst so far.
-            res = self._reveal(filled, union, worst + 1)
-            if res < 0:
-                return None
-            if res > worst:
-                worst, worst_sub = self._reveal(filled, union, self._exact), sub
+        unions = [0]  # in _announce's subset order
+        for comp in combo:
+            for i in range(len(unions)):
+                union = unions[i] | comp
+                # Budget worst + 1 tells whether the reveal beats the worst so far.
+                res = self._reveal(filled, union, worst + 1)
+                if res < 0:
+                    return None
+                if res > worst:
+                    worst, worst_sub = self._reveal(filled, union, self._exact), len(unions)
+                unions.append(union)
         return tuple(c for j, c in enumerate(combo) if worst_sub >> j & 1)
 
 
@@ -447,13 +443,19 @@ def adversarial_oracle(sol: GameSolution):
     `sol.oracle_response`. The policy answers at any forcing-closed state,
     where the player's optimal play may announce (elsewhere a force is its
     best move), for an announcement of exactly q+1 distinct unfilled
-    components with no dead reveal; any other announcement raises
+    components with no dead reveal; any other announcement, and a filled
+    set or announcement that names anything but a vertex 0..n-1, raise
     OracleProtocolError.
     """
 
     def policy(filled, announcement):
-        state = vertices_to_mask(filled)
-        announced = [vertices_to_mask(c) for c in announcement]
+        try:
+            state = vertices_to_mask(filled)
+            announced = [vertices_to_mask(c) for c in announcement]
+        except (ValueError, TypeError):  # 1 << v refuses a negative or non-int v
+            state = -1
+        if not 0 <= state <= sol._full:
+            raise OracleProtocolError(f"filled set or announcement names a vertex outside 0..{sol.graph.n - 1}")
         combo = tuple(c for c in _mask_components(sol._masks, sol._full & ~state) if c in announced)
         key = (state, combo)
         # combo holds each unfilled component at most once, so equal lengths

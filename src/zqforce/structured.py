@@ -39,12 +39,10 @@ def block_graph_Z(g: Graph) -> tuple:
 
 def _closed_Z0(block: Block):
     """Z_0 of a clique, a bridge included (|B| - 1), or of a cycle (2);
-    None for any other block. A 2-connected block with as many edges as
-    vertices is a cycle."""
-    size = len(block.vertices)
-    if 2 * block.edges == size * (size - 1):
-        return size - 1
-    return 2 if block.edges == size else None
+    None for any other block."""
+    if _is_clique_block(block) or len(block.vertices) == 2:
+        return len(block.vertices) - 1
+    return 2 if _is_cactus_block(block) else None
 
 
 def _unfoldable_block(blocks, cap: int):

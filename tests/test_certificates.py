@@ -34,7 +34,7 @@ C5_TRACE = Certificate((
 
 
 def test_p3_trace_valid_for_any_q():
-    for q in (0, 1, 5, None):
+    for q in (0, 1, 3, 5):
         assert check_certificate(path(3), q, P3_TRACE)
 
 
@@ -57,7 +57,8 @@ def test_c5_trace_illegal_when_q_too_large():
 
 
 def test_announcements_illegal_in_plain_zero_forcing():
-    assert not check_certificate(cycle(5), None, C5_TRACE)
+    # Plain zero forcing is q >= n: no announcement is legal there.
+    assert not check_certificate(cycle(5), cycle(5).n, C5_TRACE)
 
 
 def test_force_outside_window_rejected():
@@ -119,9 +120,15 @@ def test_bowtie_stuck_state_has_no_window_force():
 def test_certificate_from_tokens_builds_valid_replay():
     cert = certificate_from_tokens(BOWTIE, [0, 1, 3])
     assert cert.value == 3
-    assert check_certificate(BOWTIE, None, cert)
+    assert check_certificate(BOWTIE, BOWTIE.n, cert)
     with pytest.raises(GraphValidationError, match="not a zero forcing set"):
         certificate_from_tokens(cycle(5), [0])
+
+
+def test_certificate_from_tokens_refuses_a_repeated_token():
+    # Its own checker would reject the second token on vertex 1 at step 2.
+    with pytest.raises(GraphValidationError, match="repeated token on vertex 1"):
+        certificate_from_tokens(cycle(5), [0, 1, 1])
 
 
 def test_text_round_trip():

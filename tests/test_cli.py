@@ -360,6 +360,17 @@ def test_malformed_numbers_exit_2(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "--file", "any.el", "--family", "cycle", "--n", "5"], "give either --file or --family, not both"),
+    (["strategy", "--family", "nope"], "unknown family 'nope'"),
+    (["verify", "--q-list", "0"], "an input graph is required: --file or --family"),
+    (["verify", "--family", "cycle", "--n", "5", "--q-list", " "], "--q-list must name at least one q"),
+], ids=["file-and-family", "unknown-family", "no-input", "blank-q-list"])
+def test_graph_source_and_q_list_refusals_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_refuses_q_values_no_method_covers(capsys):
     # C21 is above the exact cap, not a block graph, a cactus only at q=0,
     # and has no closed form.

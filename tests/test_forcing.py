@@ -215,4 +215,4 @@ def test_applicable_forces_replay_as_legal_certificate_steps():
             _, tail = closure_with_forces(g, filled | {t} | set(extra))
             trace.extend(tail)
             cert = Certificate(tuple(trace))
-            assert check_certificate(g, None, cert)
+            assert check_certificate(g, g.n, cert)

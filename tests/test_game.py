@@ -210,6 +210,21 @@ def test_adversarial_oracle_refuses_unevaluated_announcements():
             oracle(filled, announcement)
 
 
+@pytest.mark.parametrize("filled, announcement", [
+    ({0, 2, -1}, (frozenset({1}),)),
+    ({0, 2}, (frozenset({3, 4, -1}),)),
+    ({0, 2, 5}, (frozenset({1}),)),
+    ({0, 2.0}, (frozenset({1}),)),
+    ({0, 2}, (frozenset({"1"}),)),
+], ids=["negative-filled", "negative-announced", "filled-past-n", "float-filled", "str-announced"])
+def test_adversarial_oracle_refuses_vertices_outside_the_graph(filled, announcement):
+    # 1 << v refuses a negative or non-int vertex, and a filled vertex at n
+    # or above would index past the adjacency masks.
+    oracle = adversarial_oracle(solve_zq(cycle(5), GameConfig(q=0)))
+    with pytest.raises(OracleProtocolError, match=r"names a vertex outside 0\.\.4"):
+        oracle(filled, announcement)
+
+
 def test_solver_matches_unoptimized_reference():
     # The reference enumerates announcements of every size and all token
     # moves and memoizes every filled set, so this exercises the solver's

@@ -193,6 +193,18 @@ def test_from_edges_refuses_endpoints_that_are_not_ints(pair):
         Graph.from_edges(3, [(1, 2), pair])
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (0, [], "graph needs at least one vertex"),
+    (-1, [], "graph needs at least one vertex"),
+    (3, [(0, 1), (1, 3)], "edge (1, 3) outside vertex range 0..2"),
+    (3, [(0, 1), (-1, 2)], "edge (-1, 2) outside vertex range 0..2"),
+    (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+], ids=["no-vertex", "negative-n", "endpoint-past-n", "negative-endpoint", "self-loop"])
+def test_from_edges_refuses_bad_graphs(n, edges, message):
+    with pytest.raises(GraphValidationError, match=re.escape(message)):
+        Graph.from_edges(n, edges)
+
+
 def test_unfilled_components_cycle_single_gap():
     comps = unfilled_components(cycle(5), frozenset({0}))
     assert comps == [frozenset({1, 2, 3, 4})]

@@ -44,7 +44,7 @@ def test_block_solver_cliques():
 def test_block_solver_bowtie_matches_brute_force():
     value, tokens = block_graph_Z(BOWTIE)
     assert value == brute_force_Z(BOWTIE)[0] == 3
-    assert check_certificate(BOWTIE, None, certificate_from_tokens(BOWTIE, tokens))
+    assert check_certificate(BOWTIE, BOWTIE.n, certificate_from_tokens(BOWTIE, tokens))
 
 
 def test_block_solver_single_vertex():
@@ -189,7 +189,7 @@ def test_block_solver_exhaustive_up_to_7_vertices():
         value, tokens = block_graph_Z(g)
         assert value == brute_force_Z(g)[0], g.edges
         assert value == g.n - len(find_blocks(g)), g.edges
-        assert check_certificate(g, None, certificate_from_tokens(g, tokens))
+        assert check_certificate(g, g.n, certificate_from_tokens(g, tokens))
         count += 1
     assert count > 10
 
