@@ -115,10 +115,7 @@ def _parse_components(text: str, lineno: int) -> tuple:
         chunk = chunk.strip()
         if not chunk:
             raise EdgeListParseError(lineno, "empty component in announce/reveal")
-        toks = [tok.strip() for tok in chunk.split(",")]
-        if not all(map(_is_digits, toks)):
-            raise EdgeListParseError(lineno, f"bad component {chunk!r}")
-        comps.append(frozenset(map(int, toks)))
+        comps.append(frozenset(_parse_int(tok.strip(), lineno) for tok in chunk.split(",")))
     return _canon_components(comps)
 
 
@@ -147,9 +144,12 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def _parse_int(text: str, lineno: int) -> int:
-    if not _is_digits(text):  # int() also reads "+3", "1_0" and non-ASCII digits
-        raise EdgeListParseError(lineno, f"bad vertex {text!r}")
-    return int(text)
+    if _is_digits(text):  # int() also reads "+3", "1_0" and non-ASCII digits
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise EdgeListParseError(lineno, f"bad vertex {text!r}")
 
 
 def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:

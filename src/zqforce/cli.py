@@ -1,5 +1,5 @@
-"""Command-line front end: solver dispatch, cross-verification, strategy
-printing, and benchmark tables.
+"""Command-line front end: solver dispatch, cross-verification and strategy
+printing.
 
 Exit codes: 0 success, 1 internal or write error, 2 parse/validation,
 3 scope or cap refusal, 4 cross-method disagreement.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -308,28 +309,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    kind = _FAMILY_ALIASES.get(args.family)
-    if kind not in ("random_block_graph", "random_cactus"):
-        raise GraphValidationError("bench supports --family random_block_graph or random_cactus")
-    sizes = _parse_int_list(args.n, "--n") if args.n else []
-    block_family = kind == "random_block_graph"
-    header = ("n", "m", "blocks" if block_family else "cycles", "time_s", "Z" if block_family else "Z0")
-    lines = ["\t".join(header)]
-    for index, n in enumerate(sizes):
-        instance_seed = args.seed * 1_000_003 + 7919 * index + n
-        g = generate_family(kind, FamilyParams(n=n), seed=instance_seed)
-        started = time.perf_counter()
-        value = block_graph_Z(g)[0] if block_family else cactus_Z0(g)
-        elapsed = time.perf_counter() - started
-        # Read after the timer stops, so that the timed solve runs the block DFS itself.
-        blocks = find_blocks(g)
-        count = len(blocks) if block_family else sum(1 for b in blocks if len(b.vertices) >= 3)
-        lines.append(f"{g.n}\t{g.m}\t{count}\t{elapsed:.6f}\t{value}")
-    _emit("\n".join(lines), args.output)
-    return 0
-
-
 def cmd_strategy(args) -> int:
     g, source, _, _ = _load_graph(args)
     cfg = _game_config(args, args.q)
@@ -363,7 +342,16 @@ def _emit(text: str, output: str | None):
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader closed stdout: end as Python does on EPIPE, with exit
+            # 1 and no message. fd 1 then points at devnull, so that the flush
+            # at interpreter exit has nowhere to fail.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise SystemExit(1) from None
 
 
 def _add_graph_source(parser: argparse.ArgumentParser):
@@ -408,13 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="benchmark table for generated instances")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", help="comma-separated instance sizes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="write the TSV here instead of stdout")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("strategy", help="print move-by-move optimal play")
     _add_graph_source(p)
     p.add_argument("--q", type=int, default=0)
@@ -426,16 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # No command builds a reference cycle that grows with its input, so the
     # cyclic collector would only rescan the graph and certificate objects as
     # they pile up (test_no_command_leaves_cyclic_garbage holds every command
-    # to this). Pause it while the command runs, and leave it as the caller
-    # had it.
+    # to this). Pause it for the whole call, argument parsing included, so
+    # that a collection that comes due between calls in one process never
+    # runs inside the next; and leave it as the caller had it.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ZqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -164,12 +164,15 @@ def test_parse_certificate_rejects_garbage():
 
 
 @pytest.mark.parametrize("move", ["token {}", "force {} 0", "force 0 {}", "announce 1;{},4", "reveal {}"])
-@pytest.mark.parametrize("vertex", ["1_0", "+3", "١"], ids=["underscore", "plus", "arabic-indic"])
+@pytest.mark.parametrize("vertex", ["1_0", "+3", "١", "9" * 5000],
+                         ids=["underscore", "plus", "arabic-indic", "past-int-digit-limit"])
 def test_parse_certificate_reads_ids_in_ascii_digits_only(move, vertex):
-    # int() reads all three (as 10, 3 and 1); the edge-list parser refuses
-    # them, and so does the certificate parser, at their line.
+    # int() reads the first three (as 10, 3 and 1) and refuses the last with
+    # a plain ValueError, since it has more digits than int() converts. The
+    # edge-list parser refuses all four, and so does the certificate parser,
+    # at their line.
     text = f"token 0\n{move.format(vertex)}\n"
-    with pytest.raises(EdgeListParseError, match=r"^line 2: bad (vertex|component) "):
+    with pytest.raises(EdgeListParseError, match=r"^line 2: bad vertex "):
         parse_certificate(text)
     assert parse_certificate(text.replace(vertex, "2")).trace[1:]
 
@@ -196,6 +199,14 @@ _ANNOUNCE_1 = AnnounceMove((frozenset({1}),))
 def test_checker_failure_reasons(q, trace, step, reason):
     result = verify_certificate(cycle(5), q, Certificate(trace))
     assert (result.ok, result.failed_step, result.reason) == (False, step, reason)
+
+
+def test_a_trace_with_a_non_move_is_neither_formatted_nor_accepted():
+    cert = Certificate(_C5_TOKENS + ("token 1",))
+    with pytest.raises(TypeError, match=r"^unknown move 'token 1'$"):
+        format_certificate(cert)
+    result = verify_certificate(cycle(5), 0, cert)
+    assert (result.ok, result.failed_step, result.reason) == (False, 2, "unknown move 'token 1'")
 
 
 def test_parse_certificate_skips_comments_and_blank_lines():

@@ -1,12 +1,15 @@
 import dataclasses
 import gc
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 
 import pytest
 
+import zqforce
 from zqforce import (
     GameConfig,
     Graph,
@@ -261,52 +264,6 @@ def test_verify_catches_injected_formula_fault(capsys, monkeypatch):
     assert code == 4
 
 
-def test_bench_deterministic_modulo_time(capsys):
-    def run():
-        code = main(["bench", "--family", "random_block_graph", "--n", "60,80", "--seed", "7"])
-        assert code == 0
-        return capsys.readouterr().out
-
-    def strip_time(table):
-        rows = [line.split("\t") for line in table.strip().splitlines()]
-        return [row[:3] + row[4:] for row in rows]
-
-    assert strip_time(run()) == strip_time(run())
-
-
-def test_bench_block_rows_follow_n_minus_b(capsys):
-    code = main(["bench", "--family", "random_block_graph", "--n", "50,100", "--seed", "11"])
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].split("\t") == ["n", "m", "blocks", "time_s", "Z"]
-    for line in lines[1:]:
-        n, m, blocks, _, value = line.split("\t")
-        assert int(value) == int(n) - int(blocks)
-
-
-def test_bench_cactus_rows_follow_cycles_plus_one(capsys):
-    # Pattern validated against the exact solver at small sizes in
-    # test_structured; here the table just has to agree with it.
-    code = main(["bench", "--family", "random_cactus", "--n", "60,90", "--seed", "13"])
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].split("\t") == ["n", "m", "cycles", "time_s", "Z0"]
-    for line in lines[1:]:
-        n, m, cycles, _, value = line.split("\t")
-        assert int(value) == int(cycles) + 1
-
-
-def test_bench_empty_sizes_header_only(capsys):
-    code = main(["bench", "--family", "random_cactus", "--seed", "1"])
-    assert code == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out == ["n\tm\tcycles\ttime_s\tZ0"]
-
-
-def test_bench_rejects_other_families(capsys):
-    assert main(["bench", "--family", "cycle", "--n", "5", "--seed", "1"]) == 2
-
-
 def test_strategy_c5(capsys):
     code = main(["strategy", "--family", "cycle", "--n", "5", "--q", "0"])
     assert code == 0
@@ -340,9 +297,29 @@ def test_compute_output_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["compute", "--family", "cycle", "--n", "5"],
+    ["verify", "--family", "cycle", "--n", "6", "--q-list", "0,6"],
+    ["strategy", "--family", "cycle", "--n", "5"],
+], ids=["compute", "verify", "strategy"])
+def test_closed_stdout_ends_a_command_quietly(argv):
+    # The reader closes its end before the command starts, so writing the
+    # report fails with EPIPE. The run exits 1, as Python does on EPIPE, and
+    # writes nothing to stderr, not even at interpreter exit. It runs in a
+    # child process, so that no handler touches this process's stdout.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(zqforce.__file__))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", "import sys; from zqforce.cli import main; sys.exit(main())",
+                               *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--family", "cycle", "--n", "5", "--q-list", "0,x"],
     ["compute", "--family", "star", "--arms", "1,x", "--q", "1"],
-    ["bench", "--family", "random_cactus", "--n", "5,x", "--seed", "1"],
     ["compute", "--family", "random_block_graph", "--n", "10", "--seed", "1", "--q", "-1"],
     ["verify", "--family", "random_block_graph", "--n", "30", "--seed", "1", "--q-list", "-1"],
     ["compute", "--family", "random_cactus", "--n", "30", "--seed", "1", "--q", "-1"],
@@ -350,7 +327,7 @@ def test_compute_output_file(tmp_path, capsys):
     ["compute", "--family", "cycle", "--n", "5", "--cap", "0"],
     ["verify", "--family", "cycle", "--n", "20", "--q-list", "0", "--cap", "65"],
     ["strategy", "--family", "cycle", "--n", "5", "--cap", "0"],
-], ids=["verify-q-list", "compute-arms", "bench-n", "compute-block-negative-q",
+], ids=["verify-q-list", "compute-arms", "compute-block-negative-q",
         "verify-negative-q", "compute-cactus-negative-q", "verify-empty-entry",
         "compute-cap-0", "verify-cap-65", "strategy-cap-0"])
 def test_malformed_numbers_exit_2(capsys, argv):
@@ -822,8 +799,8 @@ def _cyclic_garbage(run):
 
 def _every_main_path(tmp_path, monkeypatch):
     """(id, argv, exit code, ends in a json.dumps report): one run of each
-    compute method with --trace and with --json, of verify, strategy and
-    bench, and of each error exit. The exit 4 case fakes a wrong closed form
+    compute method with --trace and with --json, of verify and strategy,
+    and of each error exit. The exit 4 case fakes a wrong closed form
     through monkeypatch."""
     trace = str(tmp_path / "paths.cert")
     fold_file = _diamond_beside_blocks(tmp_path)[0]
@@ -845,7 +822,6 @@ def _every_main_path(tmp_path, monkeypatch):
         ("verify", ["verify", "--family", "star", "--arms", "1,2,3", "--q-list", "0,1,6"], 0, False),
         ("verify-json", ["verify", "--file", bowtie, "--q-list", "0,1", "--json"], 0, True),
         ("strategy", ["strategy", "--family", "star", "--arms", "1,1,1", "--q", "2"], 0, False),
-        ("bench", ["bench", "--family", "random_block_graph", "--n", "100,1000", "--seed", "7"], 0, False),
         ("exit-1", ["compute", "--file", bowtie, "--output", str(tmp_path / "no" / "out")], 1, False),
         ("exit-2", ["compute", "--file", spelled], 2, False),
         ("exit-3", ["verify", "--family", "cycle", "--n", "21", "--q-list", "1"], 3, False),

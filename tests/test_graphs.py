@@ -9,6 +9,7 @@ from zqforce import (
     Graph,
     GraphValidationError,
     ResourceLimitError,
+    connected_components,
     find_blocks,
     format_edge_list,
     is_block_graph,
@@ -341,16 +342,20 @@ def test_block_dfs_returns_the_edge_stack_traversals_blocks_in_its_order():
 
 def test_find_blocks_agrees_with_networkx_on_random_graphs():
     rng = random.Random(11)
+    isolated = 0
     for _ in range(60):
         parts = [random_connected_graph(rng.randint(1, 25), rng.random() * 0.4, rng)
                  for _ in range(rng.randint(1, 3))]
         g = disjoint_union(*parts, rng=rng)
+        isolated += g.adjacency.count(())
         ours = {b.vertices for b in find_blocks(g)}
         nxg = nx.Graph(list(g.edges))
         nxg.add_nodes_from(range(g.n))
         theirs = {frozenset(c) for c in nx.biconnected_components(nxg)}
         assert ours == theirs
         assert is_connected(g) == nx.is_connected(nxg)
+        assert connected_components(g) == sorted(map(frozenset, nx.connected_components(nxg)), key=min)
+    assert isolated > 0  # each one is a component of its own
 
 
 def test_block_order_prefix_invariant_on_random_block_graphs():
