@@ -2,8 +2,8 @@
 
 A certificate is a replayable trace of moves; the tokens it spends are its
 token moves. The checker here is written against the game rules directly,
-with plain set arithmetic, so it stays an independent validator for the
-solvers' output.
+with one fill flag per vertex and none of the solvers' code, so it stays an
+independent validator for their output.
 
 Text form, one move per line:
 
@@ -19,6 +19,7 @@ by semicolons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import EdgeListParseError, GraphValidationError
 from .graphs import Graph, _is_digits, unfilled_components
@@ -72,37 +73,50 @@ def _canon_components(comps) -> tuple:
 def certificate_from_tokens(g: Graph, tokens) -> Certificate:
     """Certificate for a plain zero forcing set: all tokens up front, then
     one closure force sequence. Raises GraphValidationError if a token
-    repeats or the tokens do not force all of g."""
-    from .forcing import closure_with_forces
+    repeats, lies outside g, or the tokens do not force all of g; a repeat
+    is named before an outside vertex."""
+    from .forcing import _close_marks
 
     trace = list(map(TokenMove, tokens))
-    # closure_with_forces takes this set as it is: frozenset() of a frozenset is the same object.
-    token_set = frozenset(mv.vertex for mv in trace)
-    if len(token_set) != len(trace):
-        seen = set()
-        repeat = next(mv.vertex for mv in trace if mv.vertex in seen or seen.add(mv.vertex))
-        raise GraphValidationError(f"repeated token on vertex {repeat}")
-    closed, forces = closure_with_forces(g, token_set)
-    if len(closed) != g.n:  # closed holds vertices of g only
+    n = g.n
+    mark = bytearray(n)
+    outside = {}  # ids outside 0..n-1 in token order; mark[-1] would wrap
+    for mv in trace:
+        v = mv.vertex
+        if 0 <= v < n:
+            if mark[v]:
+                raise GraphValidationError(f"repeated token on vertex {v}")
+            mark[v] = 1
+        elif v in outside:
+            raise GraphValidationError(f"repeated token on vertex {v}")
+        else:
+            outside[v] = None
+    if outside:
+        raise GraphValidationError(f"vertex {next(iter(outside))} outside range 0..{n - 1}")
+    forces = _close_marks(g, mark)
+    if mark.count(0):
         raise GraphValidationError("token set is not a zero forcing set")
     trace.extend(forces)
     return Certificate(tuple(trace))
 
 
-def format_certificate(cert: Certificate) -> str:
-    lines = []
+def certificate_lines(cert: Certificate):
+    """The text form of cert, one newline-terminated line per move."""
     for mv in cert.trace:
         if isinstance(mv, TokenMove):
-            lines.append(f"token {mv.vertex}")
+            yield f"token {mv.vertex}\n"
         elif isinstance(mv, ForceMove):
-            lines.append(f"force {mv.source} {mv.target}")
+            yield f"force {mv.source} {mv.target}\n"
         elif isinstance(mv, AnnounceMove):
-            lines.append("announce " + _format_components(mv.components))
+            yield f"announce {_format_components(mv.components)}\n"
         elif isinstance(mv, RevealMove):
-            lines.append("reveal " + _format_components(mv.components))
+            yield f"reveal {_format_components(mv.components)}\n"
         else:
             raise TypeError(f"unknown move {mv!r}")
-    return "\n".join(lines) + "\n"
+
+
+def format_certificate(cert: Certificate) -> str:
+    return "".join(certificate_lines(cert))
 
 
 def _format_components(comps) -> str:
@@ -159,10 +173,12 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
     forcing is any q >= n, where no announcement is legal. Forces after a
     reveal are judged inside the revealed subgraph first and as ordinary
     whole-graph forces otherwise; a whole-graph force (like a token or a new
-    announce) leaves the window behind.
+    announce) leaves the window behind. The filled vertices and the window
+    are bytearrays of flags, one per vertex, so every vertex a move names is
+    range-checked before it is looked up.
     """
-    filled = set()
-    window = None  # revealed subgraph's vertex set while a reveal is active
+    filled = bytearray(g.n)
+    window = None  # flags of the revealed subgraph's vertices while a reveal is active
     pending = None  # announced components awaiting the reveal
 
     def fail(step, reason):
@@ -175,12 +191,12 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
             v = mv.vertex
             if not (0 <= v < g.n):
                 return fail(step, f"token on invalid vertex {v}")
-            if v in filled:
+            if filled[v]:
                 return fail(step, f"token on already-filled vertex {v}")
-            filled.add(v)
+            filled[v] = 1
             window = None
         elif isinstance(mv, AnnounceMove):
-            comps = unfilled_components(g, filled)
+            comps = unfilled_components(g, tuple(compress(range(g.n), filled)))
             if len(comps) <= q:
                 return fail(step, f"only {len(comps)} unfilled components, need more than q={q}")
             announced = set(mv.components)
@@ -201,33 +217,37 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
                 return fail(step, "duplicate component in reveal")
             if not revealed or not revealed <= pending:
                 return fail(step, "reveal must be a nonempty subset of the announcement")
-            window = frozenset(filled) | frozenset().union(*revealed)
+            # The revealed components are unfilled components of g, so their ids are in range.
+            window = bytearray(filled)
+            for comp in revealed:
+                for v in comp:
+                    window[v] = 1
             pending = None
         elif isinstance(mv, ForceMove):
             u, v = mv.source, mv.target
             if not (0 <= u < g.n and 0 <= v < g.n):
                 return fail(step, f"force with invalid endpoints ({u}, {v})")
-            if u not in filled:
+            if not filled[u]:
                 return fail(step, f"force source {u} is unfilled")
-            if v in filled:
+            if filled[v]:
                 return fail(step, f"force target {v} is already filled")
             in_window = window is not None and [
-                w for w in g.adjacency[u] if w in window and w not in filled
+                w for w in g.adjacency[u] if window[w] and not filled[w]
             ] == [v]
-            whole = [w for w in g.adjacency[u] if w not in filled] == [v]
+            whole = [w for w in g.adjacency[u] if not filled[w]] == [v]
             if not in_window and not whole:
                 return fail(step, f"{u} does not have {v} as its unique unfilled neighbor")
             if not in_window:
                 # An ordinary forcing move is always available; taking one
                 # leaves the announced window behind.
                 window = None
-            filled.add(v)
+            filled[v] = 1
         else:
             return fail(step, f"unknown move {mv!r}")
 
     if pending is not None:
         return fail(len(cert.trace), "trace ends on an unanswered announcement")
-    if len(filled) != g.n:  # every move checked its vertex against 0..n-1
+    if filled.count(0):
         return fail(len(cert.trace), "trace does not fill every vertex")
     return CheckResult(ok=True)
 

@@ -22,6 +22,7 @@ from .certificates import (
     ForceMove,
     TokenMove,
     certificate_from_tokens,
+    certificate_lines,
     check_certificate,
     format_certificate,
 )
@@ -227,7 +228,7 @@ def cmd_compute(args) -> int:
             print(f"warning: method {used!r} does not produce a certificate; --trace ignored", file=sys.stderr)
         else:
             with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(format_certificate(cert))
+                fh.writelines(certificate_lines(cert))
             cert_path = args.trace
 
     report = {

@@ -10,9 +10,11 @@ its closure is every vertex.
 `_window_closure` is the bitmask closure, restricted to a window of
 vertices; with the whole vertex set as the window it is the plain closure.
 It is the hot loop of the exact game search and of `brute_force_Z`.
-`closure_with_forces` also records the forces, which certificates need; it
-counts unfilled neighbors from the unfilled side, so its set-up costs the
-adjacency of the unfilled vertices only.
+`_close_marks` is the closure that also records the forces, which
+certificates need. It fills a bytearray of fill flags in place and counts
+unfilled neighbors from the unfilled side, so its set-up costs the
+adjacency of the unfilled vertices only; `closure_with_forces` wraps it for
+a vertex set.
 """
 
 from __future__ import annotations
@@ -59,7 +61,19 @@ def _window_closure(masks, filled: int, window: int) -> int:
 
 def closure_with_forces(g: Graph, filled) -> tuple:
     """Forcing closure plus one legal force sequence (ForceMoves) that
-    realizes it.
+    realizes it, for a set of vertices of g."""
+    filled = frozenset(filled)
+    _check_vertex_subset(g, filled)
+    mark = bytearray(g.n)
+    for v in filled:
+        mark[v] = 1
+    forces = _close_marks(g, mark)
+    return frozenset(compress(range(g.n), mark)), forces
+
+
+def _close_marks(g: Graph, mark: bytearray) -> list:
+    """Fill `mark`, one 0/1 flag per vertex of g, to its forcing closure in
+    place, and return the ForceMoves that do it.
 
     Work-queue over potential sources, O(n + m) total: a vertex forces at
     most once, and each fill decrements its neighbors' unfilled counts.
@@ -70,12 +84,7 @@ def closure_with_forces(g: Graph, filled) -> tuple:
     unfilled part to count. The queue starts with the filled vertices of
     count 1 in increasing order.
     """
-    filled = frozenset(filled)
-    _check_vertex_subset(g, filled)
     adjacency = g.adjacency
-    mark = bytearray(g.n)
-    for v in filled:
-        mark[v] = 1
     unfilled = compress(range(g.n), mark.translate(_FLIP))
     counts = Counter(chain.from_iterable(map(adjacency.__getitem__, unfilled)))
     # The loop reads a list: indexing a Counter, a dict subclass, is slower.
@@ -95,7 +104,7 @@ def closure_with_forces(g: Graph, filled) -> tuple:
             unfilled_count[w] -= 1
             if mark[w] and unfilled_count[w] == 1:
                 queue.append(w)
-    return frozenset(compress(range(g.n), mark)), forces
+    return forces
 
 
 def brute_force_Z(g: Graph) -> tuple:

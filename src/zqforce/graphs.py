@@ -290,7 +290,7 @@ def unfilled_components(g: Graph, filled) -> list:
     return comps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A biconnected component (maximal 2-connected subgraph or bridge edge).
 

@@ -8,11 +8,16 @@ from dataclasses import replace
 from itertools import combinations
 
 from zqforce import (
+    AnnounceMove,
     Block,
+    Certificate,
+    CheckResult,
     FamilyParams,
     ForceMove,
     Graph,
+    RevealMove,
     ScopeError,
+    TokenMove,
     find_blocks,
     generate_family,
     unfilled_components,
@@ -319,6 +324,82 @@ def closure_with_forces_reference(g: Graph, filled) -> tuple:
             if mark[w] and unfilled_count[w] == 1:
                 queue.append(w)
     return frozenset(v for v in range(g.n) if mark[v]), forces
+
+
+def verify_certificate_reference(g: Graph, q: int, cert: Certificate) -> CheckResult:
+    """Reference for certificates.verify_certificate, which keeps the
+    filled vertices and the reveal window as bytearrays of flags: the same
+    replay over a set and a frozenset. The two must agree on the verdict,
+    the failed step and the reason of every certificate."""
+    filled = set()
+    window = None  # revealed subgraph's vertex set while a reveal is active
+    pending = None  # announced components awaiting the reveal
+
+    def fail(step, reason):
+        return CheckResult(ok=False, failed_step=step, reason=reason)
+
+    for step, mv in enumerate(cert.trace):
+        if pending is not None and not isinstance(mv, RevealMove):
+            return fail(step, "announcement must be followed by a reveal")
+        if isinstance(mv, TokenMove):
+            v = mv.vertex
+            if not (0 <= v < g.n):
+                return fail(step, f"token on invalid vertex {v}")
+            if v in filled:
+                return fail(step, f"token on already-filled vertex {v}")
+            filled.add(v)
+            window = None
+        elif isinstance(mv, AnnounceMove):
+            comps = unfilled_components(g, filled)
+            if len(comps) <= q:
+                return fail(step, f"only {len(comps)} unfilled components, need more than q={q}")
+            announced = set(mv.components)
+            if len(announced) != len(mv.components):
+                return fail(step, "duplicate component in announcement")
+            if len(announced) < q + 1:
+                return fail(step, f"announced {len(announced)} components, need at least {q + 1}")
+            actual = set(comps)
+            if not announced <= actual:
+                return fail(step, "announced set is not an unfilled component")
+            pending = announced
+            window = None
+        elif isinstance(mv, RevealMove):
+            if pending is None:
+                return fail(step, "reveal without a preceding announcement")
+            revealed = set(mv.components)
+            if len(revealed) != len(mv.components):
+                return fail(step, "duplicate component in reveal")
+            if not revealed or not revealed <= pending:
+                return fail(step, "reveal must be a nonempty subset of the announcement")
+            window = frozenset(filled) | frozenset().union(*revealed)
+            pending = None
+        elif isinstance(mv, ForceMove):
+            u, v = mv.source, mv.target
+            if not (0 <= u < g.n and 0 <= v < g.n):
+                return fail(step, f"force with invalid endpoints ({u}, {v})")
+            if u not in filled:
+                return fail(step, f"force source {u} is unfilled")
+            if v in filled:
+                return fail(step, f"force target {v} is already filled")
+            in_window = window is not None and [
+                w for w in g.adjacency[u] if w in window and w not in filled
+            ] == [v]
+            whole = [w for w in g.adjacency[u] if w not in filled] == [v]
+            if not in_window and not whole:
+                return fail(step, f"{u} does not have {v} as its unique unfilled neighbor")
+            if not in_window:
+                # An ordinary forcing move is always available; taking one
+                # leaves the announced window behind.
+                window = None
+            filled.add(v)
+        else:
+            return fail(step, f"unknown move {mv!r}")
+
+    if pending is not None:
+        return fail(len(cert.trace), "trace ends on an unanswered announcement")
+    if len(filled) != g.n:  # every move checked its vertex against 0..n-1
+        return fail(len(cert.trace), "trace does not fill every vertex")
+    return CheckResult(ok=True)
 
 
 def naive_components(g: Graph, filled) -> list:

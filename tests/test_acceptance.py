@@ -34,6 +34,7 @@ from zqforce import (
     generate_family,
     solve_zq,
     star_Zq,
+    verify_certificate,
     windmill_I_Zq,
     windmill_II_Zq,
     Graph,
@@ -47,6 +48,7 @@ from helpers import (
     random_connected_graph,
     star,
     triangle_chain,
+    verify_certificate_reference,
 )
 
 REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
@@ -250,6 +252,7 @@ def test_criterion_8_certificates():
         assert len(cert.tokens) == value, (g.edges, q)
         for bad in _corrupted_variants(cert):
             assert not check_certificate(g, q, bad), (g.edges, q, bad)
+            assert verify_certificate(g, q, bad) == verify_certificate_reference(g, q, bad), (g.edges, q, bad)
             rejected += 1
     _report(8, True, f"{len(cases)} certificates verified at their claimed values; "
                      f"{rejected} corrupted variants all rejected")

@@ -5,6 +5,7 @@ from zqforce import (
     Certificate,
     EdgeListParseError,
     ForceMove,
+    Graph,
     GraphValidationError,
     RevealMove,
     TokenMove,
@@ -117,6 +118,19 @@ def test_bowtie_stuck_state_has_no_window_force():
     assert result.failed_step == 5
 
 
+def test_a_whole_graph_force_leaves_the_reveal_window_behind():
+    # Filling 0 and 3 leaves {1}, {2} and {4} unfilled; {1} is revealed.
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (3, 4)])
+    opening = (TokenMove(0), TokenMove(3), AnnounceMove((frozenset({1}), frozenset({2}))),
+               RevealMove((frozenset({1}),)))
+    # 0 -> 1 inside the window, then ordinary forces.
+    assert check_certificate(g, 0, Certificate(opening + (ForceMove(0, 1), ForceMove(3, 4), ForceMove(0, 2))))
+    # 3 -> 4 is an ordinary force, after which 0 -> 1 is judged in the whole
+    # graph, where 0 has two unfilled neighbors.
+    result = verify_certificate(g, 0, Certificate(opening + (ForceMove(3, 4), ForceMove(0, 1), ForceMove(0, 2))))
+    assert (result.ok, result.failed_step) == (False, 5)
+
+
 def test_certificate_from_tokens_builds_valid_replay():
     cert = certificate_from_tokens(BOWTIE, [0, 1, 3])
     assert cert.value == 3
@@ -129,6 +143,19 @@ def test_certificate_from_tokens_refuses_a_repeated_token():
     # Its own checker would reject the second token on vertex 1 at step 2.
     with pytest.raises(GraphValidationError, match="repeated token on vertex 1"):
         certificate_from_tokens(cycle(5), [0, 1, 1])
+
+
+@pytest.mark.parametrize("tokens, message", [
+    ([0, -1], "vertex -1 outside range 0..4"),  # a bytearray would read index -1 as 4
+    ([0, 5], "vertex 5 outside range 0..4"),
+    ([0, 5, 0], "repeated token on vertex 0"),  # a repeat is named before an outside vertex
+    ([-1, 0, 0], "repeated token on vertex 0"),
+    ([0, -1, -1], "repeated token on vertex -1"),
+    ([1, 3], "token set is not a zero forcing set"),
+])
+def test_certificate_from_tokens_refusals(tokens, message):
+    with pytest.raises(GraphValidationError, match=f"^{message}$"):
+        certificate_from_tokens(cycle(5), tokens)
 
 
 def test_text_round_trip():
@@ -184,6 +211,7 @@ _ANNOUNCE_1 = AnnounceMove((frozenset({1}),))
 @pytest.mark.parametrize("q, trace, step, reason", [
     (0, _C5_TOKENS + (_ANNOUNCE_1, ForceMove(0, 1)), 3, "announcement must be followed by a reveal"),
     (0, (TokenMove(7),), 0, "token on invalid vertex 7"),
+    (0, (TokenMove(-1),), 0, "token on invalid vertex -1"),
     (0, _C5_TOKENS + (AnnounceMove((frozenset({1}), frozenset({1}))),), 2,
      "duplicate component in announcement"),
     (0, _C5_TOKENS + (AnnounceMove((frozenset({1}), frozenset({3, 4}))),
@@ -191,11 +219,12 @@ _ANNOUNCE_1 = AnnounceMove((frozenset({1}),))
     (1, _C5_TOKENS + (_ANNOUNCE_1,), 2, "announced 1 components, need at least 2"),
     (0, _C5_TOKENS + (AnnounceMove((frozenset({3}),)),), 2, "announced set is not an unfilled component"),
     (0, (TokenMove(0), ForceMove(0, 9)), 1, "force with invalid endpoints (0, 9)"),
+    (0, (TokenMove(0), ForceMove(0, -1)), 1, "force with invalid endpoints (0, -1)"),
     (0, (TokenMove(0), ForceMove(1, 2)), 1, "force source 1 is unfilled"),
     (0, _C5_TOKENS + (_ANNOUNCE_1,), 3, "trace ends on an unanswered announcement"),
-], ids=["announce-not-revealed", "token-invalid-vertex", "duplicate-announced", "duplicate-revealed",
-        "too-few-announced", "announced-non-component", "force-invalid-endpoints",
-        "force-unfilled-source", "unanswered-announcement"])
+], ids=["announce-not-revealed", "token-invalid-vertex", "token-negative-vertex", "duplicate-announced",
+        "duplicate-revealed", "too-few-announced", "announced-non-component", "force-invalid-endpoints",
+        "force-negative-endpoint", "force-unfilled-source", "unanswered-announcement"])
 def test_checker_failure_reasons(q, trace, step, reason):
     result = verify_certificate(cycle(5), q, Certificate(trace))
     assert (result.ok, result.failed_step, result.reason) == (False, step, reason)

@@ -3,7 +3,8 @@
 Every malformed input must surface as one of the documented error types (the
 CLI maps them to exit code 2 or 3) or as a failed CheckResult, never as any
 other exception. The edge-list parser's bulk path must agree with its line
-loop on every text.
+loop on every text, and the flag-based certificate checker must give the
+set-based reference's CheckResult on every certificate.
 """
 
 import random
@@ -30,9 +31,18 @@ from zqforce import (
     verify_certificate,
 )
 
+from zqforce.cli import main
 from zqforce.graphs import _parse_lines, _parse_plain
 
-from helpers import BOWTIE, cycle, disjoint_union, random_connected_graph, star
+from helpers import (
+    BOWTIE,
+    cycle,
+    disjoint_union,
+    random_cactus,
+    random_connected_graph,
+    star,
+    verify_certificate_reference,
+)
 
 _JUNK = ("x", "1.5", "0x1", "-1", "-0", "", "1e3", "n", "#", ";", ",", "1,", ";1", "99999999999")
 
@@ -216,6 +226,7 @@ def _certificate_junk(rng):
 def _assert_check_result(g, q, cert):
     result = verify_certificate(g, q, cert)
     assert isinstance(result, CheckResult)
+    assert result == verify_certificate_reference(g, q, cert), (g.edges, q, cert)
     if not result.ok:
         assert 0 <= result.failed_step <= len(cert.trace)
         assert isinstance(result.reason, str) and result.reason
@@ -251,6 +262,23 @@ def _retarget(mv, g, rng):
     return type(mv)(tuple(comps))
 
 
+def _move_mutant(g, cert, rng):
+    """cert with one move deleted, repeated, swapped with another or retargeted."""
+    trace = list(cert.trace)
+    op = rng.randrange(4)
+    i = rng.randrange(len(trace))
+    if op == 0:
+        del trace[i]
+    elif op == 1:
+        trace.insert(i, trace[i])
+    elif op == 2:
+        j = rng.randrange(len(trace))
+        trace[i], trace[j] = trace[j], trace[i]
+    else:
+        trace[i] = _retarget(trace[i], g, rng)
+    return Certificate(tuple(trace))
+
+
 def test_fuzz_certificate_moves():
     rng = random.Random(103)
     corpus = _certificate_corpus(rng)
@@ -259,19 +287,34 @@ def test_fuzz_certificate_moves():
     rejected = 0
     for _ in range(1500):
         g, q, cert = rng.choice(corpus)
-        trace = list(cert.trace)
-        op = rng.randrange(4)
-        i = rng.randrange(len(trace))
-        if op == 0:
-            del trace[i]
-        elif op == 1:
-            trace.insert(i, trace[i])
-        elif op == 2:
-            j = rng.randrange(len(trace))
-            trace[i], trace[j] = trace[j], trace[i]
-        else:
-            trace[i] = _retarget(trace[i], g, rng)
-        mutant = Certificate(tuple(trace))
+        mutant = _move_mutant(g, cert, rng)
         _assert_check_result(g, q, mutant)
         rejected += not verify_certificate(g, q, mutant).ok
     assert rejected > 500
+
+
+def test_checker_agrees_with_the_set_reference_on_compute_certificates(tmp_path, capsys):
+    # compute --method exact --trace at q = 0..2 in both rule-3 modes, on
+    # seeded cacti and sparse graphs: their announce and reveal lines drive
+    # the reveal window, which the fuzz corpus above reaches less often.
+    rng = random.Random(104)
+    graphs = [random_cactus(rng.randint(8, 12), rng) for _ in range(4)]
+    graphs += [random_connected_graph(rng.randint(7, 11), 0.15, rng) for _ in range(4)]
+    shapes = set()
+    for k, g in enumerate(graphs):
+        edges = tmp_path / f"g{k}.el"
+        edges.write_text(format_edge_list(g))
+        for q in (0, 1, 2):
+            for mode in ("closure", "single"):
+                trace = tmp_path / f"g{k}-{q}-{mode}.cert"
+                argv = ["compute", "--file", str(edges), "--q", str(q), "--method", "exact",
+                        "--rule3", mode, "--trace", str(trace)]
+                assert main(argv) == 0
+                cert = parse_certificate(trace.read_text())
+                shapes.update(type(mv) for mv in cert.trace)
+                assert verify_certificate(g, q, cert).ok
+                _assert_check_result(g, q, cert)
+                for _ in range(10):
+                    _assert_check_result(g, q, _move_mutant(g, cert, rng))
+    capsys.readouterr()
+    assert shapes == {TokenMove, ForceMove, AnnounceMove, RevealMove}
