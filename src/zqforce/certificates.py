@@ -3,7 +3,9 @@
 A certificate is a replayable trace of moves; the tokens it spends are its
 token moves. The checker here is written against the game rules directly,
 with one fill flag per vertex and none of the solvers' code, so it stays an
-independent validator for their output.
+independent validator for their output. The builder `certificate_from_tokens`
+fills its flags with `_close_marks`, the forcing loop that
+`forcing.closure_with_forces` also runs; the checker does not call it.
 
 Text form, one move per line:
 
@@ -18,11 +20,14 @@ by semicolons.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 
 from .errors import EdgeListParseError, GraphValidationError
 from .graphs import Graph, _is_digits, unfilled_components
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # a fill mark to an unfilled mark
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,17 +77,17 @@ def _canon_components(comps) -> tuple:
 
 def certificate_from_tokens(g: Graph, tokens) -> Certificate:
     """Certificate for a plain zero forcing set: all tokens up front, then
-    one closure force sequence. Raises GraphValidationError if a token
-    repeats, lies outside g, or the tokens do not force all of g; a repeat
-    is named before an outside vertex."""
-    from .forcing import _close_marks
-
+    one closure force sequence. Raises GraphValidationError if a token is
+    not an int (a bool is not), repeats, lies outside g, or the tokens do
+    not force all of g; a repeat is named before an outside vertex."""
     trace = list(map(TokenMove, tokens))
     n = g.n
     mark = bytearray(n)
     outside = {}  # ids outside 0..n-1 in token order; mark[-1] would wrap
     for mv in trace:
         v = mv.vertex
+        if type(v) is not int:
+            raise GraphValidationError(f"token {v!r} is not an int")
         if 0 <= v < n:
             if mark[v]:
                 raise GraphValidationError(f"repeated token on vertex {v}")
@@ -98,6 +103,42 @@ def certificate_from_tokens(g: Graph, tokens) -> Certificate:
         raise GraphValidationError("token set is not a zero forcing set")
     trace.extend(forces)
     return Certificate(tuple(trace))
+
+
+def _close_marks(g: Graph, mark: bytearray) -> list:
+    """Fill `mark`, one 0/1 flag per vertex of g, to its forcing closure in
+    place, and return the ForceMoves that do it.
+
+    Work-queue over potential sources, O(n + m) total: a vertex forces at
+    most once, and each fill decrements its neighbors' unfilled counts.
+    The counts are read from the unfilled side only: a vertex has as many
+    unfilled neighbors as there are unfilled vertices that list it, so one
+    Counter over the unfilled vertices' adjacency holds every nonzero
+    count, and a set that is mostly filled costs little more than its
+    unfilled part to count. The queue starts with the filled vertices of
+    count 1 in increasing order.
+    """
+    adjacency = g.adjacency
+    unfilled = compress(range(g.n), mark.translate(_FLIP))
+    counts = Counter(chain.from_iterable(map(adjacency.__getitem__, unfilled)))
+    # The loop reads a list: indexing a Counter, a dict subclass, is slower.
+    unfilled_count = list(map(counts.get, range(g.n), repeat(0)))
+    queue = deque(sorted(v for v, k in counts.items() if k == 1 and mark[v]))
+    forces = []
+    while queue:
+        u = queue.popleft()
+        if unfilled_count[u] != 1:
+            continue  # stale entry
+        t = next(w for w in adjacency[u] if not mark[w])
+        forces.append(ForceMove(u, t))
+        mark[t] = 1
+        if unfilled_count[t] == 1:
+            queue.append(t)
+        for w in adjacency[t]:
+            unfilled_count[w] -= 1
+            if mark[w] and unfilled_count[w] == 1:
+                queue.append(w)
+    return forces
 
 
 def certificate_lines(cert: Certificate):
@@ -175,7 +216,8 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
     whole-graph forces otherwise; a whole-graph force (like a token or a new
     announce) leaves the window behind. The filled vertices and the window
     are bytearrays of flags, one per vertex, so every vertex a move names is
-    range-checked before it is looked up.
+    checked to be an int (a bool is not) in 0..n-1 before it is looked up,
+    and every announced or revealed component to be a frozenset of ints.
     """
     filled = bytearray(g.n)
     window = None  # flags of the revealed subgraph's vertices while a reveal is active
@@ -184,18 +226,23 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
     def fail(step, reason):
         return CheckResult(ok=False, failed_step=step, reason=reason)
 
+    def are_components(comps):
+        return all(isinstance(c, frozenset) and all(type(v) is int for v in c) for c in comps)
+
     for step, mv in enumerate(cert.trace):
         if pending is not None and not isinstance(mv, RevealMove):
             return fail(step, "announcement must be followed by a reveal")
         if isinstance(mv, TokenMove):
             v = mv.vertex
-            if not (0 <= v < g.n):
-                return fail(step, f"token on invalid vertex {v}")
+            if type(v) is not int or not 0 <= v < g.n:
+                return fail(step, f"token on invalid vertex {v!r}")
             if filled[v]:
                 return fail(step, f"token on already-filled vertex {v}")
             filled[v] = 1
             window = None
         elif isinstance(mv, AnnounceMove):
+            if not are_components(mv.components):
+                return fail(step, "announced component is not a frozenset of ints")
             comps = unfilled_components(g, tuple(compress(range(g.n), filled)))
             if len(comps) <= q:
                 return fail(step, f"only {len(comps)} unfilled components, need more than q={q}")
@@ -212,6 +259,8 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
         elif isinstance(mv, RevealMove):
             if pending is None:
                 return fail(step, "reveal without a preceding announcement")
+            if not are_components(mv.components):
+                return fail(step, "revealed component is not a frozenset of ints")
             revealed = set(mv.components)
             if len(revealed) != len(mv.components):
                 return fail(step, "duplicate component in reveal")
@@ -225,8 +274,8 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
             pending = None
         elif isinstance(mv, ForceMove):
             u, v = mv.source, mv.target
-            if not (0 <= u < g.n and 0 <= v < g.n):
-                return fail(step, f"force with invalid endpoints ({u}, {v})")
+            if not (type(u) is int and type(v) is int and 0 <= u < g.n and 0 <= v < g.n):
+                return fail(step, f"force with invalid endpoints ({u!r}, {v!r})")
             if not filled[u]:
                 return fail(step, f"force source {u} is unfilled")
             if filled[v]:

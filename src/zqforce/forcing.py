@@ -10,26 +10,21 @@ its closure is every vertex.
 `_window_closure` is the bitmask closure, restricted to a window of
 vertices; with the whole vertex set as the window it is the plain closure.
 It is the hot loop of the exact game search and of `brute_force_Z`.
-`_close_marks` is the closure that also records the forces, which
-certificates need. It fills a bytearray of fill flags in place and counts
-unfilled neighbors from the unfilled side, so its set-up costs the
-adjacency of the unfilled vertices only; `closure_with_forces` wraps it for
-a vertex set.
+`closure_with_forces` is the closure that also records the forces, for a
+vertex set. It runs `certificates._close_marks`, the loop that
+`certificate_from_tokens` builds its force sequence with, on a bytearray of
+fill flags.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from itertools import chain, combinations, compress, repeat
+from itertools import combinations, compress
 
-from .certificates import ForceMove
+from .certificates import _close_marks
 from .errors import ScopeError
 from .graphs import Graph, _check_vertex_subset
 
 BRUTE_FORCE_CAP = 20
-
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # a fill mark to an unfilled mark
-
 
 def vertices_to_mask(vertices) -> int:
     mask = 0
@@ -69,42 +64,6 @@ def closure_with_forces(g: Graph, filled) -> tuple:
         mark[v] = 1
     forces = _close_marks(g, mark)
     return frozenset(compress(range(g.n), mark)), forces
-
-
-def _close_marks(g: Graph, mark: bytearray) -> list:
-    """Fill `mark`, one 0/1 flag per vertex of g, to its forcing closure in
-    place, and return the ForceMoves that do it.
-
-    Work-queue over potential sources, O(n + m) total: a vertex forces at
-    most once, and each fill decrements its neighbors' unfilled counts.
-    The counts are read from the unfilled side only: a vertex has as many
-    unfilled neighbors as there are unfilled vertices that list it, so one
-    Counter over the unfilled vertices' adjacency holds every nonzero
-    count, and a set that is mostly filled costs little more than its
-    unfilled part to count. The queue starts with the filled vertices of
-    count 1 in increasing order.
-    """
-    adjacency = g.adjacency
-    unfilled = compress(range(g.n), mark.translate(_FLIP))
-    counts = Counter(chain.from_iterable(map(adjacency.__getitem__, unfilled)))
-    # The loop reads a list: indexing a Counter, a dict subclass, is slower.
-    unfilled_count = list(map(counts.get, range(g.n), repeat(0)))
-    queue = deque(sorted(v for v, k in counts.items() if k == 1 and mark[v]))
-    forces = []
-    while queue:
-        u = queue.popleft()
-        if unfilled_count[u] != 1:
-            continue  # stale entry
-        t = next(w for w in adjacency[u] if not mark[w])
-        forces.append(ForceMove(u, t))
-        mark[t] = 1
-        if unfilled_count[t] == 1:
-            queue.append(t)
-        for w in adjacency[t]:
-            unfilled_count[w] -= 1
-            if mark[w] and unfilled_count[w] == 1:
-                queue.append(w)
-    return forces
 
 
 def brute_force_Z(g: Graph) -> tuple:

@@ -75,7 +75,10 @@ whose value is V(F): announcements before tokens, then by key. Each
 candidate is checked with budget V(F) + 1, so the choice is the one a full
 value table would give. Moves are picked at closed states only; trace
 replay plays the forces of a non-closed state itself, lowest (u, target)
-first.
+first, and after a reveal the in-window forces, or in single_force mode
+the player's one pick. The oracle's reveal is scored by the search's own
+announcement loop with a budget that cuts nothing, and is the first reveal,
+in subset order, whose value is the maximum.
 
 An announcement is discarded when some nonempty reveal admits no force in
 the revealed subgraph: the oracle would pick that reveal and the state would
@@ -222,8 +225,10 @@ class GameSolution:
       _best(state) -> (value, kind, key): the optimal move at a
         forcing-closed state. Ties break by kind (announce, token), then by
         key: the component masks for an announcement, (v,) for a token;
-      _worst_reveal(state, combo): the first strict-maximum reveal of the
-        announcement in subset order, or None if some reveal is dead.
+      _worst_reveal(state, combo): the first maximal reveal of the
+        announcement in _announce's subset order, read off the values
+        _announce scores with a budget that cuts nothing, or None if some
+        reveal is dead.
     A search that would add a key to memos already holding MEMO_LIMIT keys
     between them raises ResourceLimitError. MEMO_LIMIT is read when the
     solution is built.
@@ -400,20 +405,14 @@ class GameSolution:
         raise AssertionError("no move attains the state's value")
 
     def _worst_reveal(self, filled: int, combo: tuple):
-        worst = -1
-        worst_sub = 0
-        unions = [0]  # in _announce's subset order
-        for comp in combo:
-            for i in range(len(unions)):
-                union = unions[i] | comp
-                # Budget worst + 1 tells whether the reveal beats the worst so far.
-                res = self._reveal(filled, union, worst + 1)
-                if res < 0:
-                    return None
-                if res > worst:
-                    worst, worst_sub = self._reveal(filled, union, self._exact), len(unions)
-                unions.append(union)
-        return tuple(c for j, c in enumerate(combo) if worst_sub >> j & 1)
+        # With no budget that bites, _announce scores every reveal into
+        # `reveals` in subset order, so entry i holds subset i + 1.
+        reveals = {}
+        worst = self._announce(filled, combo, self._exact, reveals)
+        if worst == self._exact:
+            return None
+        sub = list(reveals.values()).index(worst) + 1
+        return tuple(c for j, c in enumerate(combo) if sub >> j & 1)
 
 
 def solve_zq(g: Graph, cfg: GameConfig, below: GameSolution | None = None) -> GameSolution:
@@ -491,47 +490,44 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
     masks = sol._masks
     full = sol._full
     state = 0
+    window = full  # the whole graph, or the last reveal's window while it has forces
     trace = []
     while state != full:
-        # Rule 2: a force keeps the closure and so the value; play them all,
-        # lowest (u, target) first, before asking for a move.
-        forces = _window_forces(masks, state, full)
+        forces = _window_forces(masks, state, window)
+        revealed = trace and isinstance(trace[-1], RevealMove)
         if forces:
+            # Rule 2: a force keeps the closure and so the value. Play the
+            # first found, the lowest (u, target); just after a reveal in
+            # single_force mode, play the one force the player picks, the
+            # lowest (value, (u, target)), and leave the window.
             u, t = forces[0]
+            if revealed and not sol._closure_mode:
+                budget = sol._exact
+                for f in forces:
+                    val = sol._capped(state | 1 << f[1], budget)
+                    if val < budget:
+                        budget, (u, t) = val, f
+                window = full
             trace.append(ForceMove(u, t))
             state |= 1 << t
-            continue
-        _, kind, key = sol._best(state)
-        if kind == _TOKEN:
-            v = key[0]
-            trace.append(TokenMove(v))
-            state |= 1 << v
+        elif revealed:
+            raise OracleProtocolError(f"step {len(trace) - 2}: reveal admits no force")
+        elif window != full:
+            window = full
         else:
-            announced = tuple(mask_to_vertices(c) for c in key)
-            trace.append(AnnounceMove(announced))
-            step = len(trace) - 1
-            reveal = tuple(frozenset(c) for c in oracle(mask_to_vertices(state), announced))
-            if not reveal or len(set(reveal)) != len(reveal) or not set(reveal) <= set(announced):
-                raise OracleProtocolError(
-                    f"step {step}: oracle reveal must be a nonempty subset of the announcement"
-                )
-            trace.append(RevealMove(reveal))
-            window = state | vertices_to_mask(frozenset().union(*reveal))
-            forces = _window_forces(masks, state, window)
-            if not forces:
-                raise OracleProtocolError(f"step {step}: reveal admits no force")
-            # Closure mode records every in-window force, first found first;
-            # single_force mode records the one force the player picks, the
-            # lowest (value, (u, target)).
-            while forces:
-                u, t = forces[0]
-                if not sol._closure_mode:
-                    budget = sol._exact
-                    for f in forces:
-                        val = sol._capped(state | 1 << f[1], budget)
-                        if val < budget:
-                            budget, (u, t) = val, f
-                trace.append(ForceMove(u, t))
-                state |= 1 << t
-                forces = _window_forces(masks, state, window) if sol._closure_mode else None
+            _, kind, key = sol._best(state)
+            if kind == _TOKEN:
+                v = key[0]
+                trace.append(TokenMove(v))
+                state |= 1 << v
+            else:
+                announced = tuple(mask_to_vertices(c) for c in key)
+                trace.append(AnnounceMove(announced))
+                reveal = tuple(frozenset(c) for c in oracle(mask_to_vertices(state), announced))
+                if not reveal or len(set(reveal)) != len(reveal) or not set(reveal) <= set(announced):
+                    raise OracleProtocolError(
+                        f"step {len(trace) - 1}: oracle reveal must be a nonempty subset of the announcement"
+                    )
+                trace.append(RevealMove(reveal))
+                window = state | vertices_to_mask(frozenset().union(*reveal))
     return Certificate(tuple(trace))

@@ -338,18 +338,25 @@ def verify_certificate_reference(g: Graph, q: int, cert: Certificate) -> CheckRe
     def fail(step, reason):
         return CheckResult(ok=False, failed_step=step, reason=reason)
 
+    vertices = range(g.n)
+
+    def malformed(comps):
+        return any(not isinstance(c, frozenset) or any(type(v) is not int for v in c) for c in comps)
+
     for step, mv in enumerate(cert.trace):
         if pending is not None and not isinstance(mv, RevealMove):
             return fail(step, "announcement must be followed by a reveal")
         if isinstance(mv, TokenMove):
             v = mv.vertex
-            if not (0 <= v < g.n):
-                return fail(step, f"token on invalid vertex {v}")
+            if type(v) is not int or v not in vertices:
+                return fail(step, f"token on invalid vertex {v!r}")
             if v in filled:
                 return fail(step, f"token on already-filled vertex {v}")
             filled.add(v)
             window = None
         elif isinstance(mv, AnnounceMove):
+            if malformed(mv.components):
+                return fail(step, "announced component is not a frozenset of ints")
             comps = unfilled_components(g, filled)
             if len(comps) <= q:
                 return fail(step, f"only {len(comps)} unfilled components, need more than q={q}")
@@ -366,6 +373,8 @@ def verify_certificate_reference(g: Graph, q: int, cert: Certificate) -> CheckRe
         elif isinstance(mv, RevealMove):
             if pending is None:
                 return fail(step, "reveal without a preceding announcement")
+            if malformed(mv.components):
+                return fail(step, "revealed component is not a frozenset of ints")
             revealed = set(mv.components)
             if len(revealed) != len(mv.components):
                 return fail(step, "duplicate component in reveal")
@@ -375,8 +384,8 @@ def verify_certificate_reference(g: Graph, q: int, cert: Certificate) -> CheckRe
             pending = None
         elif isinstance(mv, ForceMove):
             u, v = mv.source, mv.target
-            if not (0 <= u < g.n and 0 <= v < g.n):
-                return fail(step, f"force with invalid endpoints ({u}, {v})")
+            if type(u) is not int or type(v) is not int or u not in vertices or v not in vertices:
+                return fail(step, f"force with invalid endpoints ({u!r}, {v!r})")
             if u not in filled:
                 return fail(step, f"force source {u} is unfilled")
             if v in filled:

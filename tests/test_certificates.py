@@ -16,7 +16,7 @@ from zqforce import (
     verify_certificate,
 )
 
-from helpers import BOWTIE, clique, cycle, path
+from helpers import BOWTIE, clique, cycle, path, verify_certificate_reference
 
 P3_TRACE = Certificate((TokenMove(0), ForceMove(0, 1), ForceMove(1, 2)))
 
@@ -152,6 +152,8 @@ def test_certificate_from_tokens_refuses_a_repeated_token():
     ([-1, 0, 0], "repeated token on vertex 0"),
     ([0, -1, -1], "repeated token on vertex -1"),
     ([1, 3], "token set is not a zero forcing set"),
+    ([0, 1.5], "token 1.5 is not an int"),
+    ([0, True], "token True is not an int"),  # a bool is no vertex id, though True == 1
 ])
 def test_certificate_from_tokens_refusals(tokens, message):
     with pytest.raises(GraphValidationError, match=f"^{message}$"):
@@ -222,12 +224,19 @@ _ANNOUNCE_1 = AnnounceMove((frozenset({1}),))
     (0, (TokenMove(0), ForceMove(0, -1)), 1, "force with invalid endpoints (0, -1)"),
     (0, (TokenMove(0), ForceMove(1, 2)), 1, "force source 1 is unfilled"),
     (0, _C5_TOKENS + (_ANNOUNCE_1,), 3, "trace ends on an unanswered announcement"),
+    (0, (TokenMove(1.5),), 0, "token on invalid vertex 1.5"),
+    (0, (TokenMove(0), TokenMove(True)), 1, "token on invalid vertex True"),
+    (0, (TokenMove(0), ForceMove(0, None)), 1, "force with invalid endpoints (0, None)"),
+    (0, _C5_TOKENS + (AnnounceMove(([1],)),), 2, "announced component is not a frozenset of ints"),
+    (0, _C5_TOKENS + (_ANNOUNCE_1, RevealMove(([1],))), 3, "revealed component is not a frozenset of ints"),
 ], ids=["announce-not-revealed", "token-invalid-vertex", "token-negative-vertex", "duplicate-announced",
         "duplicate-revealed", "too-few-announced", "announced-non-component", "force-invalid-endpoints",
-        "force-negative-endpoint", "force-unfilled-source", "unanswered-announcement"])
+        "force-negative-endpoint", "force-unfilled-source", "unanswered-announcement", "token-float-vertex",
+        "token-bool-vertex", "force-none-endpoint", "announced-list-component", "revealed-list-component"])
 def test_checker_failure_reasons(q, trace, step, reason):
     result = verify_certificate(cycle(5), q, Certificate(trace))
     assert (result.ok, result.failed_step, result.reason) == (False, step, reason)
+    assert verify_certificate_reference(cycle(5), q, Certificate(trace)) == result
 
 
 def test_a_trace_with_a_non_move_is_neither_formatted_nor_accepted():

@@ -1,7 +1,7 @@
 import gc
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -163,10 +163,12 @@ def _reveal_values(g, sol, filled, announcement):
 def test_oracle_response_attains_reveal_maximum():
     # The oracle answers at every forcing-closed state, in the memos or not,
     # so every case needs a closed state with a live (q+1)-announcement:
-    # star((1, 1, 2)) at q=1 and the bowtie at q=0 have none.
+    # star((1, 1, 2)) at q=1 and the bowtie at q=0 have none. Its answer is
+    # the first maximal reveal in subset order, where bit j of a subset's
+    # index stands for the announcement's j-th component.
     cases = ((cycle(5), 0), (cycle(6), 1), (star((1, 1, 2)), 0), (star((2, 2, 2)), 1), (star((1, 1, 1)), 0))
-    for g, q in cases:
-        sol = solve_zq(g, GameConfig(q=q))
+    for (g, q), mode in product(cases, (MODE_CLOSURE, MODE_SINGLE_FORCE)):
+        sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
         assert sol.oracle_response == {}
         oracle = adversarial_oracle(sol)
         checked = 0
@@ -178,10 +180,15 @@ def test_oracle_response_attains_reveal_maximum():
                     with pytest.raises(OracleProtocolError):
                         oracle(filled, announcement)
                     continue
-                stored = frozenset(oracle(filled, announcement))
-                assert per_reveal[stored] == max(per_reveal.values())
+                subsets = [
+                    frozenset(c for j, c in enumerate(announcement) if sub >> j & 1)
+                    for sub in range(1, 1 << len(announcement))
+                ]
+                worst = max(per_reveal.values())
+                first = next(reveal for reveal in subsets if per_reveal[reveal] == worst)
+                assert frozenset(oracle(filled, announcement)) == first, (g.edges, q, mode, sorted(filled))
                 checked += 1
-        assert checked, (g.edges, q)
+        assert checked, (g.edges, q, mode)
         assert len(sol.oracle_response) == checked
 
 
