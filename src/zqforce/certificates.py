@@ -217,7 +217,7 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
     announce) leaves the window behind. The filled vertices and the window
     are bytearrays of flags, one per vertex, so every vertex a move names is
     checked to be an int (a bool is not) in 0..n-1 before it is looked up,
-    and every announced or revealed component to be a frozenset of ints.
+    and every announcement and reveal to be a tuple of frozensets of ints.
     """
     filled = bytearray(g.n)
     window = None  # flags of the revealed subgraph's vertices while a reveal is active
@@ -227,7 +227,9 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
         return CheckResult(ok=False, failed_step=step, reason=reason)
 
     def are_components(comps):
-        return all(isinstance(c, frozenset) and all(type(v) is int for v in c) for c in comps)
+        return isinstance(comps, tuple) and all(
+            isinstance(c, frozenset) and all(type(v) is int for v in c) for c in comps
+        )
 
     for step, mv in enumerate(cert.trace):
         if pending is not None and not isinstance(mv, RevealMove):

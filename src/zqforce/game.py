@@ -50,12 +50,23 @@ automorphism maps a closed set onto a closed set. The search scores a token
 only on the lowest unfilled vertex of each twin class: a token on another
 member of the class leads to the same canonical state.
 
-Each solution also keeps a private raw memo from each argument of capped()
-to its key, read before the closure is computed: a successor is often
-reached again, from another state or with another budget, and a dict lookup
-costs less than closing it again. That memo lives as long as the solutions
-that share it (see below), so trace replay and the oracle read it too; it is
-never returned and is cleared whenever it reaches the memo limit.
+Each solution also keeps a private raw memo from each state it has keyed,
+an argument of capped() or a token successor, to its key, read before the
+closure is computed: a successor is often reached again, from another state
+or with another budget, and a dict lookup costs less than closing it again.
+That memo lives as long as the solutions that share it (see below), so
+trace replay and the oracle read it too; it is never returned and is
+cleared whenever it reaches the memo limit.
+
+The search scores no dominated token. If the key of F + v lies inside the
+key of F + w, then V(F + v) >= V(F + w) by monotonicity, since each key has
+the value of its state, so the token on v never beats the token on w. The
+search keys every token successor, through the raw memo, scores the keys
+in decreasing size and skips one that lies inside a key it has scored;
+equal keys count once. A key that did not close past F + v is F + v itself,
+canonical because the token is the lowest unfilled member of its twin
+class. It lies inside no other such key, and inside a grown key exactly
+when that key holds v, so only grown keys are tested for inclusion.
 
 A solve can start warm from a solution `below` of the same graph and rule-3
 mode at a smaller or equal q, because V_q(F) <= V_{q+1}(F) at every state:
@@ -115,9 +126,9 @@ MODE_SINGLE_FORCE = "single_force"
 DEFAULT_VERTEX_CAP = 20
 # Bounds each solution's memos, read when the solution is built: its values
 # and bounds together, which raise ResourceLimitError when full, and the
-# raw-argument memo, which is cleared. About 60 B per values/bounds entry
-# and 85 B per raw entry (tracemalloc, random_cactus n=20 seed 1 at q=2,
-# 5,321 and 19,893 entries): ~1.0 GB and ~1.4 GB at the limit.
+# raw-argument memo, which is cleared. About 70 B per values/bounds entry
+# and 100 B per raw entry (tracemalloc, random_cactus n=20 seed 1 at q=2,
+# 1,014 and 7,004 entries): ~1.1 GB and ~1.7 GB at the limit.
 MEMO_LIMIT = 1 << 24
 
 
@@ -217,11 +228,15 @@ class GameSolution:
 
     The private scorer holds no reference to its own methods, so a dropped
     solution is freed by reference counting:
-      _capped(state, budget): min(V(state), budget), answered from the
-        memos under the canonical key of `state` or searched and memoized
-        there. It first looks `state` up in the raw memo, which maps each
-        argument _capped() has seen to its key; that memo is cleared when
-        it reaches MEMO_LIMIT entries;
+      _key(state): the canonical key of state's closure, stored in the raw
+        memo, which maps each state the scorer has keyed to its key and is
+        cleared when it reaches MEMO_LIMIT entries. Callers read the raw
+        memo first and call _key on a miss;
+      _capped(state, budget): min(V(state), budget), which is
+        _keyed(state's key, budget);
+      _keyed(key, budget): min(V(key), budget), answered from the memos or
+        searched and memoized there. The search keys every token successor
+        of a state and scores none whose key lies inside one it has scored;
       _best(state) -> (value, kind, key): the optimal move at a
         forcing-closed state. Ties break by kind (announce, token), then by
         key: the component masks for an announcement, (v,) for a token;
@@ -278,16 +293,23 @@ class GameSolution:
     def states_explored(self) -> int:
         return len(self.values) + len(self.bounds)
 
+    def _key(self, filled: int) -> int:
+        closed = _window_closure(self._masks, filled, self._full)
+        key = closed & self._lone
+        for members, prefix in self._classes:
+            key |= prefix[(closed & members).bit_count()]
+        if len(self._raw) >= self._memo_limit:
+            self._raw.clear()
+        self._raw[filled] = key
+        return key
+
     def _capped(self, filled: int, budget: int) -> int:
         key = self._raw.get(filled)
         if key is None:
-            closed = _window_closure(self._masks, filled, self._full)
-            key = closed & self._lone
-            for members, prefix in self._classes:
-                key |= prefix[(closed & members).bit_count()]
-            if len(self._raw) >= self._memo_limit:
-                self._raw.clear()
-            self._raw[filled] = key
+            key = self._key(filled)
+        return self._keyed(key, budget)
+
+    def _keyed(self, key: int, budget: int) -> int:
         val = self.values.get(key)
         if val is not None:
             return val if val < budget else budget
@@ -331,17 +353,53 @@ class GameSolution:
                     if best <= floor:
                         return best
 
-        # Rule 1: tokens, worth at least 1, on the lowest unfilled twin only.
+        # Rule 1: tokens, worth at least 1, on the lowest unfilled twin only,
+        # and none whose successor's key lies inside a scored key (see the
+        # module docstring). Grown keys are scored largest first, then each
+        # key filled | v whose v no scored key holds.
+        stop = max(floor, 1)
+        if best <= stop:
+            return best
         tokens = unfilled
         for members, _ in self._classes:
             twins = unfilled & members
             tokens ^= twins & (twins - 1)
-        while tokens and best > max(floor, 1):
+        raw = self._raw
+        size = filled.bit_count() + 1
+        grown = []
+        plain = []
+        while tokens:
             low = tokens & -tokens
             tokens ^= low
-            val = 1 + self._capped(filled | low, best - 1)
-            if val < best:
-                best = val
+            key = raw.get(filled | low)
+            if key is None:
+                key = self._key(filled | low)
+            if key.bit_count() > size:
+                grown.append(key)
+            else:
+                plain.append(key)
+        grown.sort(key=int.bit_count, reverse=True)
+        scored = []
+        covered = 0
+        for key in grown:
+            for other in scored:
+                if key | other == other:
+                    break
+            else:
+                val = 1 + self._keyed(key, best - 1)
+                if val < best:
+                    best = val
+                    if best <= stop:
+                        return best
+                scored.append(key)
+                covered |= key
+        for key in plain:
+            if key | covered != covered:
+                val = 1 + self._keyed(key, best - 1)
+                if val < best:
+                    best = val
+                    if best <= stop:
+                        return best
         return best
 
     def _announce(self, filled: int, combo: tuple, best: int, cache: dict) -> int:

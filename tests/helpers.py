@@ -341,7 +341,9 @@ def verify_certificate_reference(g: Graph, q: int, cert: Certificate) -> CheckRe
     vertices = range(g.n)
 
     def malformed(comps):
-        return any(not isinstance(c, frozenset) or any(type(v) is not int for v in c) for c in comps)
+        return not isinstance(comps, tuple) or any(
+            not isinstance(c, frozenset) or any(type(v) is not int for v in c) for c in comps
+        )
 
     for step, mv in enumerate(cert.trace):
         if pending is not None and not isinstance(mv, RevealMove):

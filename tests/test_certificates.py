@@ -229,10 +229,17 @@ _ANNOUNCE_1 = AnnounceMove((frozenset({1}),))
     (0, (TokenMove(0), ForceMove(0, None)), 1, "force with invalid endpoints (0, None)"),
     (0, _C5_TOKENS + (AnnounceMove(([1],)),), 2, "announced component is not a frozenset of ints"),
     (0, _C5_TOKENS + (_ANNOUNCE_1, RevealMove(([1],))), 3, "revealed component is not a frozenset of ints"),
+    (0, _C5_TOKENS + (AnnounceMove(None),), 2, "announced component is not a frozenset of ints"),
+    (0, _C5_TOKENS + (AnnounceMove(3),), 2, "announced component is not a frozenset of ints"),
+    (0, _C5_TOKENS + (AnnounceMove([frozenset({1})]),), 2, "announced component is not a frozenset of ints"),
+    (0, _C5_TOKENS + (_ANNOUNCE_1, RevealMove(None)), 3, "revealed component is not a frozenset of ints"),
+    (0, _C5_TOKENS + (_ANNOUNCE_1, RevealMove(3)), 3, "revealed component is not a frozenset of ints"),
+    (0, _C5_TOKENS + (_ANNOUNCE_1, RevealMove([frozenset({1})])), 3, "revealed component is not a frozenset of ints"),
 ], ids=["announce-not-revealed", "token-invalid-vertex", "token-negative-vertex", "duplicate-announced",
         "duplicate-revealed", "too-few-announced", "announced-non-component", "force-invalid-endpoints",
         "force-negative-endpoint", "force-unfilled-source", "unanswered-announcement", "token-float-vertex",
-        "token-bool-vertex", "force-none-endpoint", "announced-list-component", "revealed-list-component"])
+        "token-bool-vertex", "force-none-endpoint", "announced-list-component", "revealed-list-component",
+        "announced-none", "announced-int", "announced-list", "revealed-none", "revealed-int", "revealed-list"])
 def test_checker_failure_reasons(q, trace, step, reason):
     result = verify_certificate(cycle(5), q, Certificate(trace))
     assert (result.ok, result.failed_step, result.reason) == (False, step, reason)

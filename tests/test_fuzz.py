@@ -259,7 +259,7 @@ def _retarget(mv, g, rng):
     if isinstance(mv, ForceMove):
         return ForceMove(mv.source, vertex()) if rng.random() < 0.5 else ForceMove(vertex(), mv.target)
     comps = [frozenset(rng.sample(range(-1, g.n + 1), rng.randint(1, 3))) for _ in range(rng.randint(0, 3))]
-    return type(mv)(tuple(comps))
+    return type(mv)(rng.choice((tuple(comps), tuple(comps), tuple(comps), comps, None, len(comps))))
 
 
 def _move_mutant(g, cert, rng):
