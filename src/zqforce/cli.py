@@ -38,13 +38,12 @@ from .game import (
 from .generators import FAMILY_KINDS, FamilyParams, generate_family
 from .graphs import (
     Graph,
-    find_blocks,
     is_block_graph,
     is_cactus,
     is_connected,
     parse_edge_list,
 )
-from .structured import _unfoldable_block, block_graph_Z, block_Z0, cactus_Z0
+from .structured import block_graph_Z, block_Z0, cactus_Z0
 
 _FAMILY_ALIASES = {
     **{kind: kind for kind in FAMILY_KINDS},
@@ -158,15 +157,15 @@ def _coverage(g: Graph, cap: int, form):
     A solver, called as solve(cfg, below), returns (value, certificate maker
     or None, solution or None). The maker builds the certificate when
     called, so a caller that emits none never pays for one; below seeds the
-    exact solver. formula's value is the one its scope check computed, and
-    block's, the same at every q, is computed once per rule.
+    exact solver. The values of formula and fold are the ones their scope
+    checks computed, and block's, the same at every q, is computed once per
+    rule.
 
     Returns (routes, block, cactus). `compute` takes the first route and
     `verify` runs them all; detect_class reads the two checks, run once each.
     """
     block = cache(lambda: is_block_graph(g))
     cactus = cache(lambda: is_cactus(g))
-    foldable = cache(lambda: _unfoldable_block(find_blocks(g), cap) is None)
     block_solution = cache(lambda: block_graph_Z(g))
 
     def solve_block(cfg, below):
@@ -187,8 +186,13 @@ def _coverage(g: Graph, cap: int, form):
             yield "cactus", lambda cfg, below: (cactus_Z0(g), None, None)
         if g.n <= cap:
             yield "exact", partial(_exact, g)
-        if q == 0 and foldable():
-            yield "fold", lambda cfg, below: (block_Z0(g, cap), None, None)
+        if q == 0:
+            try:
+                folded = block_Z0(g, cap)
+            except ScopeError:
+                pass  # a block has more than cap vertices and no closed-form Z_0
+            else:
+                yield "fold", lambda cfg, below: (folded, None, None)
 
     return routes, block, cactus
 
@@ -221,7 +225,7 @@ def cmd_compute(args) -> int:
     # exact solver's trace in --json), and check it before either.
     cert = None
     if make_cert is not None and (args.trace or (args.json and sol is not None)):
-        cert = _checked(g, q, make_cert())
+        cert = _checked(g, q, make_cert(), value)
     cert_path = None
     if args.trace:
         if cert is None:
@@ -314,7 +318,7 @@ def cmd_strategy(args) -> int:
     g, source, _, _ = _load_graph(args)
     cfg = _game_config(args, args.q)
     sol = solve_zq(g, cfg)
-    cert = _checked(g, cfg.q, extract_player_trace(sol))
+    cert = _checked(g, cfg.q, extract_player_trace(sol), sol.value)
     lines = [f"source: {source} (n={g.n}, m={g.m}), q={args.q}, rule3={cfg.rule3_mode}"]
     for i, mv in enumerate(cert.trace, start=1):
         if isinstance(mv, TokenMove):
@@ -330,11 +334,16 @@ def cmd_strategy(args) -> int:
     return 0
 
 
-def _checked(g: Graph, q: int, cert):
-    """cert, once check_certificate accepts it for g at q; a certificate that
-    fails is never emitted, and the run exits 1."""
+def _checked(g: Graph, q: int, cert, value: int):
+    """cert, once check_certificate accepts it for g at q and it spends value
+    tokens; a certificate that fails either is never emitted, and the run
+    exits 1."""
     if not check_certificate(g, q, cert):
         raise ZqError("internal error: emitted certificate failed verification")
+    # A legal certificate places no vertex twice, so its token moves count its tokens.
+    spent = sum(isinstance(mv, TokenMove) for mv in cert.trace)
+    if spent != value:
+        raise ZqError(f"internal error: certificate spends {spent} tokens, value is {value}")
     return cert
 
 

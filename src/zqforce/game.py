@@ -63,10 +63,8 @@ key of F + w, then V(F + v) >= V(F + w) by monotonicity, since each key has
 the value of its state, so the token on v never beats the token on w. The
 search keys every token successor, through the raw memo, scores the keys
 in decreasing size and skips one that lies inside a key it has scored;
-equal keys count once. A key that did not close past F + v is F + v itself,
-canonical because the token is the lowest unfilled member of its twin
-class. It lies inside no other such key, and inside a grown key exactly
-when that key holds v, so only grown keys are tested for inclusion.
+equal keys count once. Only keys that grew past their token are kept for
+the inclusion test, since a key F + v holds no other token's key.
 
 A solve can start warm from a solution `below` of the same graph and rule-3
 mode at a smaller or equal q, because V_q(F) <= V_{q+1}(F) at every state:
@@ -354,9 +352,8 @@ class GameSolution:
                         return best
 
         # Rule 1: tokens, worth at least 1, on the lowest unfilled twin only,
-        # and none whose successor's key lies inside a scored key (see the
-        # module docstring). Grown keys are scored largest first, then each
-        # key filled | v whose v no scored key holds.
+        # scored largest key first, and none whose key lies inside a scored
+        # key that grew past its token (see the module docstring).
         stop = max(floor, 1)
         if best <= stop:
             return best
@@ -365,23 +362,18 @@ class GameSolution:
             twins = unfilled & members
             tokens ^= twins & (twins - 1)
         raw = self._raw
-        size = filled.bit_count() + 1
-        grown = []
-        plain = []
+        keys = []
         while tokens:
             low = tokens & -tokens
             tokens ^= low
             key = raw.get(filled | low)
             if key is None:
                 key = self._key(filled | low)
-            if key.bit_count() > size:
-                grown.append(key)
-            else:
-                plain.append(key)
-        grown.sort(key=int.bit_count, reverse=True)
+            keys.append(key)
+        keys.sort(key=int.bit_count, reverse=True)
+        size = filled.bit_count() + 1
         scored = []
-        covered = 0
-        for key in grown:
+        for key in keys:
             for other in scored:
                 if key | other == other:
                     break
@@ -391,15 +383,8 @@ class GameSolution:
                     best = val
                     if best <= stop:
                         return best
-                scored.append(key)
-                covered |= key
-        for key in plain:
-            if key | covered != covered:
-                val = 1 + self._keyed(key, best - 1)
-                if val < best:
-                    best = val
-                    if best <= stop:
-                        return best
+                if key.bit_count() > size:
+                    scored.append(key)
         return best
 
     def _announce(self, filled: int, combo: tuple, best: int, cache: dict) -> int:
@@ -552,14 +537,13 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
     trace = []
     while state != full:
         forces = _window_forces(masks, state, window)
-        revealed = trace and isinstance(trace[-1], RevealMove)
         if forces:
             # Rule 2: a force keeps the closure and so the value. Play the
             # first found, the lowest (u, target); just after a reveal in
             # single_force mode, play the one force the player picks, the
             # lowest (value, (u, target)), and leave the window.
             u, t = forces[0]
-            if revealed and not sol._closure_mode:
+            if not sol._closure_mode and isinstance(trace[-1], RevealMove):
                 budget = sol._exact
                 for f in forces:
                     val = sol._capped(state | 1 << f[1], budget)
@@ -568,8 +552,6 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
                 window = full
             trace.append(ForceMove(u, t))
             state |= 1 << t
-        elif revealed:
-            raise OracleProtocolError(f"step {len(trace) - 2}: reveal admits no force")
         elif window != full:
             window = full
         else:
@@ -582,6 +564,7 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
                 announced = tuple(mask_to_vertices(c) for c in key)
                 trace.append(AnnounceMove(announced))
                 reveal = tuple(frozenset(c) for c in oracle(mask_to_vertices(state), announced))
+                # _best announces nothing with a dead reveal, so a legal reveal admits a force.
                 if not reveal or len(set(reveal)) != len(reveal) or not set(reveal) <= set(announced):
                     raise OracleProtocolError(
                         f"step {len(trace) - 1}: oracle reveal must be a nonempty subset of the announcement"

@@ -45,13 +45,6 @@ def _closed_Z0(block: Block):
     return 2 if _is_cactus_block(block) else None
 
 
-def _unfoldable_block(blocks, cap: int):
-    """The first of these blocks that the fold can neither count nor
-    search: more than cap vertices, and no bridge, cycle or clique. None if
-    every block is foldable."""
-    return next((b for b in blocks if len(b.vertices) > cap and _closed_Z0(b) is None), None)
-
-
 def _block_graph(g: Graph, block: Block) -> Graph:
     """The subgraph of g induced on the block, renumbered densely. Only the
     non-anchor members' adjacency is read: every edge of the block has a
@@ -106,7 +99,8 @@ def block_Z0(g: Graph, cap: int) -> int:
 
 def _fold(g: Graph, blocks: tuple, cap: int) -> int:
     """block_Z0 over the blocks of g, as find_blocks returned them."""
-    blocked = _unfoldable_block(blocks, cap)
+    # The first block the fold can neither count nor search.
+    blocked = next((b for b in blocks if len(b.vertices) > cap and _closed_Z0(b) is None), None)
     if blocked is not None:
         raise ScopeError(f"block {sorted(blocked.vertices)} has over {cap} vertices and no closed-form Z_0")
     # c + sum (Z_0(B) - 1) = n + sum (Z_0(B) - |B|): the b blocks of a

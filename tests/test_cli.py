@@ -12,8 +12,10 @@ import pytest
 
 import zqforce
 from zqforce import (
+    Certificate,
     GameConfig,
     Graph,
+    TokenMove,
     block_graph_Z,
     brute_force_Z,
     certificate_from_tokens,
@@ -509,6 +511,27 @@ def test_compute_emits_no_certificate_that_fails_its_check(tmp_path, capsys, mon
     assert captured.out == ""
     assert captured.err == "error: internal error: emitted certificate failed verification\n"
     assert not trace.exists()
+
+
+def test_no_command_emits_a_legal_certificate_that_spends_more_than_its_value(tmp_path, capsys, monkeypatch):
+    # A legal certificate with more tokens than the reported value is still
+    # refused: compute writes no file and strategy prints no play, and the
+    # run exits 1 with its own message.
+    import zqforce.cli as cli
+
+    real = cli.certificate_from_tokens
+    monkeypatch.setattr(cli, "certificate_from_tokens", lambda g, tokens: real(g, [*tokens, 2]))
+    bowtie = _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
+    trace = tmp_path / "bowtie.cert"
+    assert main(["compute", "--file", bowtie, "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: internal error: certificate spends 4 tokens, value is 3\n")
+    assert not trace.exists()
+
+    monkeypatch.setattr(cli, "extract_player_trace", lambda sol: Certificate(tuple(map(TokenMove, range(5)))))
+    assert main(["strategy", "--family", "cycle", "--n", "5", "--q", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: internal error: certificate spends 5 tokens, value is 2\n")
 
 
 def _diamond_beside_blocks(tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 from itertools import combinations, product
@@ -689,6 +690,50 @@ def test_replay_is_the_same_however_warm_the_memos_are():
                 texts = [format_certificate(extract_player_trace(sol)) for _ in range(2)]
                 texts.append(format_certificate(extract_player_trace(solve_zq(g, cfg))))
                 assert texts[0] == texts[1] == texts[2], (g.edges, q, mode)
+
+
+# sha256 prefixes of each corpus graph's values and certificate texts, in
+# corpus order (see the test below).
+TRANSCRIPT_DIGESTS = """
+    8bda2edf 5c71b1c4 95ff38fa 996cecad 57bf42df e854a117 70dfa447 77ad5bf1 96916843 0e58fc02
+    47c696e3 8a999c8a b5b20eae bfbd24d5 34a83bb7 b43e7153 d1db5301 a9fa61b0 29407a6d b280562a
+    6ee0c23f 38941128 a6a9b3e5 6c9ab79d dfd2981e f34da927 256262b9 dcbc52a7 6c480dda 46ac8dce
+    d1db5e34 fc20b3dd 1a3a370f f10eedca 4adfccb1 97e6386e 5bb244f1 fa5cf6eb 60499894 0d13b4f6
+    5259012e f2797d7a 5839699a 19d29172 114152e9 bab43b1a 2809aeb8 9f42203b 653468e1 0938ee31
+    db41a55b 7cd0a342 1bc87743 bacc62c5 4c32a37e c61ff1ed 96916843 685b7c62 297107a3 bca198db
+    404b527e 54028379 92aecba7 ce117e88 92456162 8c2bed83 7a44a85b 4802974f 8310dc5e 4720bb4f
+    112fcac0 90afa1f7 8033d826 939b9061 06bceb34 6215b088 3d6767f0 934a0689 4e09161e b5b702ac
+    9bb8cf05 68662f46 80cd5375 3c7c330e abbeac29 834803b0 240b3f95 cc22d1ad 7240412c a84d4909
+    8d3ee86b 56e1f581 3b5161c8 fec9d6fe 997d345c 54ffdce3 3f7dd895 0e0f7d5f d1c6f3a8 dfd31957
+    f6b23ee1 d16ff0f6 3c8ea91d 9e0fd7ce f4a1fbef 49add5e9 6c833c71 96aed2a8 9bfe7915 eb8b901b
+    c78309f4 db2ed6e4 04bd7ba2 92ad8614 b8375fe6 a451eab4 74904db1 41d27344 12a84cdb 003aa94c
+    ca29a1d9 e5734668 db41a55b 1974f793 c6dff1e8 20cb2fa1 0746637e 9d21812a f4a1fbef b68926e5
+    e3691d82 ce3ec5c1 0ea09006 ab3f5a4f 163dc2db 1386c7b1 8bda2edf 8c479be4 5d167b9f f531af38
+    22a26c24 5cc51b8c fdab44b7 4480b020 a02dc12c 19ad6496 3982e89e 02dcbd69 43ce3af1 58879d37
+    3a2bd8f8 5b03badd 995bbaf1 e5d0f714 1a1b0bcc bf472333 46d10b88 ec0afa4a 0f249480 1931b48c
+""".split()
+
+
+def test_values_and_certificates_keep_their_recorded_digests():
+    # Byte-identity of the exact solver's output: 160 graphs with n = 5..12,
+    # each solved at q in (0, 1, 2, 3, n) in both rule-3 modes, hashed per
+    # graph so that a failure names the graph. A search or replay change
+    # meant to keep its output leaves every digest as it is; a change that
+    # alters values or transcripts on purpose updates the digests and says
+    # so in CHANGES.md.
+    rng = random.Random(2026)
+    makers = (lambda n, rng: random_connected_graph(n, rng.random() * 0.5, rng), random_tree, random_cactus)
+    changed = []
+    for i, recorded in enumerate(TRANSCRIPT_DIGESTS):
+        g = makers[i % 3](5 + i % 8, rng)
+        h = hashlib.sha256()
+        for q in (0, 1, 2, 3, g.n):
+            for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+                sol = solve_zq(g, GameConfig(q=q, rule3_mode=mode))
+                h.update(f"{q} {mode} {sol.value}\n{format_certificate(extract_player_trace(sol))}".encode())
+        if h.hexdigest()[:8] != recorded:
+            changed.append((i, g.edges))
+    assert len(TRANSCRIPT_DIGESTS) == 160 and not changed, changed
 
 
 def _random_oracle(rng):
