@@ -37,13 +37,15 @@ def _adjacency_masks(g: Graph) -> list:
     return [vertices_to_mask(g.adjacency[v]) for v in range(g.n)]
 
 
-def _window_closure(masks, filled: int, window: int) -> int:
+def _window_closure(masks, filled: int, window: int, check: int | None = None) -> int:
     """Forcing closure of the `filled` mask inside `window`: neighbors
     outside the window are ignored when counting a source's unfilled
-    neighbors."""
+    neighbors. The closure starts from the filled vertices in `check`, by
+    default all of them; a caller may leave out any that cannot force."""
     # A filled vertex is checked again only when a neighbor gets filled: that
     # is the only way its count of unfilled window neighbors drops to one.
-    check = filled
+    if check is None:
+        check = filled
     while check:
         low = check & -check
         check ^= low

@@ -16,18 +16,21 @@ starts at k:
 
     a token is scored with budget best - 1: 1 + V(F + v) beats best only if
     V(F + v) < best - 1;
-    an announcement is cut at its first reveal whose value reaches best:
-    the oracle picks a reveal at least that bad for the player;
     the search stops once best reaches a known lower bound on V(F).
 
-At q = 0 the search keeps the value of a state's first live announcement,
-in component order, and scores no other move there. An announcement names
-one component and the oracle must reveal all of it, so it has no choice
-(see `structured.block_Z0`). The forces after the reveal only fill more,
-so the state they reach is worth at most V(F) (monotonicity, below), and
-announcing is one of the player's moves, so it is worth at least V(F). In
-single_force mode the same holds for every in-window force the player may
-pick. A state with no live announcement scores its tokens.
+At every q the search keeps the value of a state's first live
+announcement, one with no dead reveal (below), in `combinations` order of
+the components, and scores no other move there. Each reveal of a live
+announcement admits a force, and the state R the forces reach holds F and
+more, so V(R) <= V(F) (monotonicity, below); in single_force mode this
+holds for every in-window force the player may pick. The oracle takes the
+maximum over the reveals, so the announcement is worth at most V(F), and
+announcing is one of the player's moves, so it is worth at least V(F).
+The reveals are scored with the search's budget, and the first whose value
+reaches it settles the state at the budget, even if a later reveal is
+dead, since V(F) >= V(R). A state with no live announcement scores its
+tokens. At q = 0 an announcement names one component and the oracle must
+reveal all of it, so it has one reveal (see `structured.block_Z0`).
 
 Two memos keep the answers: exact values, for searches that found a value
 below their budget, and lower bounds "V(F) >= k" for those that found none.
@@ -82,10 +85,12 @@ solution that holds them, which searches with a budget on a miss. At a
 closed state the player's move is the first, in (value, kind, key) order,
 whose value is V(F): announcements before tokens, then by key. Each
 candidate is checked with budget V(F) + 1, so the choice is the one a full
-value table would give. Moves are picked at closed states only; trace
-replay plays the forces of a non-closed state itself, lowest (u, target)
-first, and after a reveal the in-window forces, or in single_force mode
-the player's one pick. The oracle's reveal is scored by the search's own
+value table would give. Every live announcement attains V(F), so the move
+is the first live announcement in key order, or, where none is live, the
+first token by vertex that attains it. Moves are picked at closed states
+only; trace replay plays the forces of a non-closed state itself, lowest
+(u, target) first, and after a reveal the in-window forces, or in
+single_force mode the player's one pick. The oracle's reveal is scored by the search's own
 announcement loop with a budget that cuts nothing, and is the first reveal,
 in subset order, whose value is the maximum.
 
@@ -233,8 +238,9 @@ class GameSolution:
       _capped(state, budget): min(V(state), budget), which is
         _keyed(state's key, budget);
       _keyed(key, budget): min(V(key), budget), answered from the memos or
-        searched and memoized there. The search keys every token successor
-        of a state and scores none whose key lies inside one it has scored;
+        searched and memoized there. The search settles a state at its
+        first live announcement; where none is live, it keys every token
+        successor and scores none whose key lies inside one it has scored;
       _best(state) -> (value, kind, key): the optimal move at a
         forcing-closed state. Ties break by kind (announce, token), then by
         key: the component masks for an announcement, (v,) for a token;
@@ -291,8 +297,8 @@ class GameSolution:
     def states_explored(self) -> int:
         return len(self.values) + len(self.bounds)
 
-    def _key(self, filled: int) -> int:
-        closed = _window_closure(self._masks, filled, self._full)
+    def _key(self, filled: int, check: int | None = None) -> int:
+        closed = _window_closure(self._masks, filled, self._full, check)
         key = closed & self._lone
         for members, prefix in self._classes:
             key |= prefix[(closed & members).bit_count()]
@@ -331,15 +337,13 @@ class GameSolution:
         """min(V(filled), budget) at a canonical closed state other than the
         full one, where V(filled) >= floor is known."""
         unfilled = self._full & ~filled
-        best = budget
 
-        # Rule 3: announcements of exactly q+1 unfilled components.
+        # Rule 3: announcements of exactly q+1 unfilled components. The
+        # first live one attains V(filled) (see the module docstring); at
+        # q = 0 it has one reveal, the announced component.
         if unfilled.bit_count() > self.q:
             comps = _mask_components(self._masks, unfilled)
             if not self.q:
-                # The oracle must reveal the one announced component, so the
-                # first live announcement attains V(filled) (see the module
-                # docstring).
                 for comp in comps:
                     res = self._reveal(filled, comp, budget)
                     if res >= 0:
@@ -347,13 +351,14 @@ class GameSolution:
             elif len(comps) > self.q:
                 cache = {}
                 for combo in combinations(comps, self.q + 1):
-                    best = self._announce(filled, combo, best, cache)
-                    if best <= floor:
-                        return best
+                    res = self._announce(filled, combo, budget, cache)
+                    if res >= 0:
+                        return res
 
         # Rule 1: tokens, worth at least 1, on the lowest unfilled twin only,
         # scored largest key first, and none whose key lies inside a scored
         # key that grew past its token (see the module docstring).
+        best = budget
         stop = max(floor, 1)
         if best <= stop:
             return best
@@ -368,7 +373,9 @@ class GameSolution:
             tokens ^= low
             key = raw.get(filled | low)
             if key is None:
-                key = self._key(filled | low)
+                # filled is closed, so only the token and its filled
+                # neighbours can force.
+                key = self._key(filled | low, low | self._masks[low.bit_length() - 1] & filled)
             keys.append(key)
         keys.sort(key=int.bit_count, reverse=True)
         size = filled.bit_count() + 1
@@ -387,15 +394,15 @@ class GameSolution:
                     scored.append(key)
         return best
 
-    def _announce(self, filled: int, combo: tuple, best: int, cache: dict) -> int:
-        """min(the announcement's value, best), or best if some reveal is
-        dead. Reveals are scored in subset order, each union built as it is
-        needed, up to the first one that is dead or reaches best: unions[s]
-        is the union of the combo[j] whose bit j is set in s.
-        `cache` maps a revealed union to its _reveal() result and is
-        shared by the announcements of one state, over which best never
-        rises: a cached result at least best shows V >= best, and one below
-        best is exact."""
+    def _announce(self, filled: int, combo: tuple, budget: int, cache: dict) -> int:
+        """min(V(filled), budget) read off a live announcement's reveals, or
+        -1 if some reveal is dead. Reveals are scored in subset order, each
+        union built as it is needed: unions[s] is the union of the combo[j]
+        whose bit j is set in s. The first reveal that reaches the budget
+        ends the scoring, since V(filled) is at least its value, even if a
+        later reveal is dead. `cache` maps a revealed union to its _reveal()
+        result and is shared by the announcements of one state, which all
+        score with the same budget."""
         worst = 0
         unions = [0]
         for comp in combo:
@@ -403,9 +410,11 @@ class GameSolution:
                 union = unions[i] | comp
                 res = cache.get(union)
                 if res is None:
-                    res = cache[union] = self._reveal(filled, union, best)
-                if res < 0 or res >= best:
-                    return best
+                    res = cache[union] = self._reveal(filled, union, budget)
+                if res < 0:
+                    return -1
+                if res >= budget:
+                    return budget
                 if res > worst:
                     worst = res
                 unions.append(union)
@@ -429,7 +438,10 @@ class GameSolution:
 
     def _best(self, filled: int) -> tuple:
         """The first move at a closed state, in (value, kind, key) order,
-        whose value is the state's; a closed state has no force move."""
+        whose value is the state's; a closed state has no force move. That
+        is the first live announcement in key order, since each attains the
+        state's value (see the module docstring), or else the first token
+        that does."""
         target = self._capped(filled, self._exact)
         unfilled = self._full & ~filled
         if unfilled.bit_count() > self.q:
@@ -437,7 +449,7 @@ class GameSolution:
             if len(comps) > self.q:
                 cache = {}
                 for combo in sorted(combinations(comps, self.q + 1)):
-                    if self._announce(filled, combo, target + 1, cache) == target:
+                    if self._announce(filled, combo, target + 1, cache) >= 0:
                         return target, _ANNOUNCE, combo
         m = unfilled
         while m:
@@ -452,7 +464,7 @@ class GameSolution:
         # `reveals` in subset order, so entry i holds subset i + 1.
         reveals = {}
         worst = self._announce(filled, combo, self._exact, reveals)
-        if worst == self._exact:
+        if worst < 0:
             return None
         sub = list(reveals.values()).index(worst) + 1
         return tuple(c for j, c in enumerate(combo) if sub >> j & 1)

@@ -391,6 +391,30 @@ def test_q0_search_settles_each_state_at_its_first_live_announcement():
         assert states <= bound, (mode, states)
 
 
+def test_q1_search_settles_each_state_at_its_first_live_announcement():
+    # Every live announcement attains the state's value at every q, so at
+    # q = 1 the search scores no token where one is live. On these trees and
+    # cacti it then stores 505 and 2,677 states in closure mode, and 530 and
+    # 2,957 in single_force mode, against 1,395, 3,519, 1,403 and 3,943 when
+    # it scored every announcement and then the tokens. Upper bounds, so
+    # that a search that stores fewer still passes.
+    bounds = {
+        MODE_CLOSURE: {random_tree: 560, random_cactus: 2950},
+        MODE_SINGLE_FORCE: {random_tree: 585, random_cactus: 3250},
+    }
+    expected = {random_tree: [4, 3, 4], random_cactus: [4, 6, 6]}
+    for mode, per_maker in bounds.items():
+        for make, bound in per_maker.items():
+            values = []
+            states = 0
+            for seed in (1, 2, 3):
+                sol = solve_zq(make(20, random.Random(seed)), GameConfig(q=1, rule3_mode=mode))
+                values.append(sol.value)
+                states += sol.states_explored
+            assert values == expected[make], (mode, make.__name__, values)
+            assert states <= bound, (mode, make.__name__, states)
+
+
 def test_naive_table_is_closure_invariant_and_monotone():
     # The reference memoizes every filled set under itself, not under its
     # closure, so it checks without assuming them the two facts the solver's
@@ -454,6 +478,43 @@ def test_every_live_reveal_keeps_the_value_at_q0():
                             else:
                                 below += table[succ] < val
     assert checks > 5000 and below > 500, (checks, below)
+
+
+def test_every_live_announcement_attains_the_value_at_every_q():
+    # Each reveal of a live announcement at F leads to filled sets that
+    # contain F and so are worth at most V(F), and announcing is one of the
+    # player's moves, so its worst reveal is worth exactly V(F) at every q,
+    # in both rule-3 modes. The search settles a state at its first live
+    # announcement, and trace replay announces the first live one in key
+    # order, on the strength of this.
+    rng = random.Random(109)
+    makers = (
+        lambda n: random_connected_graph(n, rng.random() * 0.5, rng),
+        lambda n: random_tree(n, rng),
+        lambda n: random_cactus(n, rng),
+    )
+    checks = 0
+    for i in range(64):
+        g = makers[i % 3](rng.randint(4, 7))
+        for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
+            for q in (0, 1, 2):
+                table = naive_zq_table(g, q, mode)
+                for filled, val in table.items():
+                    for announcement in combinations(naive_components(g, filled), q + 1):
+                        worst = -1
+                        for size in range(1, q + 2):
+                            for reveal in combinations(announcement, size):
+                                succs = naive_reveal_successors(g, filled, reveal, mode)
+                                if not succs:
+                                    worst = None
+                                    break
+                                worst = max(worst, min(table[s] for s in succs))
+                            if worst is None:
+                                break
+                        if worst is not None:
+                            assert worst == val, (g.edges, mode, q, sorted(filled), announcement)
+                            checks += 1
+    assert checks > 15000, checks
 
 
 def test_naive_value_never_falls_as_q_grows_at_any_state():
@@ -848,9 +909,9 @@ def test_oracle_answers_a_repeated_announcement_from_its_store(monkeypatch):
     first = oracle(*asked)
     calls = []
 
-    def closure_spy(masks, filled, window):
+    def closure_spy(masks, filled, window, check=None):
         calls.append(filled)
-        return _window_closure(masks, filled, window)
+        return _window_closure(masks, filled, window, check)
 
     monkeypatch.setattr(zqforce.game, "_window_closure", closure_spy)
     assert oracle(*asked) == first
@@ -893,9 +954,9 @@ def test_raw_memo_is_cleared_at_the_memo_limit(monkeypatch):
     sol = GameSolution(g, GameConfig(q=1))
     sizes = []
 
-    def closure_spy(masks, filled, window):
+    def closure_spy(masks, filled, window, check=None):
         sizes.append(len(sol._raw))
-        return _window_closure(masks, filled, window)
+        return _window_closure(masks, filled, window, check)
 
     monkeypatch.setattr(zqforce.game, "_window_closure", closure_spy)
     assert sol._capped(0, g.n + 1) == reference.value
