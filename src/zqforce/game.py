@@ -64,10 +64,13 @@ cleared whenever it reaches the memo limit.
 The search scores no dominated token. If the key of F + v lies inside the
 key of F + w, then V(F + v) >= V(F + w) by monotonicity, since each key has
 the value of its state, so the token on v never beats the token on w. The
-search keys every token successor, through the raw memo, scores the keys
-in decreasing size and skips one that lies inside a key it has scored;
-equal keys count once. Only keys that grew past their token are kept for
-the inclusion test, since a key F + v holds no other token's key.
+search keys the token successors in vertex order, through the raw memo,
+scores the keys in decreasing size and skips one that lies inside a key it
+has scored. Only keys that grew past their token are kept for the
+inclusion test, since a key F + v holds no other token's key. A token
+inside a key already found is not keyed at all: the key K of F + w is
+closed and canonical and holds F, so a token v in K has key(F + v) inside
+K, and the inclusion test would skip it. So no two keys are equal.
 
 A solve can start warm from a solution `below` of the same graph and rule-3
 mode at a smaller or equal q, because V_q(F) <= V_{q+1}(F) at every state:
@@ -130,8 +133,8 @@ DEFAULT_VERTEX_CAP = 20
 # Bounds each solution's memos, read when the solution is built: its values
 # and bounds together, which raise ResourceLimitError when full, and the
 # raw-argument memo, which is cleared. About 70 B per values/bounds entry
-# and 100 B per raw entry (tracemalloc, random_cactus n=20 seed 1 at q=2,
-# 1,014 and 7,004 entries): ~1.1 GB and ~1.7 GB at the limit.
+# and 95 B per raw entry (tracemalloc, random_cactus n=20 seed 1 at q=2,
+# 1,005 and 3,946 entries): ~1.1 GB and ~1.6 GB at the limit.
 MEMO_LIMIT = 1 << 24
 
 
@@ -239,8 +242,9 @@ class GameSolution:
         _keyed(state's key, budget);
       _keyed(key, budget): min(V(key), budget), answered from the memos or
         searched and memoized there. The search settles a state at its
-        first live announcement; where none is live, it keys every token
-        successor and scores none whose key lies inside one it has scored;
+        first live announcement; where none is live, it keys the successor of
+        each token that lies inside no key it has found, and scores none
+        whose key lies inside one it has scored;
       _best(state) -> (value, kind, key): the optimal move at a
         forcing-closed state. Ties break by kind (announce, token), then by
         key: the component masks for an announcement, (v,) for a token;
@@ -356,8 +360,9 @@ class GameSolution:
                         return res
 
         # Rule 1: tokens, worth at least 1, on the lowest unfilled twin only,
-        # scored largest key first, and none whose key lies inside a scored
-        # key that grew past its token (see the module docstring).
+        # keyed only outside the keys found so far, scored largest key first,
+        # and none whose key lies inside a scored key that grew past its
+        # token (see the module docstring).
         best = budget
         stop = max(floor, 1)
         if best <= stop:
@@ -370,12 +375,13 @@ class GameSolution:
         keys = []
         while tokens:
             low = tokens & -tokens
-            tokens ^= low
             key = raw.get(filled | low)
             if key is None:
                 # filled is closed, so only the token and its filled
                 # neighbours can force.
                 key = self._key(filled | low, low | self._masks[low.bit_length() - 1] & filled)
+            # key holds low, and every token inside it has a key inside it.
+            tokens &= ~key
             keys.append(key)
         keys.sort(key=int.bit_count, reverse=True)
         size = filled.bit_count() + 1
