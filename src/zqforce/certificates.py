@@ -124,20 +124,23 @@ def _close_marks(g: Graph, mark: bytearray) -> list:
     # The loop reads a list: indexing a Counter, a dict subclass, is slower.
     unfilled_count = list(map(counts.get, range(g.n), repeat(0)))
     queue = deque(sorted(v for v, k in counts.items() if k == 1 and mark[v]))
+    pop, push = queue.popleft, queue.append
     forces = []
     while queue:
-        u = queue.popleft()
+        u = pop()
         if unfilled_count[u] != 1:
             continue  # stale entry
-        t = next(w for w in adjacency[u] if not mark[w])
+        for t in adjacency[u]:
+            if not mark[t]:
+                break
         forces.append(ForceMove(u, t))
         mark[t] = 1
         if unfilled_count[t] == 1:
-            queue.append(t)
+            push(t)
         for w in adjacency[t]:
             unfilled_count[w] -= 1
             if mark[w] and unfilled_count[w] == 1:
-                queue.append(w)
+                push(w)
     return forces
 
 

@@ -12,6 +12,7 @@ worst both compute.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -118,6 +119,7 @@ def parse_edge_list(text: str) -> Graph:
 # that the chunk's tokens never weigh much next to the graph.
 _CHUNK = 1 << 16
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
+_TO_COMMAS = str.maketrans(" \n", ",,")
 
 
 def _parse_plain(text: str) -> Graph | None:
@@ -127,13 +129,15 @@ def _parse_plain(text: str) -> Graph | None:
     one line "u v": ASCII digits, one space, ASCII digits. Lines end in
     "\\n", the last one may not. One translate() that drops the digits
     checks that shape over the whole text. The ids are then converted a
-    chunk of whole lines at a time, swapped for the one int object of
-    each id in the table `vertex`, and appended straight into the
-    neighbor lists, so no token list of the whole text and no list of
+    chunk of whole lines at a time, by one json.loads of the chunk with
+    its spaces and line ends turned into commas, swapped for the one int
+    object of each id in the table `vertex`, and appended straight into
+    the neighbor lists, so no token list of the whole text and no list of
     pairs is ever held; without a header the lists and the table grow to
-    1 + the largest id seen. More than MAX_EDGES lines, a count or an id
-    out of range and a self-loop also give None, so that the line loop
-    reports them.
+    1 + the largest id seen. JSON refuses an id with a leading zero and
+    one with more digits than int() converts. That, more than MAX_EDGES
+    lines, a count or an id out of range and a self-loop also give None,
+    so that the line loop reads the text and reports any error.
     """
     n = None
     start = 0
@@ -167,8 +171,8 @@ def _parse_plain(text: str) -> Graph | None:
         if end < 0:
             end = size
         try:
-            ids = list(map(int, text[start:end].split()))
-        except ValueError:
+            ids = json.loads("[" + text[start:end].rstrip("\n").translate(_TO_COMMAS) + "]")
+        except ValueError:  # a leading zero, or more digits than int() converts
             return None
         start = end + 1
         top = max(ids)
@@ -242,9 +246,11 @@ def _parse_lines(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    """g as a plain edge list: the header "n <count>", then one line "u v"
+    per edge with u < v, in the order of g.edges."""
+    lines = [f"n {g.n}\n"]
+    lines += [f"{u} {v}\n" for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v]
+    return "".join(lines)
 
 
 def _check_vertex_subset(g: Graph, s) -> None:

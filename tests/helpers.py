@@ -12,9 +12,12 @@ from zqforce import (
     Block,
     Certificate,
     CheckResult,
+    EdgeListParseError,
     FamilyParams,
     ForceMove,
     Graph,
+    GraphValidationError,
+    ResourceLimitError,
     RevealMove,
     ScopeError,
     TokenMove,
@@ -24,6 +27,14 @@ from zqforce import (
 )
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+
+def parse_outcome(parse, text):
+    """parse(text), or the type and message of the parse error it raises."""
+    try:
+        return parse(text)
+    except (EdgeListParseError, GraphValidationError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
 
 
 def path(n):

@@ -21,6 +21,7 @@ from zqforce import (
     certificate_from_tokens,
     check_certificate,
     find_blocks,
+    format_certificate,
     format_edge_list,
     parse_certificate,
     parse_edge_list,
@@ -883,6 +884,29 @@ def test_block_runs_leave_cyclic_garbage_that_does_not_grow_with_the_graph(tmp_p
     assert f"value: {block_graph_Z(g)[0]}" in capsys.readouterr().out
     assert _cyclic_garbage(lambda: main(["compute", "--file", f, "--trace", trace, "--json"])) == (0, dumps)
     assert json.loads(capsys.readouterr().out)["value"] == block_graph_Z(g)[0]
+
+
+def test_block_trace_writes_the_certificate_text_in_chunks(tmp_path, capsys):
+    # 3,000 lines: five whole chunks of 512 and a short last one.
+    g = random_block_graph(3_000, random.Random(38), blocks=600)
+    f = _write(tmp_path, "blocks.el", format_edge_list(g))
+    trace = tmp_path / "blocks.cert"
+    assert main(["compute", "--file", f, "--trace", str(trace)]) == 0
+    assert "value: 2400" in capsys.readouterr().out.splitlines()
+    text = trace.read_text(encoding="utf-8")
+    assert text.count("\n") == 3_000
+    assert text == format_certificate(certificate_from_tokens(g, block_graph_Z(g)[1]))
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(1, []),
+    Graph.from_edges(6, [(4, 1), (1, 3)]),  # isolated vertices 0, 2 and 5
+    disjoint_union(cycle(7), Graph.from_edges(3, []), BOWTIE, rng=random.Random(4)),
+    random_block_graph(600, random.Random(38), blocks=120),
+], ids=["one-vertex", "isolated", "shuffled-union", "block-600"])
+def test_format_edge_list_writes_the_header_and_then_each_edge_once(g):
+    assert format_edge_list(g) == "\n".join([f"n {g.n}", *(f"{u} {v}" for u, v in g.edges)]) + "\n"
+    assert parse_edge_list(format_edge_list(g)) == g
 
 
 def test_block_trace_builds_no_vertex_sized_temporaries(tmp_path, capsys):

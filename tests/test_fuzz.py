@@ -38,6 +38,7 @@ from helpers import (
     BOWTIE,
     cycle,
     disjoint_union,
+    parse_outcome,
     random_cactus,
     random_connected_graph,
     star,
@@ -173,13 +174,6 @@ def _spoil(lines, rng):
     return lines
 
 
-def _parse_outcome(parse, text):
-    try:
-        return parse(text)
-    except (EdgeListParseError, GraphValidationError, ResourceLimitError) as exc:
-        return type(exc), str(exc)
-
-
 def test_bulk_parse_agrees_with_the_line_loop(monkeypatch):
     rng = random.Random(104)
     texts = []
@@ -190,17 +184,22 @@ def test_bulk_parse_agrees_with_the_line_loop(monkeypatch):
         texts.append("\n".join(_mutate_lines(lines, rng, _edge_list_junk)) + end)
     texts += ["", "\n", "n 5", "n 5\n", "0 1", "0 1\n\n", "0 1\n2", "0 1\n2 ", "0 1 ",
               "n 3\n0 1\nn 3\n"]
-    # Under each limit, the number of texts the bulk path takes.
-    for limits, least in (({}, 300), ({"MAX_EDGES": 3}, 20), ({"MAX_VERTICES": 12}, 150)):
-        for name, value in limits.items():
-            monkeypatch.setattr(f"zqforce.graphs.{name}", value)
-        bulk = 0
-        for text in texts:
-            got = _parse_outcome(parse_edge_list, text)
-            assert got == _parse_outcome(_parse_lines, text), repr(text)
-            bulk += _parse_plain(text) is not None
-        assert bulk >= least, limits
-        monkeypatch.undo()
+    # Under each limit, the number of texts the bulk path takes. A chunk of
+    # 1 or 8 characters splits every text into several, so a leading zero,
+    # a long id or a self-loop also turns up in a later chunk.
+    for chunk in (None, 1, 8):
+        for limits, least in (({}, 300), ({"MAX_EDGES": 3}, 20), ({"MAX_VERTICES": 12}, 150)):
+            if chunk is not None:
+                monkeypatch.setattr("zqforce.graphs._CHUNK", chunk)
+            for name, value in limits.items():
+                monkeypatch.setattr(f"zqforce.graphs.{name}", value)
+            bulk = 0
+            for text in texts:
+                got = parse_outcome(parse_edge_list, text)
+                assert got == parse_outcome(_parse_lines, text), (chunk, repr(text))
+                bulk += _parse_plain(text) is not None
+            assert bulk >= least, (chunk, limits)
+            monkeypatch.undo()
 
 
 def _certificate_corpus(rng):

@@ -31,6 +31,7 @@ from helpers import (
     cycle,
     disjoint_union,
     induced_edge_count,
+    parse_outcome,
     path,
     random_block_graph,
     random_cactus,
@@ -137,6 +138,25 @@ def test_ids_and_vertex_count_are_ascii_digits(text, lineno, tmp_path):
     path = tmp_path / "g.el"
     path.write_text(text, encoding="utf-8")
     assert main(["compute", "--file", str(path)]) == 2
+
+
+@pytest.mark.parametrize("chunk", [graphs._CHUNK, 1, 8])
+@pytest.mark.parametrize("text, bulk", [
+    ("0 1\n" * 40 + "01 2\n", False),  # JSON refuses a leading zero; int() reads it
+    ("0 1\n" * 40 + "9" * 5000 + " 1\n", False),  # more digits than int() converts
+    ("n 4\n00 01\n1 2\n002 3\n", False),
+    ("0 1\n1 2\n2 3\n3 0\n", True),  # the last chunk ends in a line end
+    ("0 1\n1 2\n2 3\n3 0", True),  # and here it does not
+], ids=["late-zero", "late-long-id", "zeros", "final-newline", "no-final-newline"])
+def test_bulk_ids_convert_a_chunk_at_a_time_as_the_line_loop_reads_them(monkeypatch, chunk, text, bulk):
+    # The bulk path converts each chunk of whole lines with the JSON
+    # decoder. An id JSON refuses, in any chunk, hands the whole text to the
+    # line loop, which accepts a leading zero and words a long id's error.
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    assert (graphs._parse_plain(text) is not None) == bulk
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(graphs._parse_lines, text)
+    if text.startswith("n 4"):
+        assert parse_edge_list(text) == path(4)
 
 
 def test_edge_list_round_trip():
