@@ -248,7 +248,7 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
         elif isinstance(mv, AnnounceMove):
             if not are_components(mv.components):
                 return fail(step, "announced component is not a frozenset of ints")
-            comps = unfilled_components(g, tuple(compress(range(g.n), filled)))
+            comps = unfilled_components(g, compress(range(g.n), filled))
             if len(comps) <= q:
                 return fail(step, f"only {len(comps)} unfilled components, need more than q={q}")
             announced = set(mv.components)

@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import asdict
 from functools import cache, partial
-from itertools import islice
+from itertools import combinations, islice
 
 from . import closed_forms
 from .certificates import (
@@ -354,6 +354,18 @@ def _checked(g: Graph, q: int, cert, value: int):
     return cert
 
 
+def _refuse_shared_paths(args):
+    """Refuses (exit 2) a run where two of --file, --trace and --output name
+    one file under os.path.realpath, before anything is read or written: the
+    run would write over its input or over its other output."""
+    given = [(flag, path) for flag in ("file", "trace", "output") if (path := getattr(args, flag, None))]
+    for (first, path), (second, other) in combinations(given, 2):
+        # An existing path and a missing one cannot name the same file, and
+        # two stat calls cost less than realpath's walk over each component.
+        if os.path.exists(path) == os.path.exists(other) and os.path.realpath(path) == os.path.realpath(other):
+            raise GraphValidationError(f"--{first} and --{second} name the same file {other}")
+
+
 def _emit(text: str, output: str | None):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -434,6 +446,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
+        _refuse_shared_paths(args)
         return args.func(args)
     except (ZqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from itertools import combinations, compress
 
 from .certificates import _close_marks
 from .errors import ScopeError
-from .graphs import Graph, _check_vertex_subset
+from .graphs import Graph, _vertex_flags
 
 BRUTE_FORCE_CAP = 20
 
@@ -59,11 +59,7 @@ def _window_closure(masks, filled: int, window: int, check: int | None = None) -
 def closure_with_forces(g: Graph, filled) -> tuple:
     """Forcing closure plus one legal force sequence (ForceMoves) that
     realizes it, for a set of vertices of g."""
-    filled = frozenset(filled)
-    _check_vertex_subset(g, filled)
-    mark = bytearray(g.n)
-    for v in filled:
-        mark[v] = 1
+    mark = _vertex_flags(g, filled)
     forces = _close_marks(g, mark)
     return frozenset(compress(range(g.n), mark)), forces
 

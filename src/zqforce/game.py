@@ -508,10 +508,18 @@ def adversarial_oracle(sol: GameSolution):
     OracleProtocolError.
     """
 
+    def mask(vertices):
+        m = 0
+        for v in vertices:
+            if type(v) is bool:  # 1 << v would read it as vertex 0 or 1
+                raise TypeError
+            m |= 1 << v
+        return m
+
     def policy(filled, announcement):
         try:
-            state = vertices_to_mask(filled)
-            announced = [vertices_to_mask(c) for c in announcement]
+            state = mask(filled)
+            announced = [mask(c) for c in announcement]
         except (ValueError, TypeError):  # 1 << v refuses a negative or non-int v
             state = -1
         if not 0 <= state <= sol._full:

@@ -253,10 +253,17 @@ def format_edge_list(g: Graph) -> str:
     return "".join(lines)
 
 
-def _check_vertex_subset(g: Graph, s) -> None:
-    for v in s:
-        if not (0 <= v < g.n):
+def _vertex_flags(g: Graph, vertices) -> bytearray:
+    """One flag per vertex of g, set for each id in `vertices`; an id that
+    is not an int in 0..n-1 (a bool is not) raises GraphValidationError."""
+    flags = bytearray(g.n)
+    for v in vertices:
+        if type(v) is not int:
+            raise GraphValidationError(f"vertex {v!r} is not an int")
+        if not 0 <= v < g.n:
             raise GraphValidationError(f"vertex {v} outside range 0..{g.n - 1}")
+        flags[v] = 1
+    return flags
 
 
 def connected_components(g: Graph) -> list:
@@ -273,11 +280,7 @@ def is_connected(g: Graph) -> bool:
 def unfilled_components(g: Graph, filled) -> list:
     """Connected components of the subgraph induced on V minus `filled`,
     ordered by smallest member."""
-    filled = frozenset(filled)
-    _check_vertex_subset(g, filled)
-    seen = bytearray(g.n)
-    for v in filled:
-        seen[v] = 1
+    seen = _vertex_flags(g, filled)
     comps = []
     for start in range(g.n):
         if seen[start]:

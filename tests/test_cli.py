@@ -197,6 +197,32 @@ def test_unreadable_input_is_bad_input_and_an_unwritable_output_is_not(tmp_path,
     assert capsys.readouterr().err.count("error: [Errno") == 2
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["compute", "--file", "bowtie.el", "--trace", "bowtie.el"], "--file and --trace"),
+    (["compute", "--file", "./bowtie.el", "--trace", "bowtie.el"], "--file and --trace"),
+    (["compute", "--file", "bowtie.el", "--output", "./bowtie.el"], "--file and --output"),
+    (["compute", "--file", "bowtie.el", "--trace", "link.el"], "--file and --trace"),
+    (["compute", "--file", "bowtie.el", "--trace", "same.txt", "--output", "./same.txt"], "--trace and --output"),
+    (["compute", "--family", "cycle", "--n", "5", "--trace", "same.txt", "--output", "same.txt"],
+     "--trace and --output"),
+    (["verify", "--file", "bowtie.el", "--q-list", "0", "--output", "./bowtie.el"], "--file and --output"),
+    (["strategy", "--file", "bowtie.el", "--output", "bowtie.el"], "--file and --output"),
+], ids=["compute-file-trace", "compute-dot-file-trace", "compute-file-output", "compute-file-trace-symlink",
+        "compute-trace-output", "compute-family-trace-output", "verify-file-output", "strategy-file-output"])
+def test_no_command_writes_over_its_input_or_its_other_output(tmp_path, capsys, monkeypatch, argv, flags):
+    # Two of --file, --trace and --output that name one file, however it is
+    # spelled, are refused before the input is read or anything is written.
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
+    os.symlink("bowtie.el", tmp_path / "link.el")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flags} name the same file ")
+    assert (tmp_path / "bowtie.el").read_text() == BOWTIE_TEXT
+    assert sorted(os.listdir(tmp_path)) == ["bowtie.el", "link.el"]
+
+
 def test_verify_bowtie_all_methods_agree(tmp_path, capsys):
     f = _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
     code, payload = _run_json(capsys, ["verify", "--file", f, "--q-list", "0,1,5", "--json"])

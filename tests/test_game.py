@@ -224,10 +224,14 @@ def test_adversarial_oracle_refuses_unevaluated_announcements():
     ({0, 2, 5}, (frozenset({1}),)),
     ({0, 2.0}, (frozenset({1}),)),
     ({0, 2}, (frozenset({"1"}),)),
-], ids=["negative-filled", "negative-announced", "filled-past-n", "float-filled", "str-announced"])
+    ({False, 3}, (frozenset({1, 2}),)),
+    ({0, 2}, (frozenset({True}),)),
+], ids=["negative-filled", "negative-announced", "filled-past-n", "float-filled", "str-announced",
+        "bool-filled", "bool-announced"])
 def test_adversarial_oracle_refuses_vertices_outside_the_graph(filled, announcement):
     # 1 << v refuses a negative or non-int vertex, and a filled vertex at n
-    # or above would index past the adjacency masks.
+    # or above would index past the adjacency masks. A bool is no vertex,
+    # though 1 << True would read it as vertex 1.
     oracle = adversarial_oracle(solve_zq(cycle(5), GameConfig(q=0)))
     with pytest.raises(OracleProtocolError, match=r"names a vertex outside 0\.\.4"):
         oracle(filled, announcement)

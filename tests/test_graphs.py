@@ -9,6 +9,7 @@ from zqforce import (
     Graph,
     GraphValidationError,
     ResourceLimitError,
+    closure_with_forces,
     connected_components,
     find_blocks,
     format_edge_list,
@@ -241,9 +242,26 @@ def test_unfilled_components_everything_filled():
     assert unfilled_components(g, frozenset(range(5))) == []
 
 
-def test_unfilled_components_rejects_foreign_vertex():
-    with pytest.raises(GraphValidationError):
-        unfilled_components(path(3), frozenset({7}))
+@pytest.mark.parametrize("vertices, message", [
+    ([7], "vertex 7 outside range 0..2"),
+    ([-1], "vertex -1 outside range 0..2"),
+    ([1.5], "vertex 1.5 is not an int"),
+    (["a"], "vertex 'a' is not an int"),
+    ([True], "vertex True is not an int"),
+    ([False], "vertex False is not an int"),
+], ids=["past-n", "negative", "float", "str", "true", "false"])
+def test_unfilled_components_rejects_foreign_vertex(vertices, message):
+    # Both readers of a caller's vertex set refuse the same ids with the same
+    # words; a bool is not read as vertex 0 or 1.
+    for read in (unfilled_components, closure_with_forces):
+        with pytest.raises(GraphValidationError, match=re.escape(message)):
+            read(path(3), vertices)
+
+
+def test_vertex_set_readers_ignore_a_repeated_vertex():
+    for g in (path(3), cycle(5), BOWTIE):
+        assert unfilled_components(g, [0, 0]) == unfilled_components(g, {0})
+        assert closure_with_forces(g, [0, 0]) == closure_with_forces(g, {0})
 
 
 def test_find_blocks_triangle():
