@@ -146,25 +146,23 @@ def _exact(g: Graph, cfg: GameConfig, below=None):
     return sol.value, lambda: extract_player_trace(sol), sol
 
 
-def _coverage(g: Graph, cap: int, form):
-    """The coverage rule of g: routes, a function of q that yields, lazily
-    and in this order, every method whose value is Z_q(g), with its solver:
+def _coverage(g: Graph, form):
+    """The coverage rule of g: routes(cfg, below=None) yields, lazily and in
+    this order, every method whose value is Z_q(g) at q = cfg.q, as
+    (method, value, certificate maker or None, solution or None):
 
     - formula, when form, the family's closed form as a function of q (None
       for a file input), covers q;
     - block, when every block of g is a clique with at least three vertices;
     - cactus, at q = 0 when g is a cactus;
-    - exact, when n <= cap;
+    - exact, when n <= cfg.vertex_cap, seeded by below;
     - fold, at q = 0 when every block of g is a bridge, a cycle, a clique
-      or has at most cap vertices: structured.block_Z0, which adds up the
-      blocks' Z_0 and so covers disconnected inputs too.
+      or has at most cfg.vertex_cap vertices: structured.block_Z0, which
+      adds up the blocks' Z_0 and so covers disconnected inputs too.
 
-    A solver, called as solve(cfg, below), returns (value, certificate maker
-    or None, solution or None). The maker builds the certificate when
-    called, so a caller that emits none never pays for one; below seeds the
-    exact solver. The values of formula and fold are the ones their scope
-    checks computed, and block's, the same at every q, is computed once per
-    rule.
+    The maker builds the certificate when called, so a caller that emits
+    none never pays for one; block's value, the same at every q, is
+    computed once per rule.
 
     Returns (routes, block, cactus). `compute` takes the first route and
     `verify` runs them all; detect_class reads the two checks, run once each.
@@ -173,31 +171,29 @@ def _coverage(g: Graph, cap: int, form):
     cactus = cache(lambda: is_cactus(g))
     block_solution = cache(lambda: block_graph_Z(g))
 
-    def solve_block(cfg, below):
-        value, tokens = block_solution()
-        return value, lambda: certificate_from_tokens(g, tokens), None
-
-    def routes(q: int):
+    def routes(cfg: GameConfig, below=None):
+        q = cfg.q
         if form is not None:
             try:
                 value = form(q)
             except ScopeError:
                 pass  # the closed form does not cover these parameters
             else:
-                yield "formula", lambda cfg, below: (value, None, None)
+                yield "formula", value, None, None
         if block():
-            yield "block", solve_block
+            value, tokens = block_solution()
+            yield "block", value, lambda: certificate_from_tokens(g, tokens), None
         if q == 0 and cactus():
-            yield "cactus", lambda cfg, below: (cactus_Z0(g), None, None)
-        if g.n <= cap:
-            yield "exact", partial(_exact, g)
+            yield "cactus", cactus_Z0(g), None, None
+        if g.n <= cfg.vertex_cap:
+            yield "exact", *_exact(g, cfg, below)
         if q == 0:
             try:
-                folded = block_Z0(g, cap)
+                folded = block_Z0(g, cfg.vertex_cap)
             except ScopeError:
                 pass  # a block has more than cap vertices and no closed-form Z_0
             else:
-                yield "fold", lambda cfg, below: (folded, None, None)
+                yield "fold", folded, None, None
 
     return routes, block, cactus
 
@@ -216,15 +212,13 @@ def cmd_compute(args) -> int:
     g, source, form, shown_params = _load_graph(args)
     cfg = _game_config(args, args.q)
     q = cfg.q
-    routes, block, cactus = _coverage(g, cfg.vertex_cap, form)
-    used = args.method
-    if used == "exact":
-        value, make_cert, sol = _exact(g, cfg)
+    routes, block, cactus = _coverage(g, form)
+    if args.method == "exact":
+        used, (value, make_cert, sol) = "exact", _exact(g, cfg)
     else:
-        used, solve = next(routes(q), (None, None))
-        if solve is None:
+        used, value, make_cert, sol = next(routes(cfg), (None,) * 4)
+        if used is None:
             raise _refusal(g, [q], cfg.vertex_cap)
-        value, make_cert, sol = solve(cfg, None)
 
     # Build a certificate only where it is written (--trace) or printed (the
     # exact solver's trace in --json), and check it before either.
@@ -288,13 +282,13 @@ def cmd_verify(args) -> int:
 
     # The distinct q in increasing order, so that each exact solve starts
     # from the one below it; rows keep the order of the list.
-    routes = _coverage(g, args.cap, form)[0]
+    routes = _coverage(g, form)[0]
     values = {}  # by q: {method: value}
     below = None  # the last exact solution
     for q in sorted(configs):
         row = values[q] = {}
-        for method, solve in routes(q):
-            row[method], _, sol = solve(configs[q], below)
+        for method, value, _, sol in routes(configs[q], below):
+            row[method] = value
             if sol is not None:
                 below = sol
     rows = [{"q": q, "values": values[q], "agree": len(set(values[q].values())) <= 1} for q in q_list]

@@ -21,14 +21,17 @@ from __future__ import annotations
 from itertools import combinations, compress
 
 from .certificates import _close_marks
-from .errors import ScopeError
+from .errors import GraphValidationError, ScopeError
 from .graphs import Graph, _vertex_flags
 
 BRUTE_FORCE_CAP = 20
 
 def vertices_to_mask(vertices) -> int:
+    """The bitmask of vertex ids, each an int >= 0 (a bool is not)."""
     mask = 0
     for v in vertices:
+        if type(v) is not int or v < 0:
+            raise GraphValidationError(f"vertex {v!r} is not a nonnegative int")
         mask |= 1 << v
     return mask
 

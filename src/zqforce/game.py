@@ -22,8 +22,7 @@ At every q the search keeps the value of a state's first live
 announcement, one with no dead reveal (below), in `combinations` order of
 the components, and scores no other move there. Each reveal of a live
 announcement admits a force, and the state R the forces reach holds F and
-more, so V(R) <= V(F) (monotonicity, below); in single_force mode this
-holds for every in-window force the player may pick. The oracle takes the
+more, so V(R) <= V(F) (monotonicity, below). The oracle takes the
 maximum over the reveals, so the announcement is worth at most V(F), and
 announcing is one of the player's moves, so it is worth at least V(F).
 The reveals are scored with the search's budget, and the first whose value
@@ -42,6 +41,26 @@ V(F) = V(closure(F)) holds one force at a time:
 
     a force is free, so V(F) <= V(F + t) for a force target t, and
     filling a vertex never hurts, so V(F + t) <= V(F) (monotonicity).
+
+The rules do not say whether a reveal grants the forcing cascade inside
+the revealed window W, F and the revealed components, or one force. In
+closure mode the player reaches cl_W(F), the closure of F inside W; in
+single_force mode the player picks an in-window force t and reaches F + t.
+The values agree, so the search scores every reveal as closure mode does.
+Let V and V' be the closure-mode and single-force values. Every move fills
+a vertex, so induct on the unfilled count: assume V = V' on every proper
+superset of F:
+
+    a reveal is dead in both modes when it admits no in-window force, and
+    tokens and forces are worth the same in both by the hypothesis;
+    V <= V': cl_W(F) holds every F + t, so V(cl_W(F)) <= V(F + t) = V'(F + t);
+    V' <= V when F has a live announcement A: V'(F) is at most the maximum
+    over A's reveals of the minimum over t of V(F + t), which is at most
+    V(F), since every F + t holds F and more;
+    with no live announcement, both are the minimum over the same moves.
+
+So the memos do not depend on the mode, which changes only how trace
+replay plays a reveal (below).
 
 Twins are vertices with equal open or equal closed neighbourhoods; the two
 kinds of twin class never share a vertex. Swapping two twins is an
@@ -72,9 +91,9 @@ inside a key already found is not keyed at all: the key K of F + w is
 closed and canonical and holds F, so a token v in K has key(F + v) inside
 K, and the inclusion test would skip it. So no two keys are equal.
 
-A solve can start warm from a solution `below` of the same graph and rule-3
-mode at a smaller or equal q, because V_q(F) <= V_{q+1}(F) at every state:
-an announcement legal at q + 1 contains one of q + 1 components that has no
+A solve can start warm from a solution `below` of the same graph, in either
+mode, at a q no larger, because V_q(F) <= V_{q+1}(F) at every state: an
+announcement legal at q + 1 contains one of q + 1 components that has no
 dead reveal either, and whose reveals are among its own, so the oracle does
 no better against it. Every nonzero exact value of `below` and each of its
 bounds is therefore a lower bound at the larger q, and seeds the bounds
@@ -93,9 +112,9 @@ is the first live announcement in key order, or, where none is live, the
 first token by vertex that attains it. Moves are picked at closed states
 only; trace replay plays the forces of a non-closed state itself, lowest
 (u, target) first, and after a reveal the in-window forces, or in
-single_force mode the player's one pick. The oracle's reveal is scored by the search's own
-announcement loop with a budget that cuts nothing, and is the first reveal,
-in subset order, whose value is the maximum.
+single_force mode the player's one pick. The oracle's reveal is scored by
+the search's own announcement loop with a budget that cuts nothing, and is
+the first reveal, in subset order, whose value is the maximum.
 
 An announcement is discarded when some nonempty reveal admits no force in
 the revealed subgraph: the oracle would pick that reveal and the state would
@@ -259,7 +278,7 @@ class GameSolution:
 
     __slots__ = (
         "value", "values", "bounds", "q", "rule3_mode", "graph", "oracle_response",
-        "_raw", "_memo_limit", "_masks", "_full", "_exact", "_closure_mode", "_lone", "_classes",
+        "_raw", "_memo_limit", "_masks", "_full", "_exact", "_lone", "_classes",
     )
 
     def __init__(self, g: Graph, cfg: GameConfig, below: GameSolution | None = None):
@@ -272,7 +291,6 @@ class GameSolution:
         self.oracle_response = {}
         self._memo_limit = MEMO_LIMIT
         self._exact = g.n + 1  # above every value: no budget bites
-        self._closure_mode = cfg.rule3_mode == MODE_CLOSURE
         if below is None:
             self.bounds = {}
             self._raw = {}
@@ -287,10 +305,10 @@ class GameSolution:
                 self._classes.append((prefix[-1], prefix))
                 self._lone &= ~prefix[-1]
         else:
-            if below.graph != g or below.rule3_mode != cfg.rule3_mode or below.q > cfg.q:
+            if below.graph != g or below.q > cfg.q:
                 raise GraphValidationError(
-                    f"a solve at q={cfg.q}, rule3_mode={cfg.rule3_mode!r} can start only from a solution of the"
-                    f" same graph and mode at a q no larger; got q={below.q}, rule3_mode={below.rule3_mode!r}"
+                    f"a solve at q={cfg.q} can start only from a solution of the same graph at a q no larger;"
+                    f" got q={below.q}"
                 )
             self.bounds = {key: val for key, val in below.values.items() if val}
             self.bounds.update(below.bounds)
@@ -427,20 +445,12 @@ class GameSolution:
         return worst
 
     def _reveal(self, filled: int, union: int, budget: int) -> int:
-        """min(player's best continuation value after the reveal, budget);
-        -1 if the reveal admits no force (a dead reveal)."""
-        window = filled | union
-        if self._closure_mode:
-            closed = _window_closure(self._masks, filled, window)
-            if closed == filled:
-                return -1
-            return self._capped(closed, budget)
-        forces = _window_forces(self._masks, filled, window)
-        if not forces:
+        """min(V(closure inside the revealed window), budget) in either
+        rule-3 mode; -1 if the reveal admits no force (a dead reveal)."""
+        closed = _window_closure(self._masks, filled, filled | union)
+        if closed == filled:
             return -1
-        for _, t in forces:
-            budget = self._capped(filled | 1 << t, budget)
-        return budget
+        return self._capped(closed, budget)
 
     def _best(self, filled: int) -> tuple:
         """The first move at a closed state, in (value, kind, key) order,
@@ -483,7 +493,7 @@ def solve_zq(g: Graph, cfg: GameConfig, below: GameSolution | None = None) -> Ga
     components of the whole graph, so it is one game, not one per component.
     Optimal moves for both sides are re-derived from the memos on demand by
     `extract_player_trace` and `adversarial_oracle`. `below`, a solution of
-    g in the same rule-3 mode at a q no larger than cfg.q, seeds the search
+    g in either rule-3 mode at a q no larger than cfg.q, seeds the search
     (see the module docstring); any other `below` raises
     GraphValidationError.
     """
@@ -508,19 +518,11 @@ def adversarial_oracle(sol: GameSolution):
     OracleProtocolError.
     """
 
-    def mask(vertices):
-        m = 0
-        for v in vertices:
-            if type(v) is bool:  # 1 << v would read it as vertex 0 or 1
-                raise TypeError
-            m |= 1 << v
-        return m
-
     def policy(filled, announcement):
         try:
-            state = mask(filled)
-            announced = [mask(c) for c in announcement]
-        except (ValueError, TypeError):  # 1 << v refuses a negative or non-int v
+            state = vertices_to_mask(filled)
+            announced = [vertices_to_mask(c) for c in announcement]
+        except GraphValidationError:  # a vertex that is not a nonnegative int
             state = -1
         if not 0 <= state <= sol._full:
             raise OracleProtocolError(f"filled set or announcement names a vertex outside 0..{sol.graph.n - 1}")
@@ -569,7 +571,7 @@ def extract_player_trace(sol: GameSolution, oracle=None) -> Certificate:
             # single_force mode, play the one force the player picks, the
             # lowest (value, (u, target)), and leave the window.
             u, t = forces[0]
-            if not sol._closure_mode and isinstance(trace[-1], RevealMove):
+            if sol.rule3_mode == MODE_SINGLE_FORCE and isinstance(trace[-1], RevealMove):
                 budget = sol._exact
                 for f in forces:
                     val = sol._capped(state | 1 << f[1], budget)

@@ -43,6 +43,7 @@ from zqforce import (
 from helpers import (
     BOWTIE,
     cycle,
+    naive_zq_table,
     random_block_graph,
     random_cactus,
     random_connected_graph,
@@ -311,21 +312,26 @@ def test_criterion_9_scaling():
 
 
 def test_criterion_10_rule3_mode_report():
+    # The solver scores a reveal alike in both rule-3 modes (see the
+    # zqforce.game docstring), so the check is the unoptimized reference,
+    # which plays each mode's reveals as stated: its two tables must agree
+    # at every filled set.
     started = time.perf_counter()
     atlas = [g for g in nx.graph_atlas_g()[1:] if 1 <= len(g) <= 6 and nx.is_connected(g)]
     discrepancies = []
-    solved = 0
+    states = 0
     for nxg in atlas:
         g = Graph.from_edges(len(nxg), list(nxg.edges()))
         for q in (0, 1, 2):
-            a = solve_zq(g, GameConfig(q=q, rule3_mode=MODE_CLOSURE)).value
-            b = solve_zq(g, GameConfig(q=q, rule3_mode=MODE_SINGLE_FORCE)).value
-            solved += 2
-            if a != b:
-                discrepancies.append(
-                    {"n": g.n, "edges": list(map(list, g.edges)), "q": q,
-                     "closure": a, "single_force": b}
-                )
+            closure = naive_zq_table(g, q, MODE_CLOSURE)
+            single = naive_zq_table(g, q, MODE_SINGLE_FORCE)
+            states += len(closure)
+            for filled, a in closure.items():
+                if single[filled] != a:
+                    discrepancies.append(
+                        {"n": g.n, "edges": list(map(list, g.edges)), "q": q, "filled": sorted(filled),
+                         "closure": a, "single_force": single[filled]}
+                    )
     REPORT_DIR.mkdir(exist_ok=True)
     artifact = REPORT_DIR / "rule3-mode-report.json"
     artifact.write_text(
@@ -333,7 +339,7 @@ def test_criterion_10_rule3_mode_report():
             {
                 "graphs": len(atlas),
                 "q_values": [0, 1, 2],
-                "solves": solved,
+                "states": states,
                 "discrepancies": discrepancies,
             },
             indent=2,
@@ -341,6 +347,6 @@ def test_criterion_10_rule3_mode_report():
     )
     elapsed = time.perf_counter() - started
     ok = artifact.exists() and not discrepancies and elapsed < 600
-    _report(10, ok, f"both rule-3 modes solved on {len(atlas)} connected graphs (n<=6), "
-                    f"{len(discrepancies)} discrepancies (0 required) logged to {artifact.name} "
+    _report(10, ok, f"both rule-3 modes' reference tables compared at {states} states of {len(atlas)} connected "
+                    f"graphs (n<=6), {len(discrepancies)} discrepancies (0 required) logged to {artifact.name} "
                     f"in {elapsed:.1f}s (< 600s)")

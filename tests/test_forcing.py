@@ -8,6 +8,7 @@ from zqforce import (
     Certificate,
     ForceMove,
     Graph,
+    GraphValidationError,
     ScopeError,
     TokenMove,
     brute_force_Z,
@@ -106,6 +107,14 @@ def _seeded_graphs(rng, count, max_n):
         else:
             graphs.append(makers[i % 3](rng.randint(2, max_n)))
     return graphs
+
+
+@pytest.mark.parametrize("vertices", [[True], [False, 3], [-1], [1.5]], ids=["true", "false", "negative", "float"])
+def test_vertices_to_mask_refuses_an_id_that_is_no_vertex(vertices):
+    # 1 << v would read a bool as vertex 0 or 1, and meets -1 or 1.5 with an
+    # untyped error.
+    with pytest.raises(GraphValidationError, match=r"is not a nonnegative int"):
+        vertices_to_mask(vertices)
 
 
 def test_bitmask_closure_matches_closure_with_forces_on_every_subset():
