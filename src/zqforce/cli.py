@@ -90,8 +90,8 @@ def _parse_int_list(text: str, flag: str) -> list:
 
 
 def _game_config(args, q: int) -> GameConfig:
-    """Exact-solver settings from the command line; refuses a negative q or
-    a --cap outside 1..64 (exit 2)."""
+    """Exact-solver settings of a command that replays a play (compute,
+    strategy); refuses a negative q or a --cap outside 1..64 (exit 2)."""
     mode = MODE_CLOSURE if args.rule3 == "closure" else MODE_SINGLE_FORCE
     return GameConfig(q=q, rule3_mode=mode, vertex_cap=args.cap)
 
@@ -275,7 +275,8 @@ def cmd_verify(args) -> int:
     q_list = _parse_int_list(args.q_list, "--q-list")
     if not q_list:
         raise GraphValidationError("--q-list must name at least one q")
-    configs = {q: _game_config(args, q) for q in q_list}
+    # verify replays no play, and the rule-3 mode changes only replay.
+    configs = {q: GameConfig(q=q, vertex_cap=args.cap) for q in q_list}
 
     if g.n > args.cap:
         print(f"warning: n={g.n} exceeds the exact cap {args.cap}; skipping the exact solver", file=sys.stderr)
@@ -348,15 +349,26 @@ def _checked(g: Graph, q: int, cert, value: int):
     return cert
 
 
+def _stat(path: str):
+    """os.stat(path), or None where os.path.exists(path) is False."""
+    try:
+        return os.stat(path)
+    except (OSError, ValueError):
+        return None
+
+
 def _refuse_shared_paths(args):
     """Refuses (exit 2) a run where two of --file, --trace and --output name
-    one file under os.path.realpath, before anything is read or written: the
-    run would write over its input or over its other output."""
-    given = [(flag, path) for flag in ("file", "trace", "output") if (path := getattr(args, flag, None))]
-    for (first, path), (second, other) in combinations(given, 2):
-        # An existing path and a missing one cannot name the same file, and
-        # two stat calls cost less than realpath's walk over each component.
-        if os.path.exists(path) == os.path.exists(other) and os.path.realpath(path) == os.path.realpath(other):
+    one file, before anything is read or written: the run would write over
+    its input or over its other output."""
+    given = [(flag, path, _stat(path)) for flag in ("file", "trace", "output") if (path := getattr(args, flag, None))]
+    for (first, path, st), (second, other, other_st) in combinations(given, 2):
+        # Two existing paths name one file when they share device and inode,
+        # which sees a symlink, ./x and a hard link; two missing ones, which
+        # the run would create, when their realpaths match. An existing path
+        # and a missing one never do.
+        if (os.path.samestat(st, other_st) if st and other_st else
+                not (st or other_st) and os.path.realpath(path) == os.path.realpath(other)):
             raise GraphValidationError(f"--{first} and --{second} name the same file {other}")
 
 
@@ -389,8 +401,11 @@ def _add_graph_source(parser: argparse.ArgumentParser):
     parser.add_argument("--n", type=int, help="vertex count for path/cycle/clique/random families")
 
 
-def _add_solver_options(parser: argparse.ArgumentParser):
+def _add_rule3(parser: argparse.ArgumentParser):
     parser.add_argument("--rule3", choices=("closure", "single"), default="closure")
+
+
+def _add_solver_options(parser: argparse.ArgumentParser):
     parser.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="exact-solver vertex cap")
 
 
@@ -405,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--method", choices=METHODS, default="auto")
+    _add_rule3(p)
     _add_solver_options(p)
     p.add_argument("--trace", help="write the certificate to this path")
     p.add_argument("--json", action="store_true")
@@ -422,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strategy", help="print move-by-move optimal play")
     _add_graph_source(p)
     p.add_argument("--q", type=int, default=0)
+    _add_rule3(p)
     _add_solver_options(p)
     p.add_argument("--output", help="write the transcript here instead of stdout")
     p.set_defaults(func=cmd_strategy)

@@ -164,6 +164,9 @@ class GameConfig:
     vertex_cap: int = DEFAULT_VERTEX_CAP
 
     def __post_init__(self):
+        for name in ("q", "vertex_cap"):
+            if type(value := getattr(self, name)) is not int:
+                raise GraphValidationError(f"{name} must be an int (a bool is not), got {value!r}")
         if self.q < 0:
             raise GraphValidationError("q must be nonnegative")
         if self.rule3_mode not in (MODE_CLOSURE, MODE_SINGLE_FORCE):

@@ -207,20 +207,25 @@ def test_unreadable_input_is_bad_input_and_an_unwritable_output_is_not(tmp_path,
      "--trace and --output"),
     (["verify", "--file", "bowtie.el", "--q-list", "0", "--output", "./bowtie.el"], "--file and --output"),
     (["strategy", "--file", "bowtie.el", "--output", "bowtie.el"], "--file and --output"),
+    (["compute", "--file", "bowtie.el", "--trace", "hard.el"], "--file and --trace"),
+    (["verify", "--file", "hard.el", "--q-list", "0", "--output", "bowtie.el"], "--file and --output"),
 ], ids=["compute-file-trace", "compute-dot-file-trace", "compute-file-output", "compute-file-trace-symlink",
-        "compute-trace-output", "compute-family-trace-output", "verify-file-output", "strategy-file-output"])
+        "compute-trace-output", "compute-family-trace-output", "verify-file-output", "strategy-file-output",
+        "compute-file-trace-hardlink", "verify-file-output-hardlink"])
 def test_no_command_writes_over_its_input_or_its_other_output(tmp_path, capsys, monkeypatch, argv, flags):
     # Two of --file, --trace and --output that name one file, however it is
-    # spelled, are refused before the input is read or anything is written.
+    # spelled or linked, are refused before the input is read or anything
+    # is written.
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "bowtie.el", BOWTIE_TEXT)
     os.symlink("bowtie.el", tmp_path / "link.el")
+    os.link(tmp_path / "bowtie.el", tmp_path / "hard.el")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flags} name the same file ")
     assert (tmp_path / "bowtie.el").read_text() == BOWTIE_TEXT
-    assert sorted(os.listdir(tmp_path)) == ["bowtie.el", "link.el"]
+    assert sorted(os.listdir(tmp_path)) == ["bowtie.el", "hard.el", "link.el"]
 
 
 def test_verify_bowtie_all_methods_agree(tmp_path, capsys):
@@ -379,6 +384,24 @@ def test_malformed_numbers_exit_2(capsys, argv):
 def test_graph_source_and_q_list_refusals_exit_2(capsys, argv, message):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_verify_takes_no_rule3_option(capsys):
+    # The rule-3 mode changes only how a play is replayed, and verify replays
+    # none: --rule3 is a usage error there, and compute and strategy keep it.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--family", "cycle", "--n", "5", "--q-list", "0", "--rule3", "single"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: zqforce ")
+    assert captured.err.endswith("error: unrecognized arguments: --rule3 single\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    assert "--q-list" in (text := capsys.readouterr().out) and "--rule3" not in text
+    for command in ("compute", "strategy"):
+        assert main([command, "--family", "cycle", "--n", "5", "--rule3", "single"]) == 0
 
 
 def test_verify_refuses_q_values_no_method_covers(capsys):
@@ -654,7 +677,7 @@ def test_verify_solves_each_distinct_q_once(capsys, monkeypatch):
     # The distinct q in increasing order, each solve seeded from the one
     # before; the rows keep the order of the list.
     calls.clear()
-    assert main(["verify", "--family", "cycle", "--n", "6", "--q-list", "6,0,2,0,1", "--rule3", "single"]) == 0
+    assert main(["verify", "--family", "cycle", "--n", "6", "--q-list", "6,0,2,0,1"]) == 0
     assert [cfg.q for _, cfg, _ in calls] == [0, 1, 2, 6]
     assert calls[0][2] is None
     assert all(below is not None and below.q == prev.q for (_, _, below), (_, prev, _) in zip(calls[1:], calls))

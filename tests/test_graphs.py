@@ -130,6 +130,7 @@ def test_parse_errors_keep_their_precedence(monkeypatch):
     ("0 1\n+3 1\n", 2),  # int() reads 3
     ("\u0661 2\n", 1),  # an Arabic-Indic one, which int() reads as 1
     ("n 1_0\n0 1\n", 1),  # a header count int() reads as 10
+    ("n " + "9" * 5000 + "\n0 1\n", 1),  # a header count with more digits than int() converts
 ])
 def test_ids_and_vertex_count_are_ascii_digits(text, lineno, tmp_path):
     with pytest.raises(EdgeListParseError) as excinfo:
