@@ -24,8 +24,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
-from .errors import EdgeListParseError, GraphValidationError
-from .graphs import Graph, _is_digits, unfilled_components
+from .errors import EdgeListParseError, GraphValidationError, _echo
+from .graphs import Graph, _parse_id, unfilled_components
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # a fill mark to an unfilled mark
 
@@ -87,17 +87,17 @@ def certificate_from_tokens(g: Graph, tokens) -> Certificate:
     for mv in trace:
         v = mv.vertex
         if type(v) is not int:
-            raise GraphValidationError(f"token {v!r} is not an int")
+            raise GraphValidationError(f"token {_echo(v)} is not an int")
         if 0 <= v < n:
             if mark[v]:
                 raise GraphValidationError(f"repeated token on vertex {v}")
             mark[v] = 1
         elif v in outside:
-            raise GraphValidationError(f"repeated token on vertex {v}")
+            raise GraphValidationError(f"repeated token on vertex {_echo(v)}")
         else:
             outside[v] = None
     if outside:
-        raise GraphValidationError(f"vertex {next(iter(outside))} outside range 0..{n - 1}")
+        raise GraphValidationError(f"vertex {_echo(next(iter(outside)))} outside range 0..{n - 1}")
     forces = _close_marks(g, mark)
     if mark.count(0):
         raise GraphValidationError("token set is not a zero forcing set")
@@ -173,7 +173,7 @@ def _parse_components(text: str, lineno: int) -> tuple:
         chunk = chunk.strip()
         if not chunk:
             raise EdgeListParseError(lineno, "empty component in announce/reveal")
-        comps.append(frozenset(_parse_int(tok.strip(), lineno) for tok in chunk.split(",")))
+        comps.append(frozenset(_parse_id(tok.strip(), lineno) for tok in chunk.split(",")))
     return _canon_components(comps)
 
 
@@ -186,28 +186,19 @@ def parse_certificate(text: str) -> Certificate:
         op, _, rest = line.partition(" ")
         rest = rest.strip()
         if op == "token":
-            trace.append(TokenMove(_parse_int(rest, lineno)))
+            trace.append(TokenMove(_parse_id(rest, lineno)))
         elif op == "force":
             parts = rest.split()
             if len(parts) != 2:
-                raise EdgeListParseError(lineno, f"expected 'force u v', got {line!r}")
-            trace.append(ForceMove(_parse_int(parts[0], lineno), _parse_int(parts[1], lineno)))
+                raise EdgeListParseError(lineno, f"expected 'force u v', got {_echo(line)}")
+            trace.append(ForceMove(_parse_id(parts[0], lineno), _parse_id(parts[1], lineno)))
         elif op == "announce":
             trace.append(AnnounceMove(_parse_components(rest, lineno)))
         elif op == "reveal":
             trace.append(RevealMove(_parse_components(rest, lineno)))
         else:
-            raise EdgeListParseError(lineno, f"unknown move {op!r}")
+            raise EdgeListParseError(lineno, f"unknown move {_echo(op)}")
     return Certificate(tuple(trace))
-
-
-def _parse_int(text: str, lineno: int) -> int:
-    if _is_digits(text):  # int() also reads "+3", "1_0" and non-ASCII digits
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise EdgeListParseError(lineno, f"bad vertex {text!r}")
 
 
 def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
@@ -240,7 +231,7 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
         if isinstance(mv, TokenMove):
             v = mv.vertex
             if type(v) is not int or not 0 <= v < g.n:
-                return fail(step, f"token on invalid vertex {v!r}")
+                return fail(step, f"token on invalid vertex {_echo(v)}")
             if filled[v]:
                 return fail(step, f"token on already-filled vertex {v}")
             filled[v] = 1
@@ -280,7 +271,7 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
         elif isinstance(mv, ForceMove):
             u, v = mv.source, mv.target
             if not (type(u) is int and type(v) is int and 0 <= u < g.n and 0 <= v < g.n):
-                return fail(step, f"force with invalid endpoints ({u!r}, {v!r})")
+                return fail(step, f"force with invalid endpoints ({_echo(u)}, {_echo(v)})")
             if not filled[u]:
                 return fail(step, f"force source {u} is unfilled")
             if filled[v]:
@@ -297,7 +288,7 @@ def verify_certificate(g: Graph, q: int, cert: Certificate) -> CheckResult:
                 window = None
             filled[v] = 1
         else:
-            return fail(step, f"unknown move {mv!r}")
+            return fail(step, f"unknown move {_echo(mv)}")
 
     if pending is not None:
         return fail(len(cert.trace), "trace ends on an unanswered announcement")

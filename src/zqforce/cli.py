@@ -27,7 +27,15 @@ from .certificates import (
     check_certificate,
     format_certificate,
 )
-from .errors import EdgeListParseError, GraphValidationError, ScopeError, VerificationMismatch, ZqError
+from .errors import (
+    EdgeListParseError,
+    GraphValidationError,
+    ResourceLimitError,
+    ScopeError,
+    VerificationMismatch,
+    ZqError,
+    _echo,
+)
 from .game import (
     DEFAULT_VERTEX_CAP,
     MODE_CLOSURE,
@@ -38,6 +46,7 @@ from .game import (
 )
 from .generators import FAMILY_KINDS, FamilyParams, generate_family
 from .graphs import (
+    MAX_EDGES,
     Graph,
     is_block_graph,
     is_cactus,
@@ -63,6 +72,13 @@ _CLOSED_FORMS = {
 
 METHODS = ("auto", "exact")
 
+# Largest --file input read, in bytes: 64 per edge line at MAX_EDGES lines,
+# where a plain line at the limits ("2097151 2097150\n") has at most 16. A
+# larger or endless input is refused after MAX_FILE_BYTES + 1 bytes.
+MAX_FILE_BYTES = 64 * MAX_EDGES
+# Bytes read at a time; each read allocates this much before it fills it.
+_READ_CHUNK = 1 << 20
+
 # Certificate lines --trace joins into one write: few enough that the text
 # stays streamed and adds nothing measurable to peak memory.
 _TRACE_CHUNK = 512
@@ -86,7 +102,7 @@ def _parse_int_list(text: str, flag: str) -> list:
     try:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise GraphValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
+        raise GraphValidationError(f"{flag} must be comma-separated integers, got {_echo(text)}") from None
 
 
 def _game_config(args, q: int) -> GameConfig:
@@ -108,6 +124,30 @@ def _family_params(args) -> FamilyParams:
     )
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at path as text mode reads it, UTF-8 with CRLF
+    and CR line ends turned into LF, but read a chunk at a time, so that an
+    input over MAX_FILE_BYTES raises ResourceLimitError before memory runs
+    out. The whole file is decoded in one call."""
+    chunks = []
+    size = 0
+    with open(path, "rb") as fh:
+        while size <= MAX_FILE_BYTES:
+            chunk = fh.read(min(_READ_CHUNK, MAX_FILE_BYTES + 1 - size))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > MAX_FILE_BYTES:
+        raise ResourceLimitError(f"{path} exceeds the input limit of {MAX_FILE_BYTES} bytes")
+    data = b"".join(chunks)  # a file of one chunk is not copied
+    del chunks  # freed before the text is decoded beside data
+    text = data.decode("utf-8")
+    if "\r" in text:  # searching a plain text for "\r\n" takes longer than reading it
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_graph(args):
     """Returns (graph, source string, closed form or None, params dict); the
     closed form is the family's, bound to its parameters, as a function of q."""
@@ -115,11 +155,10 @@ def _load_graph(args):
         raise GraphValidationError("give either --file or --family, not both")
     if args.file:
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            text = _read_text(args.file)
         except UnicodeDecodeError as exc:
-            # read() decodes the whole file in one call, so exc.object is all
-            # of it; lines are numbered as parse_edge_list numbers them.
+            # _read_text decodes the whole file in one call, so exc.object is
+            # all of it; lines are numbered as parse_edge_list numbers them.
             lineno = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
             raise EdgeListParseError(lineno, f"not UTF-8: byte 0x{exc.object[exc.start]:02x}") from None
         except OSError as exc:
@@ -128,7 +167,7 @@ def _load_graph(args):
     if args.family:
         kind = _FAMILY_ALIASES.get(args.family)
         if kind is None:
-            raise GraphValidationError(f"unknown family {args.family!r}")
+            raise GraphValidationError(f"unknown family {_echo(args.family)}")
         params = _family_params(args)
         g = generate_family(kind, params, seed=args.seed)
         form = _CLOSED_FORMS.get(kind)

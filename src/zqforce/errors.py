@@ -2,8 +2,27 @@
 
 Each class carries the exit code the CLI returns for it: 2 for parse and
 validation problems, 3 for scope or resource refusals, 4 for cross-method
-disagreement, and 1 for any other package error.
+disagreement, and 1 for any other package error. `_echo` words the input
+an error message quotes.
 """
+
+# Characters of a token, line or id of the input that an error message
+# quotes; a longer one is cut there and marked with "…".
+_ECHO_CHARS = 40
+
+
+def _echo(value) -> str:
+    """value as an error message quotes it: its repr, cut to _ECHO_CHARS
+    characters and "…" when longer. An int with more digits than Python
+    writes out (4,300 by default) is named by its bit length, since repr()
+    refuses it."""
+    try:
+        text = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
 
 
 class ZqError(Exception):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations, compress
 
 from .certificates import _close_marks
-from .errors import GraphValidationError, ScopeError
+from .errors import GraphValidationError, ScopeError, _echo
 from .graphs import Graph, _vertex_flags
 
 BRUTE_FORCE_CAP = 20
@@ -31,7 +31,7 @@ def vertices_to_mask(vertices) -> int:
     mask = 0
     for v in vertices:
         if type(v) is not int or v < 0:
-            raise GraphValidationError(f"vertex {v!r} is not a nonnegative int")
+            raise GraphValidationError(f"vertex {_echo(v)} is not a nonnegative int")
         mask |= 1 << v
     return mask
 

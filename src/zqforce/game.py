@@ -141,9 +141,10 @@ from .errors import (
     GraphValidationError,
     OracleProtocolError,
     ResourceLimitError,
+    _echo,
 )
 from .forcing import _adjacency_masks, _window_closure, vertices_to_mask
-from .graphs import Graph
+from .graphs import Graph, _vertex_flags
 
 MODE_CLOSURE = "closure"
 MODE_SINGLE_FORCE = "single_force"
@@ -166,11 +167,11 @@ class GameConfig:
     def __post_init__(self):
         for name in ("q", "vertex_cap"):
             if type(value := getattr(self, name)) is not int:
-                raise GraphValidationError(f"{name} must be an int (a bool is not), got {value!r}")
+                raise GraphValidationError(f"{name} must be an int (a bool is not), got {_echo(value)}")
         if self.q < 0:
             raise GraphValidationError("q must be nonnegative")
         if self.rule3_mode not in (MODE_CLOSURE, MODE_SINGLE_FORCE):
-            raise GraphValidationError(f"unknown rule3_mode {self.rule3_mode!r}")
+            raise GraphValidationError(f"unknown rule3_mode {_echo(self.rule3_mode)}")
         if not (1 <= self.vertex_cap <= 64):
             raise GraphValidationError("vertex_cap must be in 1..64")
 
@@ -522,13 +523,17 @@ def adversarial_oracle(sol: GameSolution):
     """
 
     def policy(filled, announcement):
+        # The ids are checked against n before any mask is built: 1 << v
+        # for a huge v would take time and memory before the refusal.
         try:
-            state = vertices_to_mask(filled)
-            announced = [vertices_to_mask(c) for c in announcement]
-        except GraphValidationError:  # a vertex that is not a nonnegative int
-            state = -1
-        if not 0 <= state <= sol._full:
-            raise OracleProtocolError(f"filled set or announcement names a vertex outside 0..{sol.graph.n - 1}")
+            for vertices in (filled, *announcement):
+                _vertex_flags(sol.graph, vertices)
+        except GraphValidationError:  # a vertex that is not an int in 0..n-1
+            raise OracleProtocolError(
+                f"filled set or announcement names a vertex outside 0..{sol.graph.n - 1}"
+            ) from None
+        state = vertices_to_mask(filled)
+        announced = [vertices_to_mask(c) for c in announcement]
         combo = tuple(c for c in _mask_components(sol._masks, sol._full & ~state) if c in announced)
         key = (state, combo)
         # combo holds each unfilled component at most once, so equal lengths

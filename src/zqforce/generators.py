@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from . import graphs
-from .errors import GraphValidationError, ResourceLimitError
+from .errors import GraphValidationError, ResourceLimitError, _echo
 from .graphs import Graph
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ def _check_size(n: int, m: int) -> None:
     """Refuse an instance above graphs.MAX_VERTICES or graphs.MAX_EDGES
     before its edge list is built."""
     if n > graphs.MAX_VERTICES:
-        raise ResourceLimitError(f"vertex count {n} exceeds the limit of {graphs.MAX_VERTICES}")
+        raise ResourceLimitError(f"vertex count {_echo(n)} exceeds the limit of {graphs.MAX_VERTICES}")
     if m > graphs.MAX_EDGES:
-        raise ResourceLimitError(f"edge count {m} exceeds the limit of {graphs.MAX_EDGES}")
+        raise ResourceLimitError(f"edge count {_echo(m)} exceeds the limit of {graphs.MAX_EDGES}")
 
 
 def _path_edges(n: int, offset: int = 0):
@@ -177,5 +177,5 @@ def generate_family(kind: str, params: FamilyParams, seed: int | None = None) ->
         _require(seed is not None, f"{kind} requires a seed")
         return _RANDOM_MAKERS[kind](params, random.Random(seed))
     if kind not in _MAKERS:
-        raise GraphValidationError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
+        raise GraphValidationError(f"unknown family kind {_echo(kind)}; choose from {FAMILY_KINDS}")
     return _MAKERS[kind](params)

@@ -16,7 +16,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .errors import EdgeListParseError, GraphValidationError, ResourceLimitError
+from .errors import EdgeListParseError, GraphValidationError, ResourceLimitError, _echo
 
 # Largest vertex count parse_edge_list accepts, checked before the graph is
 # allocated: 20x the 1e5-vertex benchmark block graph, whose ~1.6 KB/vertex
@@ -52,9 +52,9 @@ class Graph:
         vertex = list(range(n))
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
-                raise GraphValidationError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
+                raise GraphValidationError(f"edge ({_echo(u)}, {_echo(v)}) has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphValidationError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+                raise GraphValidationError(f"edge ({_echo(u)}, {_echo(v)}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise GraphValidationError(f"self-loop at vertex {u}")
             adj[u].append(vertex[v])
@@ -91,6 +91,18 @@ def _frozen_adjacency(adj: list) -> tuple:
 
 def _is_digits(token: str) -> bool:
     return token.isascii() and token.isdigit()
+
+
+def _parse_id(token: str, lineno: int, what: str = "vertex") -> int:
+    """token read as an id of a text input: ASCII decimal digits, no more
+    than int() converts (int() alone also reads "+3", "-1", "1_0" and
+    non-ASCII digits). Anything else raises EdgeListParseError at lineno."""
+    if _is_digits(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise EdgeListParseError(lineno, f"bad {what} {_echo(token)}")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -205,26 +217,14 @@ def _parse_lines(text: str) -> Graph:
         if parts[0] == "n" and not saw_payload and header_n is None:
             if len(parts) != 2:
                 raise EdgeListParseError(lineno, "header must be 'n <count>'")
-            try:
-                header_n = int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(lineno, f"bad vertex count {parts[1]!r}") from None
+            header_n = _parse_id(parts[1], lineno, "vertex count")
             if header_n < 1:
                 raise EdgeListParseError(lineno, "vertex count must be positive")
-            if not _is_digits(parts[1]):  # int() also reads "+5", "1_0" and non-ASCII digits
-                raise EdgeListParseError(lineno, f"bad vertex count {parts[1]!r}")
             continue
         saw_payload = True
         if len(parts) != 2:
-            raise EdgeListParseError(lineno, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(lineno, f"non-integer endpoint in {line!r}") from None
-        if u < 0 or v < 0:
-            raise EdgeListParseError(lineno, "negative vertex id")
-        if not (_is_digits(parts[0]) and _is_digits(parts[1])):
-            raise EdgeListParseError(lineno, f"vertex ids must be ASCII digits, got {line!r}")
+            raise EdgeListParseError(lineno, f"expected 'u v', got {_echo(line)}")
+        u, v = _parse_id(parts[0], lineno), _parse_id(parts[1], lineno)
         if u == v and self_loop is None:
             self_loop = (lineno, u)
         if len(edges) == edge_limit:
@@ -236,9 +236,9 @@ def _parse_lines(text: str) -> Graph:
     top = max(map(max, edges), default=-1)
     n = header_n if header_n is not None else top + 1
     if top >= n:
-        raise GraphValidationError(f"endpoint {top} exceeds declared vertex count {n}")
+        raise GraphValidationError(f"endpoint {_echo(top)} exceeds declared vertex count {_echo(n)}")
     if n > MAX_VERTICES:
-        raise ResourceLimitError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        raise ResourceLimitError(f"vertex count {_echo(n)} exceeds the limit of {MAX_VERTICES}")
     if self_loop is not None:
         lineno, v = self_loop
         raise GraphValidationError(f"line {lineno}: self-loop at vertex {v}")
@@ -259,9 +259,9 @@ def _vertex_flags(g: Graph, vertices) -> bytearray:
     flags = bytearray(g.n)
     for v in vertices:
         if type(v) is not int:
-            raise GraphValidationError(f"vertex {v!r} is not an int")
+            raise GraphValidationError(f"vertex {_echo(v)} is not an int")
         if not 0 <= v < g.n:
-            raise GraphValidationError(f"vertex {v} outside range 0..{g.n - 1}")
+            raise GraphValidationError(f"vertex {_echo(v)} outside range 0..{g.n - 1}")
         flags[v] = 1
     return flags
 

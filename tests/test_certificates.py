@@ -206,6 +206,33 @@ def test_parse_certificate_reads_ids_in_ascii_digits_only(move, vertex):
     assert parse_certificate(text.replace(vertex, "2")).trace[1:]
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("token " + "1" * 100_000, 1),
+    ("token 0\nforce 1 " + "1" * 80_000, 2),
+    ("x" * 100_000, 1),
+    ("force 0 1 " + "2 " * 50_000, 1),
+], ids=["long-token", "long-force-target", "long-op", "long-force-line"])
+def test_parse_certificate_quotes_a_long_token_in_bounded_form(text, lineno):
+    with pytest.raises(EdgeListParseError) as excinfo:
+        parse_certificate(text)
+    assert excinfo.value.lineno == lineno
+    assert len(str(excinfo.value)) < 200 and "…" in str(excinfo.value)
+
+
+def test_a_vertex_too_long_to_write_out_is_refused_at_its_step():
+    # repr() refuses an int past 4,300 digits, so a refusal that quoted it
+    # whole raised ValueError instead of its own error.
+    huge = 10**5000
+    with pytest.raises(GraphValidationError, match="vertex <int of 16610 bits> outside range 0..2"):
+        certificate_from_tokens(path(3), [0, huge])
+    result = verify_certificate(path(3), 0, Certificate((TokenMove(0), TokenMove(huge))))
+    assert (result.ok, result.failed_step) == (False, 1)
+    assert result.reason == "token on invalid vertex <int of 16610 bits>"
+    result = verify_certificate(path(3), 0, Certificate((TokenMove(0), ForceMove(0, -huge))))
+    assert (result.ok, result.failed_step) == (False, 1)
+    assert result.reason == "force with invalid endpoints (0, <negative int of 16610 bits>)"
+
+
 _C5_TOKENS = (TokenMove(0), TokenMove(2))  # unfilled components {1} and {3, 4}
 _ANNOUNCE_1 = AnnounceMove((frozenset({1}),))
 

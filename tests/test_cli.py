@@ -163,6 +163,36 @@ def test_compute_auto_uses_exact_at_q_at_least_n(tmp_path, capsys):
     assert "n=21 exceeds the exact cap 20" in capsys.readouterr().err
 
 
+def test_an_input_over_the_size_limit_is_refused_before_it_is_read_whole(tmp_path, capsys, monkeypatch):
+    # The limit is 1 GiB, so it is tested at 64 bytes: a file of 64 bytes is
+    # read, one of 65 is refused (exit 3) naming the limit, and so is an
+    # endless input, read in chunks up to the limit and one byte.
+    monkeypatch.setattr(zqforce.cli, "MAX_FILE_BYTES", 64)
+    text = "0 1\n" * 16
+    assert main(["compute", "--file", _write(tmp_path, "at.el", text)]) == 0
+    capsys.readouterr()
+    over = _write(tmp_path, "over.el", text + "\n")
+    assert main(["compute", "--file", over]) == 3
+    assert capsys.readouterr().err == f"error: {over} exceeds the input limit of 64 bytes\n"
+    monkeypatch.setattr(zqforce.cli, "_READ_CHUNK", 10)
+    assert main(["compute", "--file", "/dev/zero"]) == 3
+    assert capsys.readouterr().err == "error: /dev/zero exceeds the input limit of 64 bytes\n"
+
+
+def test_a_crlf_plain_file_takes_the_bulk_parser(tmp_path, monkeypatch):
+    # The input is read as text mode reads it, so CRLF and CR line ends
+    # reach the parser as LF, and a plain file written with them still
+    # takes the bulk path.
+    def no_line_loop(text):
+        raise AssertionError("the line loop read a plain file")
+
+    monkeypatch.setattr(zqforce.graphs, "_parse_lines", no_line_loop)
+    for name, text in (("crlf.el", "n 4\r\n0 1\r\n1 2\r\n2 3\r\n"), ("cr.el", "0 1\r1 2\r2 3\r")):
+        p = tmp_path / name
+        p.write_bytes(text.encode())
+        assert main(["compute", "--file", str(p)]) == 0
+
+
 def test_compute_parse_error_exit_code(tmp_path):
     f = _write(tmp_path, "bad.el", "0 1\nnope\n")
     assert main(["compute", "--file", f]) == 2

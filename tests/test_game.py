@@ -52,11 +52,6 @@ from helpers import (
 )
 
 
-def test_cycle_values():
-    for n in range(3, 9):
-        assert solve_zq(cycle(n), GameConfig(q=0)).value == 2
-
-
 def test_clique_value_for_every_q():
     for q in range(5):
         assert solve_zq(clique(4), GameConfig(q=q)).value == 3
@@ -226,12 +221,17 @@ def test_adversarial_oracle_refuses_unevaluated_announcements():
     ({0, 2}, (frozenset({"1"}),)),
     ({False, 3}, (frozenset({1, 2}),)),
     ({0, 2}, (frozenset({True}),)),
+    ({0, 10**9}, (frozenset({1}),)),
+    ({0, 2}, (frozenset({10**12}),)),
+    ({0, 10**5000}, (frozenset({1}),)),
 ], ids=["negative-filled", "negative-announced", "filled-past-n", "float-filled", "str-announced",
-        "bool-filled", "bool-announced"])
+        "bool-filled", "bool-announced", "filled-1e9", "announced-1e12", "filled-1e5000"])
 def test_adversarial_oracle_refuses_vertices_outside_the_graph(filled, announcement):
     # 1 << v refuses a negative or non-int vertex, and a filled vertex at n
     # or above would index past the adjacency masks. A bool is no vertex,
-    # though 1 << True would read it as vertex 1.
+    # though 1 << True would read it as vertex 1. The ids are checked before
+    # any mask is built: 1 << v for a huge v costs time and memory, or
+    # raises MemoryError or OverflowError.
     oracle = adversarial_oracle(solve_zq(cycle(5), GameConfig(q=0)))
     with pytest.raises(OracleProtocolError, match=r"names a vertex outside 0\.\.4"):
         oracle(filled, announcement)
@@ -254,8 +254,8 @@ def test_solver_matches_unoptimized_reference():
     graphs += [random_connected_graph(6, rng.random() * 0.6, rng) for _ in range(10)]
     for g in graphs:
         for q in (0, 1, 2):
+            fast = solve_zq(g, GameConfig(q=q)).value
             for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
-                fast = solve_zq(g, GameConfig(q=q, rule3_mode=mode)).value
                 assert fast == naive_zq_value(g, q, mode), (g.edges, q, mode)
 
 
@@ -346,75 +346,24 @@ def test_search_skips_tokens_where_an_announcement_costs_at_most_one():
     # search scores no token where an announcement is worth 0 or 1. Scoring
     # every token successor reaches all 2,208 closed states of C16 at each q.
     # Upper bounds, so that a search that skips more still passes.
-    for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
-        for q, bound in ((0, 122), (1, 474), (2, 1134)):
-            sol = solve_zq(cycle(16), GameConfig(q=q, rule3_mode=mode))
-            assert sol.value == 2
-            assert sol.states_explored <= bound, (mode, q, sol.states_explored)
-
-
-def test_search_skips_tokens_whose_key_lies_inside_a_scored_one():
-    # A token whose successor's closure lies inside another token's is worth
-    # no less (monotonicity), so the search scores tokens largest key first
-    # and skips one inside a scored key. Without the skip the search stores
-    # 4,440 and 11,450 states on these trees and cacti in closure mode, and
-    # 4,457 and 12,028 in single_force mode. Upper bounds, so that a search
-    # that stores fewer still passes.
-    bounds = {
-        MODE_CLOSURE: {random_tree: 1550, random_cactus: 3900},
-        MODE_SINGLE_FORCE: {random_tree: 1550, random_cactus: 4350},
-    }
-    expected = {random_tree: [4, 3, 4], random_cactus: [4, 6, 6]}
-    for mode, per_maker in bounds.items():
-        for make, bound in per_maker.items():
-            values = []
-            states = 0
-            for seed in (1, 2, 3):
-                sol = solve_zq(make(20, random.Random(seed)), GameConfig(q=1, rule3_mode=mode))
-                values.append(sol.value)
-                states += sol.states_explored
-            assert values == expected[make], (mode, make.__name__, values)
-            assert states <= bound, (mode, make.__name__, states)
+    for q, bound in ((0, 122), (1, 474), (2, 1134)):
+        sol = solve_zq(cycle(16), GameConfig(q=q))
+        assert sol.value == 2
+        assert sol.states_explored <= bound, (q, sol.states_explored)
 
 
 def test_q0_search_settles_each_state_at_its_first_live_announcement():
     # At q = 0 the search keeps the value of the first live announcement and
     # scores no other move there, which halves the states it stores on these
-    # cacti. Upper bounds, so that a search that stores fewer still passes.
-    for mode, bound in ((MODE_CLOSURE, 4300), (MODE_SINGLE_FORCE, 4600)):
-        values = []
-        states = 0
-        for seed in (1, 2, 3):
-            g = generate_family("random_cactus", FamilyParams(n=20), seed=seed)
-            sol = solve_zq(g, GameConfig(q=0, rule3_mode=mode))
-            values.append(sol.value)
-            states += sol.states_explored
-        assert values == [6, 5, 4], (mode, values)
-        assert states <= bound, (mode, states)
-
-
-def test_q1_search_settles_each_state_at_its_first_live_announcement():
-    # Every live announcement attains the state's value at every q, so at
-    # q = 1 the search scores no token where one is live. On these trees and
-    # cacti it then stores 505 and 2,677 states in closure mode, and 530 and
-    # 2,957 in single_force mode, against 1,395, 3,519, 1,403 and 3,943 when
-    # it scored every announcement and then the tokens. Upper bounds, so
-    # that a search that stores fewer still passes.
-    bounds = {
-        MODE_CLOSURE: {random_tree: 560, random_cactus: 2950},
-        MODE_SINGLE_FORCE: {random_tree: 585, random_cactus: 3250},
-    }
-    expected = {random_tree: [4, 3, 4], random_cactus: [4, 6, 6]}
-    for mode, per_maker in bounds.items():
-        for make, bound in per_maker.items():
-            values = []
-            states = 0
-            for seed in (1, 2, 3):
-                sol = solve_zq(make(20, random.Random(seed)), GameConfig(q=1, rule3_mode=mode))
-                values.append(sol.value)
-                states += sol.states_explored
-            assert values == expected[make], (mode, make.__name__, values)
-            assert states <= bound, (mode, make.__name__, states)
+    # cacti. An upper bound, so that a search that stores fewer still passes.
+    values = []
+    states = 0
+    for seed in (1, 2, 3):
+        sol = solve_zq(generate_family("random_cactus", FamilyParams(n=20), seed=seed), GameConfig(q=0))
+        values.append(sol.value)
+        states += sol.states_explored
+    assert values == [6, 5, 4], values
+    assert states <= 4300, states
 
 
 def test_a_token_inside_a_grown_key_has_its_key_inside_it():
@@ -423,7 +372,7 @@ def test_a_token_inside_a_grown_key_has_its_key_inside_it():
     # holds F, so the key of F + v lies inside K for each token v in K. A
     # token is the lowest unfilled member of its twin class, or a vertex
     # with no twin. Checked on the memo keys of solves of graphs with twin
-    # classes, in both rule-3 modes.
+    # classes.
     graphs = [
         generate_family("windmill_I", FamilyParams(eta=3, k=3, l=1)),
         generate_family("windmill_II", FamilyParams(eta=2, k=3, l=2)),
@@ -440,34 +389,40 @@ def test_a_token_inside_a_grown_key_has_its_key_inside_it():
         assert twins, g.edges
         masks = _adjacency_masks(g)
         full = (1 << g.n) - 1
-        for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
-            sol = solve_zq(g, GameConfig(q=1, rule3_mode=mode))
-            for state in sol.values.keys() | sol.bounds.keys():
-                case = (g.edges, mode, state)
-                assert _window_closure(masks, state, full) == state and _is_canonical(g, state), case
-                unfilled = [v for v in range(g.n) if not state >> v & 1]
-                tokens = [v for v in unfilled if not any(b == v and not state >> a & 1 for a, b in twins)]
-                for w in tokens:
-                    key = sol._key(state | 1 << w)
-                    assert key & state == state, case + (w,)
-                    for v in tokens:
-                        if v != w and key >> v & 1:
-                            inside += 1
-                            assert sol._key(state | 1 << v) | key == key, case + (w, v)
+        sol = solve_zq(g, GameConfig(q=1))
+        for state in sol.values.keys() | sol.bounds.keys():
+            case = (g.edges, state)
+            assert _window_closure(masks, state, full) == state and _is_canonical(g, state), case
+            unfilled = [v for v in range(g.n) if not state >> v & 1]
+            tokens = [v for v in unfilled if not any(b == v and not state >> a & 1 for a, b in twins)]
+            for w in tokens:
+                key = sol._key(state | 1 << w)
+                assert key & state == state, case + (w,)
+                for v in tokens:
+                    if v != w and key >> v & 1:
+                        inside += 1
+                        assert sol._key(state | 1 << v) | key == key, case + (w, v)
     assert inside > 1000
 
 
 def test_search_keys_no_token_inside_a_key_it_has_found(monkeypatch):
-    # Skipping the tokens inside a key already found leaves every scored key,
-    # its budget and its order as they were, so the states stay exactly
-    # those of a search that keys every token successor. The closures fall:
-    # on these cacti 12,925 became 10,240, and on these trees 2,959 became
-    # 2,892. Each closure bound lies between the two counts. Both rule-3
-    # modes run the same search, so their rows are equal.
-    expected = {
-        MODE_CLOSURE: {random_tree: (505, 2920), random_cactus: (2677, 11500)},
-        MODE_SINGLE_FORCE: {random_tree: (505, 2920), random_cactus: (2677, 11500)},
-    }
+    # The states and window closures of the search at q = 1 on these trees
+    # and cacti, with the counts that each of its skips saved:
+    # - a token whose successor's closure lies inside another token's is
+    #   worth no less (monotonicity), so the search scores tokens largest
+    #   key first and skips one inside a scored key. Without the skip it
+    #   stored 4,440 and 11,450 states;
+    # - every live announcement attains the state's value, so the search
+    #   scores no token where one is live. Before that it scored every
+    #   announcement and then the tokens, and stored 1,395 and 3,519 states;
+    # - skipping the tokens inside a key already found leaves every scored
+    #   key, its budget and its order as they were, so the states stay
+    #   exactly those of a search that keys every token successor. The
+    #   closures fell from 2,959 to 2,892 and from 12,925 to 10,240. Each
+    #   closure bound lies between the two counts.
+    # The counts were measured in closure mode; both rule-3 modes run the
+    # same search.
+    expected = {random_tree: ([4, 3, 4], 505, 2920), random_cactus: ([4, 6, 6], 2677, 11500)}
     calls = []
 
     def closure_spy(masks, filled, window, check=None):
@@ -475,14 +430,12 @@ def test_search_keys_no_token_inside_a_key_it_has_found(monkeypatch):
         return _window_closure(masks, filled, window, check)
 
     monkeypatch.setattr(zqforce.game, "_window_closure", closure_spy)
-    for mode, per_maker in expected.items():
-        for make, (states, closures) in per_maker.items():
-            calls.clear()
-            explored = 0
-            for seed in (1, 2, 3):
-                explored += solve_zq(make(20, random.Random(seed)), GameConfig(q=1, rule3_mode=mode)).states_explored
-            assert explored == states, (mode, make.__name__, explored)
-            assert len(calls) <= closures, (mode, make.__name__, len(calls))
+    for make, (values, states, closures) in expected.items():
+        calls.clear()
+        sols = [solve_zq(make(20, random.Random(seed)), GameConfig(q=1)) for seed in (1, 2, 3)]
+        assert [sol.value for sol in sols] == values, make.__name__
+        assert sum(sol.states_explored for sol in sols) == states, make.__name__
+        assert len(calls) <= closures, (make.__name__, len(calls))
 
 
 def test_naive_table_is_closure_invariant_and_monotone():
@@ -1002,17 +955,16 @@ def test_raw_memo_gives_a_warm_evaluator_the_fresh_values():
         full = (1 << g.n) - 1
         masks = _adjacency_masks(g)
         for q in (0, 1, 2):
-            for mode in (MODE_CLOSURE, MODE_SINGLE_FORCE):
-                case = (g.edges, q, mode)
-                cfg = GameConfig(q=q, rule3_mode=mode)
-                warm = solve_zq(g, cfg)
-                keys = warm.values.keys() | warm.bounds.keys()
-                assert any(state not in keys for state in warm._raw), case
-                for filled in range(1 << g.n):
-                    fresh = GameSolution(g, cfg)
-                    assert warm._capped(filled, g.n + 1) == fresh._capped(filled, g.n + 1), case + (filled,)
-                assert all(_window_closure(masks, state, full) == state for state in keys), case
-                assert all(_is_canonical(g, state) for state in keys), case
+            case = (g.edges, q)
+            cfg = GameConfig(q=q)
+            warm = solve_zq(g, cfg)
+            keys = warm.values.keys() | warm.bounds.keys()
+            assert any(state not in keys for state in warm._raw), case
+            for filled in range(1 << g.n):
+                fresh = GameSolution(g, cfg)
+                assert warm._capped(filled, g.n + 1) == fresh._capped(filled, g.n + 1), case + (filled,)
+            assert all(_window_closure(masks, state, full) == state for state in keys), case
+            assert all(_is_canonical(g, state) for state in keys), case
 
 
 def test_raw_memo_is_cleared_at_the_memo_limit(monkeypatch):

@@ -142,6 +142,49 @@ def test_ids_and_vertex_count_are_ascii_digits(text, lineno, tmp_path):
     assert main(["compute", "--file", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("0 x\n", 1, "bad vertex 'x'"),
+    ("0 1\n-1 2\n", 2, "bad vertex '-1'"),
+    ("0 1\n1 \u0662\n", 2, "bad vertex '\u0662'"),
+    ("n -5\n0 1\n", 1, "bad vertex count '-5'"),
+    ("n x\n0 1\n", 1, "bad vertex count 'x'"),
+    ("n 0\n", 1, "vertex count must be positive"),
+])
+def test_one_reader_words_every_bad_id(text, lineno, message):
+    # Header counts and endpoints are read by one reader, which names the
+    # token it refuses, at its line.
+    with pytest.raises(EdgeListParseError) as excinfo:
+        parse_edge_list(text)
+    assert (excinfo.value.lineno, str(excinfo.value)) == (lineno, f"line {lineno}: {message}")
+
+
+@pytest.mark.parametrize("text, error, lineno", [
+    ("1" + "0" * 2999 + " 0\n", ResourceLimitError, None),  # headerless: n is 1 + the id
+    ("n " + "9" * 5000 + "\n", EdgeListParseError, 1),
+    ("0 " + "x" * 100_000 + "\n", EdgeListParseError, 1),
+    ("0 1\n" + "1 " * 50_000, EdgeListParseError, 2),
+    ("n 3\n0 " + "5" * 2000 + "\n", GraphValidationError, None),
+], ids=["long-headerless-id", "long-header-count", "long-token", "long-line", "long-id-past-header"])
+def test_parse_errors_quote_a_long_token_or_line_in_bounded_form(text, error, lineno):
+    # Each echoed token, line or id is cut to 40 characters and "…".
+    with pytest.raises(error) as excinfo:
+        parse_edge_list(text)
+    assert getattr(excinfo.value, "lineno", None) == lineno
+    message = str(excinfo.value)
+    assert len(message) < 200 and "…" in message, message
+
+
+def test_graph_refusals_name_an_int_too_long_to_write_out():
+    # Python writes out at most 4,300 digits of an int; a refusal that
+    # quoted such an id whole raised ValueError instead of its own error.
+    for bad in (10**5000, -10**5000):
+        with pytest.raises(GraphValidationError, match="int of 16610 bits") as excinfo:
+            Graph.from_edges(3, [(0, 1), (0, bad)])
+        assert len(str(excinfo.value)) < 200
+        with pytest.raises(GraphValidationError, match="int of 16610 bits"):
+            unfilled_components(path(3), [0, bad])
+
+
 @pytest.mark.parametrize("chunk", [graphs._CHUNK, 1, 8])
 @pytest.mark.parametrize("text, bulk", [
     ("0 1\n" * 40 + "01 2\n", False),  # JSON refuses a leading zero; int() reads it
